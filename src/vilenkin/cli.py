@@ -598,7 +598,8 @@ def main(argv: list[str] | None = None) -> int:
             commands[args.command].set_defaults(**overrides)
             args = parser.parse_args(argv)
         return args.func(args)
-    except (ValueError, OSError) as exc:
+    except (ValueError, OverflowError, OSError) as exc:
+        # OverflowError covers BaseOverflowError: a grid past the 64-bit width.
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

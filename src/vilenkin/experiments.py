@@ -27,8 +27,8 @@ from .martingale import (
 from .norms import hardy_norm, modulus_hp, weak_lp
 from .transform import (
     GridFunction,
-    character_block,
     coarse_sums,
+    cumulative_rows,
     dirichlet_average,
     dirichlet_kernel_blocks,
     forward,
@@ -163,16 +163,8 @@ def _increasing_suffix(trace: list[float]) -> tuple[int, float]:
 
 
 def partial_sum_rows(f: GridFunction, block: int = 256):
-    """Yield (n0, PS) with PS[i] = S_{n0+i+1} f, by blocked accumulation."""
-    fhat = forward(f).coeffs
-    carry = np.zeros(f.size, dtype=np.complex128)
-    for lo in range(0, f.size, block):
-        hi = min(lo + block, f.size)
-        rows = character_block(f.generators, f.resolution, np.arange(lo, hi))
-        rows = rows * fhat[lo:hi, None]
-        ps = carry + np.cumsum(rows, axis=0)
-        carry = ps[-1].copy()
-        yield lo, ps
+    """Yield (n0, PS) with PS[i] = S_{n0+i+1} f (see transform.cumulative_rows)."""
+    yield from cumulative_rows(f.generators, f.resolution, f.size, forward(f).coeffs, block)
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,9 @@ from one cached table so repeated runs are bit-identical.
 from __future__ import annotations
 
 import io
+import math
 import struct
+import warnings
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -195,7 +197,11 @@ def inverse(sv: SpectralVector) -> GridFunction:
 
 
 def forward_naive(f: GridFunction, block: int = 512) -> SpectralVector:
-    """O(M_N^2) oracle: literal inner products against conjugate characters."""
+    """O(M_N^2) oracle: literal inner products against conjugate characters.
+
+    It stays on literal ``character_block`` rows, not on cumulative_rows,
+    so that it remains an independent check on the fast paths.
+    """
     out = np.empty(f.size, dtype=np.complex128)
     for lo in range(0, f.size, block):
         hi = min(lo + block, f.size)
@@ -205,6 +211,11 @@ def forward_naive(f: GridFunction, block: int = 512) -> SpectralVector:
 
 
 def inverse_naive(sv: SpectralVector, block: int = 512) -> GridFunction:
+    """O(M_N^2) oracle for ``inverse``: the literal sum of f^(n) psi_n.
+
+    It stays on literal ``character_block`` rows, not on cumulative_rows,
+    so that it remains an independent check on the fast paths.
+    """
     out = np.zeros(sv.size, dtype=np.complex128)
     for lo in range(0, sv.size, block):
         hi = min(lo + block, sv.size)
@@ -223,7 +234,11 @@ def _check_kernel_args(m: GeneratorSequence, n: int, resolution: int) -> int:
 
 
 def dirichlet_direct(m: GeneratorSequence, n: int, resolution: int, block: int = 512) -> GridFunction:
-    """D_n as the literal sum of the first n characters."""
+    """D_n as the literal sum of the first n characters.
+
+    It stays on literal ``character_block`` rows, not on cumulative_rows,
+    so that it remains an independent check on the kernel engine.
+    """
     size = _check_kernel_args(m, n, resolution)
     acc = np.zeros(size, dtype=np.complex128)
     for lo in range(0, n, block):
@@ -266,25 +281,70 @@ def dirichlet_closed(m: GeneratorSequence, n: int, resolution: int) -> GridFunct
     return GridFunction(m, resolution, character_values(m, n, resolution) * acc)
 
 
-def dirichlet_kernel_blocks(
-    m: GeneratorSequence, resolution: int, limit: int, block: int = 256
+def cumulative_rows(
+    m: GeneratorSequence, resolution: int, limit: int, weights=None, block: int = 256
 ):
-    """Yield (n0, K) with K[i] = D_{n0+i+1}, by blocked direct summation.
+    """Yield (n0, C) with C[i] = sum_{n=0}^{n0+i} w_n psi_n, for n0+i < ``limit``.
 
-    Cumulative sums run inside each block with a carried prefix, which
-    keeps float error near the pairwise-summation level during exhaustive
-    kernel scans.
+    ``weights`` holds one complex w_n per index below M_N; None means
+    w_n = 1, so C[i] = D_{n0+i+1}.  Cumulative sums run inside each block
+    of ``block`` rows with a carried prefix, which keeps float error near
+    the pairwise-summation level during exhaustive scans.
+
+    Rows come from the product form psi_{a M_b + i} = psi_{a M_b} psi_i
+    (i < M_b): each row is gathered from one table of the M_b low-digit
+    rows, then multiplied in place by the root factor of every nonzero
+    high digit k >= b, once per run of rows sharing those digits.  The
+    factors go in the digit order of ``character_block``, so every row is
+    bit-identical to the literal one.
     """
     size = m.size(resolution)
     if not 1 <= limit <= size:
-        raise ValueError("kernel scan limit out of range")
+        raise ValueError("row scan limit out of range")
+    if block < 1:
+        raise ValueError("row block size must be positive")
+    w = None
+    if weights is not None:
+        w = np.asarray(weights, dtype=np.complex128)
+        if w.shape != (size,):
+            raise ValueError(f"weight vector has length {w.shape}, expected M_N = {size}")
+    # The low-digit table holds psi_0 .. psi_{M_b - 1}, M_b closest to sqrt(M_N).
+    bases = m.scaled_bases(resolution)
+    b = min(range(resolution + 1), key=lambda k: abs(bases[k] - math.sqrt(size)))
+    low = bases[b]
+    table = character_block(m, resolution, np.arange(min(low, limit)))
+    xdig = digit_table(m, resolution)
+    radices = m.radices(resolution)
+    # factors[k][d] = r_k^(d x_k): the root factor of digit d at high position k
+    factors = {
+        k: unit_roots(radices[k])[np.outer(np.arange(radices[k]), xdig[:, k]) % radices[k]]
+        for k in range(b, resolution)
+    }
     carry = np.zeros(size, dtype=np.complex128)
     for lo in range(0, limit, block):
         hi = min(lo + block, limit)
-        rows = character_block(m, resolution, np.arange(lo, hi))
-        kernels = carry + np.cumsum(rows, axis=0)
-        carry = kernels[-1].copy()
-        yield lo, kernels
+        rows = table[np.arange(lo, hi) % low]
+        for a in range(lo // low, (hi - 1) // low + 1):
+            run = rows[max(a * low, lo) - lo : min((a + 1) * low, hi) - lo]
+            k, rest = b, a
+            while rest:
+                rest, d = divmod(rest, radices[k])
+                if d:
+                    run *= factors[k][d]
+                k += 1
+        if w is not None:
+            rows *= w[lo:hi, None]
+        np.cumsum(rows, axis=0, out=rows)
+        rows += carry
+        carry = rows[-1].copy()
+        yield lo, rows
+
+
+def dirichlet_kernel_blocks(
+    m: GeneratorSequence, resolution: int, limit: int, block: int = 256
+):
+    """Yield (n0, K) with K[i] = D_{n0+i+1} for n0+i < limit (see cumulative_rows)."""
+    yield from cumulative_rows(m, resolution, limit, block=block)
 
 
 def partial_sum(f: GridFunction, n: int) -> GridFunction:
@@ -377,15 +437,38 @@ def _read_rows(src: io.TextIOBase) -> tuple[GeneratorSequence, int, str, np.ndar
     kind = header.split()[2]
     m = GeneratorSequence.parse(src.readline().strip().removeprefix("# m="))
     resolution = int(src.readline().strip().removeprefix("# N="))
+    size = m.size(resolution)
     src.readline()  # column header
-    data = np.zeros(m.size(resolution), dtype=np.complex128)
-    for line in src:
-        line = line.strip()
-        if not line:
-            continue
-        i_str, re_str, im_str = line.split(",")
-        data[int(i_str)] = complex(float(re_str), float(im_str))
-    return m, resolution, kind, data
+    # Parse every row at once, then check the whole table at once.
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # "input contained no data"
+        try:
+            table = np.loadtxt(src, delimiter=",", dtype=np.float64, ndmin=2)
+        except ValueError as exc:
+            # drop numpy's advice on `usecols`, which a CLI user cannot pass
+            raise ValueError(f"malformed CSV data: {str(exc).split(';')[0]}") from None
+    if table.size == 0:
+        table = np.empty((0, 3))
+    if table.shape[1] != 3:
+        raise ValueError(f"malformed CSV data: {table.shape[1]} columns, expected index,re,im")
+    col = table[:, 0]
+    bad = np.flatnonzero(~((col >= 0) & (col < size) & (col == np.floor(col))))
+    if len(bad):
+        raise ValueError(f"CSV row index {col[bad[0]]:g} is not an index below M_N = {size}")
+    idx = col.astype(np.int64)
+    order = np.sort(idx)
+    dup = np.flatnonzero(order[1:] == order[:-1])
+    if len(dup):
+        raise ValueError(f"CSV row index {order[dup[0]]} appears more than once")
+    if len(order) != size:
+        gap = np.flatnonzero(order != np.arange(len(order)))
+        raise ValueError(f"CSV row index {gap[0] if len(gap) else len(order)} is missing")
+    finite = np.isfinite(table[:, 1:]).all(axis=1)
+    if not finite.all():
+        raise ValueError(f"CSV row {idx[np.argmin(finite)]} holds a non-finite value")
+    data = np.empty((size, 2))
+    data[idx] = table[:, 1:]
+    return m, resolution, kind, data.view(np.complex128)[:, 0]
 
 
 def read_grid_csv(src: io.TextIOBase) -> GridFunction:
@@ -413,11 +496,23 @@ def _write_binary(out: io.BufferedIOBase, m: GeneratorSequence, resolution: int,
 def _read_binary(src: io.BufferedIOBase) -> tuple[GeneratorSequence, int, int, np.ndarray]:
     if src.read(4) != _MAGIC:
         raise ValueError("not a vilenkin binary file")
-    kind, resolution, mlen = struct.unpack("<BIH", src.read(7))
-    m = GeneratorSequence.parse(src.read(mlen).decode())
-    data = np.frombuffer(src.read(), dtype="<c16").astype(np.complex128)
-    if data.shape[0] != m.size(resolution):
-        raise ValueError("binary payload length does not match the header")
+    fixed = src.read(7)
+    if len(fixed) != 7:
+        raise ValueError("binary header is truncated")
+    kind, resolution, mlen = struct.unpack("<BIH", fixed)
+    mraw = src.read(mlen)
+    if len(mraw) != mlen:
+        raise ValueError("binary header is truncated")
+    m = GeneratorSequence.parse(mraw.decode())
+    payload = src.read()
+    expected = 16 * m.size(resolution)
+    if len(payload) != expected:
+        raise ValueError(
+            f"binary payload has {len(payload)} bytes, the header needs {expected}"
+        )
+    data = np.frombuffer(payload, dtype="<c16").astype(np.complex128)
+    if not np.isfinite(data).all():
+        raise ValueError(f"binary payload entry {int(np.argmin(np.isfinite(data)))} is not finite")
     return m, resolution, kind, data
 
 

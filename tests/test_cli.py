@@ -192,3 +192,61 @@ class TestArtifactReproducibility:
         name = "scan_atom_ratio_m2c_N6"
         for suffix in (".json", ".csv"):
             assert (a / name).with_suffix(suffix).read_bytes() == (b / name).with_suffix(suffix).read_bytes()
+
+
+def _single_error_line(capsys) -> str:
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error:"), err
+    return err[0]
+
+
+class TestInputErrors:
+    """Every bad input ends as exit 2 with one `error:` line, never a traceback."""
+
+    def test_base_overflow_is_usage_error(self, tmp_path, capsys):
+        assert run(["scan", "--name", "supp_measure", "--m", "2^", "--N", 80, "--out", tmp_path]) == 2
+        assert "64-bit" in _single_error_line(capsys)
+
+    CSV_HEAD = "# vilenkin grid v1\n# m=2^\n# N=2\nindex,re,im\n"
+    CSV_FAULTS = {
+        "index_out_of_range": "0,1,0\n1,1,0\n2,1,0\n9,1,0\n",
+        "duplicate_index": "0,1,0\n1,1,0\n1,1,0\n2,1,0\n3,1,0\n",
+        "missing_index": "0,1,0\n1,1,0\n3,1,0\n",
+        "malformed_line": "0,1,0\n1,1\n2,1,0\n3,1,0\n",
+        "malformed_cell": "0,1,0\n1,one,0\n2,1,0\n3,1,0\n",
+        "non_finite_cell": "0,1,0\n1,nan,0\n2,1,0\n3,1,0\n",
+    }
+
+    @pytest.mark.parametrize("fault", sorted(CSV_FAULTS))
+    def test_bad_csv_is_usage_error(self, tmp_path, capsys, fault):
+        src = tmp_path / "f.csv"
+        src.write_text(self.CSV_HEAD + self.CSV_FAULTS[fault])
+        argv = ["transform", "--m", "2^", "--N", 2, "--op", "forward", "--input", src, "--output", tmp_path / "o.csv"]
+        assert run(argv) == 2
+        _single_error_line(capsys)
+        assert not (tmp_path / "o.csv").exists()
+
+    @staticmethod
+    def _binary(values) -> bytes:
+        from vilenkin.transform import write_grid_binary
+        import io
+
+        buf = io.BytesIO()
+        write_grid_binary(buf, grid_function(WALSH, 2, values))
+        return buf.getvalue()
+
+    @pytest.mark.parametrize("fault", ["short_header", "truncated_payload", "non_finite_payload"])
+    def test_bad_binary_is_usage_error(self, tmp_path, capsys, fault):
+        blob = self._binary([1.0, 2.0, 3.0, 4.0])
+        if fault == "short_header":
+            blob = blob[:8]
+        elif fault == "truncated_payload":
+            blob = blob[:-5]
+        else:
+            blob = self._binary([1.0, np.inf, 3.0, 4.0])
+        src = tmp_path / "f.bin"
+        src.write_bytes(blob)
+        argv = ["transform", "--m", "2^", "--N", 2, "--op", "forward", "--input", src, "--output", tmp_path / "o.csv"]
+        assert run(argv) == 2
+        _single_error_line(capsys)
+        assert not (tmp_path / "o.csv").exists()

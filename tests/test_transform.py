@@ -9,6 +9,7 @@ from vilenkin.group import GeneratorSequence, GroupPoint, WALSH, decompose
 from vilenkin.transform import (
     GridFunction,
     character,
+    character_block,
     character_values,
     constant,
     dirichlet_average,
@@ -17,6 +18,7 @@ from vilenkin.transform import (
     dirichlet_kernel_blocks,
     conditional_expectation,
     coarse_sums,
+    cumulative_rows,
     forward,
     forward_naive,
     grid_function,
@@ -145,6 +147,74 @@ class TestTransformProperties:
         once = partial_sum(f, n)
         twice = partial_sum(once, n)
         assert np.abs(twice.values - once.values).max() <= 1e-9 * max(np.abs(f.values).max(), 1.0)
+
+
+def _literal_rows(m, resolution, limit, weights, block):
+    """The blocked loop over literal character rows that cumulative_rows replaces."""
+    carry = np.zeros(m.size(resolution), dtype=np.complex128)
+    for lo in range(0, limit, block):
+        hi = min(lo + block, limit)
+        rows = character_block(m, resolution, np.arange(lo, hi))
+        if weights is not None:
+            rows = rows * weights[lo:hi, None]
+        sums = carry + np.cumsum(rows, axis=0)
+        carry = sums[-1].copy()
+        yield lo, sums
+
+
+def _assert_rows_bit_identical(m, resolution, limit, weights, block):
+    fast = list(cumulative_rows(m, resolution, limit, weights, block))
+    slow = list(_literal_rows(m, resolution, limit, weights, block))
+    assert [lo for lo, _ in fast] == [lo for lo, _ in slow]
+    for (lo, a), (_, b) in zip(fast, slow):
+        assert a.shape == b.shape
+        assert np.array_equal(a.view(np.uint64), b.view(np.uint64)), lo
+
+
+@st.composite
+def _row_scan(draw):
+    pattern = tuple(draw(st.lists(st.integers(2, 5), min_size=1, max_size=4)))
+    m = GeneratorSequence(pattern, cyclic=draw(st.booleans()))
+    top = 0
+    while m.size(top + 1) <= 512:
+        top += 1
+    resolution = draw(st.integers(0, top))
+    size = m.size(resolution)
+    limit = draw(st.integers(1, size))
+    block = draw(st.integers(1, 300))
+    weights = None
+    if draw(st.booleans()):
+        rng = np.random.default_rng(draw(st.integers(0, 1 << 30)))
+        weights = rng.standard_normal(size) + 1j * rng.standard_normal(size)
+    return m, resolution, limit, weights, block
+
+
+class TestCumulativeRows:
+    @given(_row_scan())
+    @settings(max_examples=80, deadline=None)
+    def test_bit_identical_to_literal_rows(self, scan):
+        _assert_rows_bit_identical(*scan)
+
+    @pytest.mark.parametrize(
+        "spec,resolution", [("2^", 10), ("3^", 7), ("4^", 5), ("2,3,4^", 7)], ids=str
+    )
+    @pytest.mark.parametrize("weighted", [False, True], ids=["kernels", "weighted"])
+    def test_full_scan_bit_identical(self, spec, resolution, weighted):
+        m = GeneratorSequence.parse(spec)
+        size = m.size(resolution)
+        assert size >= 1024
+        rng = np.random.default_rng(resolution)
+        weights = rng.standard_normal(size) + 1j * rng.standard_normal(size) if weighted else None
+        _assert_rows_bit_identical(m, resolution, size, weights, 256)
+
+    def test_bad_arguments_rejected(self):
+        for limit in (0, 17):
+            with pytest.raises(ValueError):
+                next(cumulative_rows(WALSH, 4, limit))
+        with pytest.raises(ValueError):
+            next(cumulative_rows(WALSH, 4, 16, block=0))
+        with pytest.raises(ValueError):
+            next(cumulative_rows(WALSH, 4, 16, weights=np.ones(8)))
 
 
 class TestDirichlet:
