@@ -591,11 +591,18 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         if getattr(args, "config", None):
-            overrides = {
-                k: _cast_config(k, v) for k, v in _load_config_file(args.config).items()
-            }
+            sub = commands[args.command]
+            known = {action.dest for action in sub._actions if action.dest != "help"}
+            overrides = {}
+            for k, v in _load_config_file(args.config).items():
+                if k not in known:
+                    raise ValueError(
+                        f"unknown config key {k!r} for {args.command} "
+                        f"(known: {', '.join(sorted(known))})"
+                    )
+                overrides[k] = _cast_config(k, v)
             # Config values become subcommand defaults, so explicit flags win.
-            commands[args.command].set_defaults(**overrides)
+            sub.set_defaults(**overrides)
             args = parser.parse_args(argv)
         return args.func(args)
     except (ValueError, OverflowError, OSError) as exc:

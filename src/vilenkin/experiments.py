@@ -309,8 +309,9 @@ def divergence_scan(
     points = []
     trace = []
     cross_err = 0.0
+    spectrum = forward(spec.realized)
     for k, a in enumerate(spec.alphas):
-        s_fast = partial_sum(spec.realized, a)
+        s_fast = partial_sum(spectrum, a)
         s_closed = closed_partial_sum(spec, a)
         err = float(np.abs(s_fast.values - s_closed.values).max())
         cross_err = max(cross_err, err)
@@ -389,25 +390,26 @@ def boundedness_scan(
     indices = _bounded_indices(variant, m, resolution)
     rng = np.random.default_rng(seed)
 
-    pool: list[tuple[str, GridFunction]] = []
+    functions: list[tuple[str, GridFunction]] = []
     for t in range(trials):
         values = rng.standard_normal(size) + 1j * rng.standard_normal(size)
-        pool.append((f"random{t}", grid_function(m, resolution, values)))
+        functions.append((f"random{t}", grid_function(m, resolution, values)))
     spec = build_counterexample(
         m, p, default_alphas(m, resolution), rule="balanced", resolution=resolution
     )
-    pool.append(("martingale", spec.realized))
+    functions.append(("martingale", spec.realized))
+    # One spectrum and one H_p norm per function; every S_n f truncates the spectrum.
+    pool = [(label, forward(f), hardy_norm(f, p)) for label, f in functions]
 
     max_ratio = 0.0
     per_index = []
     for n in indices:
         worst = 0.0
         martingale_ratio = None
-        for label, f in pool:
-            denom = hardy_norm(f, p)
+        for label, spectrum, denom in pool:
             if denom == 0:
                 continue
-            ratio = hardy_norm(partial_sum(f, n), p) / denom
+            ratio = hardy_norm(partial_sum(spectrum, n), p) / denom
             if label == "martingale":
                 martingale_ratio = ratio
             worst = max(worst, ratio)
@@ -553,6 +555,8 @@ def modulus_convergence_scan(
         raise ValueError(f"unknown n_rule {n_rule!r}")
     spec = _modulus_spec(f_rule, m, p, alphas, resolution)
     f = spec.realized
+    spectrum = forward(f)
+    omegas = [modulus_hp(f, t, p) for t in range(resolution + 1)]
 
     points = []
     err_hp_trace = []
@@ -563,8 +567,8 @@ def modulus_convergence_scan(
         idx = decompose(a, m)
         bases = m.scaled_bases(idx.top + 1)
         rate = (bases[idx.top] / bases[idx.bottom]) ** (1.0 / p - 1.0)
-        omega = modulus_hp(f, idx.top, p)
-        diff = partial_sum(f, a) - f
+        omega = omegas[idx.top]
+        diff = partial_sum(spectrum, a) - f
         err_hp = hardy_norm(diff, p)
         err_weak = weak_lp(diff, p)
         target = 1.0 / rate  # (M_<n>/M_|n|)^(1/p-1)
@@ -592,7 +596,7 @@ def modulus_convergence_scan(
     tops = [decompose(a, m).top for a in spec.alphas]
     for t in range(resolution + 1):
         tail = sum(abs(l) ** p for l, top in zip(spec.lambdas, tops) if top >= t)
-        omega_t = modulus_hp(f, t, p)
+        omega_t = omegas[t]
         if tail > 0:
             tail_constants.append(omega_t**p / tail)
 

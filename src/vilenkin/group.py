@@ -79,18 +79,13 @@ class GeneratorSequence:
         return max(self.pattern)
 
     def scaled_bases(self, resolution: int) -> list[int]:
-        """M_0..M_N with M_0 = 1 and M_{k+1} = m_k * M_k, overflow-checked."""
+        """M_0..M_N with M_0 = 1 and M_{k+1} = m_k * M_k, overflow-checked.
+
+        The list is a fresh copy of one cached tuple, so callers may mutate it.
+        """
         if resolution < 0:
             raise ValueError("resolution must be nonnegative")
-        bases = [1]
-        for k in range(resolution):
-            nxt = bases[-1] * self.radix(k)
-            if nxt > _INT64_MAX:
-                raise BaseOverflowError(
-                    f"M_{k + 1} exceeds the 64-bit integer width for m={self.format()}"
-                )
-            bases.append(nxt)
-        return bases
+        return list(_scaled_bases(self.pattern, self.cyclic, resolution))
 
     def base(self, k: int) -> int:
         """M_k."""
@@ -102,6 +97,21 @@ class GeneratorSequence:
 
 
 WALSH = GeneratorSequence((2,), cyclic=True)
+
+
+@lru_cache(maxsize=1024)
+def _scaled_bases(pattern: tuple[int, ...], cyclic: bool, resolution: int) -> tuple[int, ...]:
+    # lru_cache does not cache exceptions, so overflow is raised on every call.
+    m = GeneratorSequence(pattern, cyclic)
+    bases = [1]
+    for k in range(resolution):
+        nxt = bases[-1] * m.radix(k)
+        if nxt > _INT64_MAX:
+            raise BaseOverflowError(
+                f"M_{k + 1} exceeds the 64-bit integer width for m={m.format()}"
+            )
+        bases.append(nxt)
+    return tuple(bases)
 
 
 @dataclass(frozen=True)
@@ -290,11 +300,19 @@ def index_add(i, j, m: GeneratorSequence, resolution: int) -> np.ndarray:
 
 
 def index_sub(i, j, m: GeneratorSequence, resolution: int) -> np.ndarray:
-    di = digits_of(np.asarray(i), m, resolution)
-    dj = digits_of(np.asarray(j), m, resolution)
-    radices = np.asarray(m.radices(resolution), dtype=np.int64)
-    bases = np.asarray(m.scaled_bases(resolution), dtype=np.int64)
-    return ((di - dj) % radices) @ bases[:-1]
+    """Inverse group law on coset indices, broadcasting over array arguments.
+
+    Built one digit at a time, so no (..., N) digit tensor is materialized;
+    the integers equal ``((digits_of(i) - digits_of(j)) % radices) @ bases[:-1]``.
+    """
+    i = np.asarray(i, dtype=np.int64)
+    j = np.asarray(j, dtype=np.int64)
+    bases = m.scaled_bases(resolution)
+    out = np.zeros(np.broadcast_shapes(i.shape, j.shape), dtype=np.int64)
+    for k in range(resolution):
+        mk = m.radix(k)
+        out += (i // bases[k] % mk - j // bases[k] % mk) % mk * bases[k]
+    return out[()]  # a 0-d result unwraps to a scalar, as the matmul form gives
 
 
 def coset_mask(m: GeneratorSequence, resolution: int, rank: int, base_index: int = 0) -> np.ndarray:

@@ -17,6 +17,7 @@ from .transform import (
     coarse_sums,
     conditional_expectation,
     dirichlet_closed,
+    forward,
     partial_sum,
 )
 
@@ -173,9 +174,10 @@ def restricted_maximal(f: GridFunction, indices) -> GridFunction:
     index_list = list(indices)
     if not index_list:
         raise ValueError("restricted maximal operator needs a nonempty index set")
+    spectrum = forward(f)
     acc = np.zeros(f.size)
     for n in index_list:
-        acc = np.maximum(acc, np.abs(partial_sum(f, n).values))
+        acc = np.maximum(acc, np.abs(partial_sum(spectrum, n).values))
     return GridFunction(f.generators, f.resolution, acc.astype(np.complex128))
 
 

@@ -347,13 +347,18 @@ def dirichlet_kernel_blocks(
     yield from cumulative_rows(m, resolution, limit, block=block)
 
 
-def partial_sum(f: GridFunction, n: int) -> GridFunction:
-    """S_n f by spectral truncation (the fast path)."""
+def partial_sum(f: GridFunction | SpectralVector, n: int) -> GridFunction:
+    """S_n f by spectral truncation (the fast path).
+
+    ``f`` is the function or its spectrum ``forward(f)``; a sweep over many n
+    for one f transforms it once and truncates that spectrum each time.
+    """
     if not 0 <= n <= f.size:
         raise ValueError(f"partial sum order {n} out of range at resolution {f.resolution}")
     if n == 0:
         return zero(f.generators, f.resolution)
-    coeffs = forward(f).coeffs.copy()
+    sv = f if isinstance(f, SpectralVector) else forward(f)
+    coeffs = sv.coeffs.copy()
     coeffs[n:] = 0.0
     return inverse(SpectralVector(f.generators, f.resolution, coeffs))
 
@@ -389,8 +394,9 @@ def conditional_expectation(f: GridFunction, rank: int) -> GridFunction:
 def coarse_sums(f: GridFunction) -> np.ndarray:
     """Stack of the martingale levels S_{M_0}f .. S_{M_N}f, shape (N+1, M_N)."""
     out = np.empty((f.resolution + 1, f.size), dtype=np.complex128)
-    for k in range(f.resolution + 1):
-        out[k] = conditional_expectation(f, k).values
+    for k, m_k in enumerate(f.generators.scaled_bases(f.resolution)):
+        # level k is conditional_expectation(f, k), written in place
+        out[k].reshape(-1, m_k)[:] = f.values.reshape(-1, m_k).mean(axis=0)
     return out
 
 

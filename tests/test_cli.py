@@ -164,6 +164,20 @@ class TestConfigPlumbing:
         cfg.write_text("just some words\n")
         assert run(["lebesgue", "--config", cfg, "--out", tmp_path]) == 2
 
+    def test_unknown_config_key_rejected(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("bogus_key=7\ntrails=3\n")
+        argv = ["scan", "--name", "supp_measure", "--m", "2^", "--N", 4, "--config", cfg, "--out", tmp_path]
+        assert run(argv) == 2
+        assert "'bogus_key'" in _single_error_line(capsys)
+        assert not list(tmp_path.glob("scan_*"))
+
+    def test_config_keys_are_flag_dests(self, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("trials=3\nf_rule=fast_decay\nN=4\n")
+        assert run(["scan", "--name", "supp_measure", "--config", cfg, "--out", tmp_path]) == 0
+        assert (tmp_path / "scan_supp_measure_m2c_N4.json").exists()
+
     def test_outdir_env_override(self, tmp_path, monkeypatch):
         monkeypatch.setenv("VILENKIN_OUTDIR", str(tmp_path / "envdir"))
         assert run(["dirichlet", "--m", "2^", "--n", 2, "--N", 3]) == 0

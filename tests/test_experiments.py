@@ -128,6 +128,40 @@ class TestBoundednessScan:
         assert result.verdict == "bounded"
 
 
+class TestOneSpectrumPerFunction:
+    """Each scan transforms each of its functions once, however many S_n f it takes."""
+
+    @pytest.fixture
+    def forward_calls(self, monkeypatch):
+        import vilenkin.experiments as experiments
+        import vilenkin.transform as transform
+
+        calls = []
+
+        def counted(f):
+            calls.append(f)
+            return forward(f)
+
+        # partial_sum of a grid function would call transform.forward, so count both.
+        monkeypatch.setattr(experiments, "forward", counted)
+        monkeypatch.setattr(transform, "forward", counted)
+        return calls
+
+    @pytest.mark.parametrize("trials", [1, 4])
+    def test_boundedness(self, forward_calls, trials):
+        boundedness_scan(0.5, "Mn_plus_Mn-1", WALSH, 7, trials=trials, seed=3)
+        assert len(forward_calls) == trials + 1
+
+    def test_divergence(self, forward_calls):
+        divergence_scan(0.5, "Mn_plus_1", WALSH, 9)
+        assert len(forward_calls) == 1
+
+    @pytest.mark.parametrize("f_rule", ["unit_kernel", "fast_decay"])
+    def test_modulus(self, forward_calls, f_rule):
+        modulus_convergence_scan(0.5, f_rule, "default", WALSH, 9)
+        assert len(forward_calls) == 1
+
+
 class TestWeightedSeries:
     def test_constant_function_oracle(self):
         # f = psi_0: ||S_k f||_p = 1 for all k >= 1, so the sum telescopes to

@@ -12,6 +12,7 @@ from vilenkin.group import (
     coset_mask,
     decompose,
     digit_table,
+    digits_of,
     group_add,
     group_sub,
     index_add,
@@ -195,6 +196,67 @@ class TestGroupProperties:
         assert int(i) == point_to_index(group_add(x, y))
         j = index_sub(point_to_index(x), point_to_index(y), m, x.resolution)
         assert int(j) == point_to_index(group_sub(x, y))
+
+
+class TestScaledBasesCache:
+    def test_mutating_the_result_does_not_leak(self):
+        bases = MIXED.scaled_bases(3)
+        bases[0] = 99
+        bases.append(7)
+        assert MIXED.scaled_bases(3) == [1, 2, 6, 24]
+
+    def test_overflow_raised_on_every_call(self):
+        m = GeneratorSequence.parse("3^")
+        for _ in range(2):
+            with pytest.raises(BaseOverflowError):
+                m.scaled_bases(50)
+
+    def test_cache_key_includes_cyclic(self):
+        assert GeneratorSequence((2, 3), cyclic=True).scaled_bases(4) == [1, 2, 6, 12, 36]
+        assert GeneratorSequence((2, 3)).scaled_bases(4) == [1, 2, 6, 18, 54]
+
+
+def _literal_index_sub(i, j, m, resolution):
+    radices = np.asarray(m.radices(resolution), dtype=np.int64)
+    bases = np.asarray(m.scaled_bases(resolution), dtype=np.int64)
+    return ((digits_of(i, m, resolution) - digits_of(j, m, resolution)) % radices) @ bases[:-1]
+
+
+@st.composite
+def _index_pair(draw):
+    pattern = tuple(draw(st.lists(st.integers(2, 6), min_size=1, max_size=4)))
+    m = GeneratorSequence(pattern, cyclic=draw(st.booleans()))
+    resolution = draw(st.integers(0, 7))
+    size = m.size(resolution)
+    shapes = draw(st.sampled_from([
+        ((), ()), ((), (5,)), ((5,), ()), ((1,), (5,)), ((5,), (5,)),
+        ((4, 1), (1, 3)), ((4, 1), (3,)), ((1, 3), (4, 3)), ((2, 1, 3), (4, 1)),
+    ]))
+    rng = np.random.default_rng(draw(st.integers(0, 1 << 30)))
+    operands = []
+    for shape in shapes:
+        if shape == () and draw(st.booleans()):
+            operands.append(int(rng.integers(0, size)))  # a plain Python int
+        else:
+            operands.append(rng.integers(0, size, size=shape))
+    return m, resolution, operands[0], operands[1]
+
+
+class TestIndexSubPerDigit:
+    @given(_index_pair())
+    @settings(max_examples=150, deadline=None)
+    def test_equals_digit_tensor_form(self, case):
+        m, resolution, i, j = case
+        fast = index_sub(i, j, m, resolution)
+        slow = _literal_index_sub(i, j, m, resolution)
+        assert np.shape(fast) == np.shape(slow)
+        assert np.asarray(fast).dtype == np.int64
+        assert np.array_equal(fast, slow)
+
+    def test_full_grid_table(self):
+        grid = np.arange(MIXED.size(4))
+        fast = index_sub(grid[:, None], grid[None, :], MIXED, 4)
+        assert np.array_equal(fast, _literal_index_sub(grid[:, None], grid[None, :], MIXED, 4))
 
 
 class TestTables:

@@ -217,6 +217,39 @@ class TestCumulativeRows:
             next(cumulative_rows(WALSH, 4, 16, weights=np.ones(8)))
 
 
+@st.composite
+def _spectrum_case(draw):
+    pattern = tuple(draw(st.lists(st.integers(2, 5), min_size=1, max_size=4)))
+    m = GeneratorSequence(pattern, cyclic=draw(st.booleans()))
+    top = 0
+    while m.size(top + 1) <= 256:
+        top += 1
+    resolution = draw(st.integers(0, top))
+    return random_grid(m, resolution, seed=draw(st.integers(0, 1 << 30)))
+
+
+class TestPartialSumOfSpectrum:
+    @given(_spectrum_case())
+    @settings(max_examples=40, deadline=None)
+    def test_spectrum_input_bit_identical(self, f):
+        sv = forward(f)
+        for n in range(f.size + 1):
+            a = partial_sum(sv, n).values
+            b = partial_sum(f, n).values
+            assert np.array_equal(a.view(np.uint64), b.view(np.uint64)), n
+        for n in (-1, f.size + 1):
+            with pytest.raises(ValueError):
+                partial_sum(sv, n)
+            with pytest.raises(ValueError):
+                partial_sum(f, n)
+
+    def test_spectrum_is_not_modified(self):
+        sv = forward(random_grid(TRIADIC, 3, seed=4))
+        before = sv.coeffs.copy()
+        partial_sum(sv, 5)
+        assert np.array_equal(sv.coeffs, before)
+
+
 class TestDirichlet:
     @pytest.mark.parametrize("m", SEQUENCES, ids=lambda m: m.format())
     def test_block_kernel_identity(self, m):
