@@ -21,6 +21,7 @@ from . import __version__
 from .group import (
     GeneratorSequence,
     GroupPoint,
+    coset_mask,
     decompose,
     group_add,
     group_sub,
@@ -115,13 +116,9 @@ def _write_text(path: Path, config: RunConfig, body: str) -> None:
 def _read_function(path: Path):
     if path.suffix == ".bin":
         with path.open("rb") as fh:
-            head = fh.read()
-        import io
-
-        try:
-            return read_grid_binary(io.BytesIO(head))
-        except ValueError:
-            return read_spectral_binary(io.BytesIO(head))
+            kind = fh.read(5)[4:]  # the kind byte follows the 4-byte magic
+            fh.seek(0)
+            return read_spectral_binary(fh) if kind == b"\x01" else read_grid_binary(fh)
     with path.open() as fh:
         first = fh.readline()
         fh.seek(0)
@@ -176,7 +173,7 @@ def _cmd_dirichlet(args) -> int:
     if args.n in bases:
         k = bases.index(args.n)
         ref = np.zeros(m.size(resolution), dtype=complex)
-        mask = (np.arange(m.size(resolution)) % args.n) == 0
+        mask = coset_mask(m, resolution, k)
         ref[mask] = args.n
         block_err = float(np.abs(closed.values - ref).max())
         print(f"block-kernel identity at k={k}: max err {block_err:.3e}")
@@ -574,16 +571,18 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     return parser, commands
 
 
-_CONFIG_INT_KEYS = {"N", "n", "seed", "trials", "limit", "rank", "base"}
-_CONFIG_FLOAT_KEYS = {"p"}
-
-
-def _cast_config(key: str, value: str):
-    if key in _CONFIG_INT_KEYS:
-        return int(value)
-    if key in _CONFIG_FLOAT_KEYS:
-        return float(value)
-    return value
+def _cast_config(action: argparse.Action, value: str):
+    """A config value typed like its flag: switches take true/false."""
+    if action.nargs == 0:
+        if value not in ("true", "false"):
+            raise ValueError(f"config key {action.dest!r} is a switch: use true or false, not {value!r}")
+        return value == "true"
+    if action.type is None:
+        return value
+    try:
+        return action.type(value)
+    except ValueError:
+        raise ValueError(f"config key {action.dest!r}: cannot read {value!r}") from None
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -592,7 +591,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         if getattr(args, "config", None):
             sub = commands[args.command]
-            known = {action.dest for action in sub._actions if action.dest != "help"}
+            known = {action.dest: action for action in sub._actions if action.dest != "help"}
             overrides = {}
             for k, v in _load_config_file(args.config).items():
                 if k not in known:
@@ -600,7 +599,7 @@ def main(argv: list[str] | None = None) -> int:
                         f"unknown config key {k!r} for {args.command} "
                         f"(known: {', '.join(sorted(known))})"
                     )
-                overrides[k] = _cast_config(k, v)
+                overrides[k] = _cast_config(known[k], v)
             # Config values become subcommand defaults, so explicit flags win.
             sub.set_defaults(**overrides)
             args = parser.parse_args(argv)

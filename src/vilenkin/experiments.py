@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .group import GeneratorSequence, decompose
+from .group import GeneratorSequence, coset_mask, decompose
 from .martingale import (
     MartingaleSpec,
     build_counterexample,
@@ -200,7 +200,7 @@ def atom_ratio_scan(
     discount[0] = 0.0
     for n in range(1, size + 1):
         idx = decompose(n, m)
-        discount[n] = (bases[idx.bottom] / bases[idx.top]) ** (1.0 / p - 1.0)
+        discount[n] = (idx.m_bottom / idx.m_top) ** (1.0 / p - 1.0)
 
     points = []
     global_max = 0.0
@@ -294,8 +294,7 @@ def divergence_scan(
     growth_ratios = []
     for a in alpha_list:
         idx = decompose(a, m)
-        bases = m.scaled_bases(idx.top + 1)
-        rate = (bases[idx.top] / bases[idx.bottom]) ** (1.0 / p - 1.0)
+        rate = (idx.m_top / idx.m_bottom) ** (1.0 / p - 1.0)
         growth_ratios.append(rate / phi_value(phi, a, m))
     if any(b <= a for a, b in zip(growth_ratios, growth_ratios[1:])):
         raise ValueError(
@@ -519,8 +518,7 @@ def _modulus_spec(
         lambdas = []
         for k, a in enumerate(alphas):
             idx = decompose(a, m)
-            bases = m.scaled_bases(idx.top + 1)
-            target = (bases[idx.bottom] / bases[idx.top]) ** (1.0 / p - 1.0)
+            target = (idx.m_bottom / idx.m_top) ** (1.0 / p - 1.0)
             lambdas.append(target * 4.0**-k)
         return build_counterexample(
             m, p, alphas, rule="explicit", lambdas=lambdas, resolution=resolution
@@ -565,8 +563,7 @@ def modulus_convergence_scan(
     c_max = 0.0
     for k, a in enumerate(spec.alphas):
         idx = decompose(a, m)
-        bases = m.scaled_bases(idx.top + 1)
-        rate = (bases[idx.top] / bases[idx.bottom]) ** (1.0 / p - 1.0)
+        rate = (idx.m_top / idx.m_bottom) ** (1.0 / p - 1.0)
         omega = omegas[idx.top]
         diff = partial_sum(spectrum, a) - f
         err_hp = hardy_norm(diff, p)
@@ -658,10 +655,9 @@ def supp_measure_scan(
         for i in range(kernels.shape[0]):
             n = lo + i + 1
             idx = decompose(n, m)
-            bases = m.scaled_bases(idx.top + 1)
             n_mu = n * float(supp_counts[i]) / size
-            lower = bases[idx.top] / (2.0 * bases[idx.bottom])
-            upper = lam * bases[idx.top] / bases[idx.bottom]
+            lower = idx.m_top / (2.0 * idx.m_bottom)
+            upper = lam * idx.m_top / idx.m_bottom
             ok = lower - 1e-9 <= n_mu <= upper + 1e-9
             violated = violated or not ok
             trace.append(n_mu)
@@ -708,9 +704,7 @@ def dirichlet_floor_scan(
     limit = size if n_limit is None else n_limit
     if not 1 <= limit <= size:
         raise ValueError("floor scan limit out of range")
-    bases = m.scaled_bases(resolution)
-    grid = np.arange(size, dtype=np.int64)
-    shells = [((grid % bases[s]) == 0) & ((grid % bases[s + 1]) != 0) for s in range(resolution)]
+    shells = [coset_mask(m, resolution, s) & ~coset_mask(m, resolution, s + 1) for s in range(resolution)]
 
     kernels: dict[int, np.ndarray] = {}
     points = []
@@ -726,8 +720,8 @@ def dirichlet_floor_scan(
         mags = kernels[n]
         shell = shells[idx.bottom]
         floor = float(mags[shell].min())
-        target = float(bases[idx.bottom])
-        shifted = kernels.get(n - bases[idx.top])
+        target = float(idx.m_bottom)
+        shifted = kernels.get(n - idx.m_top)
         equal_err = float(np.abs(mags[shell] - shifted[shell]).max()) if shifted is not None else None
         holds_s = [s for s in range(resolution) if shells[s].any() and mags[shells[s]].min() >= target - 1e-6]
         ok = floor >= target - 1e-6
@@ -775,12 +769,13 @@ def kernel_average_scan(
 
     recorded as the max over n and s < R of the normalized shell maximum."""
     size = _check_scan_size(m, resolution, cap=1 << 12)
+    if not 0 <= support_rank <= resolution:
+        raise ValueError(f"support rank {support_rank} out of range 0..{resolution}")
     limit = min(size, 4 * m.base(support_rank)) if n_limit is None else n_limit
+    if not 1 <= limit <= size:
+        raise ValueError("kernel average limit out of range")
     bases = m.scaled_bases(resolution)
-    grid = np.arange(size, dtype=np.int64)
-    shells = [
-        ((grid % bases[s]) == 0) & ((grid % bases[s + 1]) != 0) for s in range(support_rank)
-    ]
+    shells = [coset_mask(m, resolution, s) & ~coset_mask(m, resolution, s + 1) for s in range(support_rank)]
     m_rank = bases[support_rank]
     points = []
     c_max = 0.0

@@ -120,13 +120,16 @@ class VIndex:
 
     ``digits`` is little-endian and trimmed to length ``top + 1``.
     ``top`` is |n| (highest nonzero digit position), ``bottom`` is <n>
-    (lowest nonzero position).
+    (lowest nonzero position); ``m_top`` and ``m_bottom`` are the scaled
+    bases M_|n| and M_<n> that the paper's estimates are stated in.
     """
 
     value: int
     digits: tuple[int, ...]
     top: int
     bottom: int
+    m_top: int
+    m_bottom: int
 
     @property
     def rho(self) -> int:
@@ -157,7 +160,8 @@ def decompose(n: int, m: GeneratorSequence) -> VIndex:
         k += 1
     top = len(digits) - 1
     bottom = next(j for j, d in enumerate(digits) if d)
-    return VIndex(value=n, digits=tuple(digits), top=top, bottom=bottom)
+    bases = _scaled_bases(m.pattern, m.cyclic, top)  # M_top <= n: no overflow
+    return VIndex(n, tuple(digits), top, bottom, m_top=bases[top], m_bottom=bases[bottom])
 
 
 def compose(digits: tuple[int, ...] | list[int], m: GeneratorSequence) -> int:
@@ -229,46 +233,32 @@ def _check_compatible(x: GroupPoint, y: GroupPoint) -> None:
 def group_add(x: GroupPoint, y: GroupPoint) -> GroupPoint:
     """Coordinatewise sum modulo the radices."""
     _check_compatible(x, y)
-    coords = tuple(
-        (a + b) % x.generators.radix(k) for k, (a, b) in enumerate(zip(x.coords, y.coords))
-    )
-    return GroupPoint(coords, x.generators)
+    i = index_add(point_to_index(x), point_to_index(y), x.generators, x.resolution)
+    return index_to_point(int(i), x.generators, x.resolution)
 
 
 def group_sub(x: GroupPoint, y: GroupPoint) -> GroupPoint:
     """Coordinatewise difference modulo the radices (inverse of group_add)."""
     _check_compatible(x, y)
-    coords = tuple(
-        (a - b) % x.generators.radix(k) for k, (a, b) in enumerate(zip(x.coords, y.coords))
-    )
-    return GroupPoint(coords, x.generators)
+    i = index_sub(point_to_index(x), point_to_index(y), x.generators, x.resolution)
+    return index_to_point(int(i), x.generators, x.resolution)
 
 
 def point_to_index(x: GroupPoint) -> int:
     """Little-endian mixed-radix place value: the coset enumeration order."""
-    bases = x.generators.scaled_bases(x.resolution)
-    return sum(xk * bases[k] for k, xk in enumerate(x.coords))
+    return compose(x.coords, x.generators)
 
 
 def index_to_point(i: int, m: GeneratorSequence, resolution: int) -> GroupPoint:
     if not 0 <= i < m.size(resolution):
         raise ValueError(f"coset index {i} out of range at resolution {resolution}")
-    coords = []
-    rest = i
-    for k in range(resolution):
-        mk = m.radix(k)
-        coords.append(rest % mk)
-        rest //= mk
-    return GroupPoint(tuple(coords), m)
+    return GroupPoint(tuple(int(d) for d in digits_of(i, m, resolution)), m)
 
 
 @lru_cache(maxsize=16)
 def _digit_table(pattern: tuple[int, ...], cyclic: bool, resolution: int) -> np.ndarray:
     m = GeneratorSequence(pattern, cyclic)
-    bases = np.asarray(m.scaled_bases(resolution), dtype=np.int64)
-    radices = np.asarray(m.radices(resolution), dtype=np.int64)
-    idx = np.arange(bases[-1], dtype=np.int64)
-    table = (idx[:, None] // bases[None, :-1]) % radices[None, :]
+    table = digits_of(np.arange(m.size(resolution), dtype=np.int64), m, resolution)
     table.setflags(write=False)
     return table
 
@@ -291,12 +281,8 @@ def digits_of(indices: np.ndarray, m: GeneratorSequence, resolution: int) -> np.
 
 
 def index_add(i, j, m: GeneratorSequence, resolution: int) -> np.ndarray:
-    """Group law on coset indices, broadcasting over array arguments."""
-    di = digits_of(np.asarray(i), m, resolution)
-    dj = digits_of(np.asarray(j), m, resolution)
-    radices = np.asarray(m.radices(resolution), dtype=np.int64)
-    bases = np.asarray(m.scaled_bases(resolution), dtype=np.int64)
-    return ((di + dj) % radices) @ bases[:-1]
+    """Group law on coset indices, i - (0 - j), broadcasting over array arguments."""
+    return index_sub(i, index_sub(0, j, m, resolution), m, resolution)
 
 
 def index_sub(i, j, m: GeneratorSequence, resolution: int) -> np.ndarray:

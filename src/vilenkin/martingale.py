@@ -114,11 +114,10 @@ def counterexample_atom(
         raise ValueError(
             f"resolution {resolution} too small for an atom at |alpha| = {idx.top}"
         )
-    bases = m.scaled_bases(idx.top + 1)
-    scale = bases[idx.top] ** (1.0 / p - 1.0) / m.max_radix
+    scale = idx.m_top ** (1.0 / p - 1.0) / m.max_radix
     diff = (
-        dirichlet_closed(m, bases[idx.top + 1], resolution).values
-        - dirichlet_closed(m, bases[idx.top], resolution).values
+        dirichlet_closed(m, m.base(idx.top + 1), resolution).values
+        - dirichlet_closed(m, idx.m_top, resolution).values
     )
     a = GridFunction(m, resolution, scale * diff)
     return validate_atom(a, p, idx.top)
@@ -145,9 +144,6 @@ class MartingaleSpec:
     def coefficient_budget(self) -> float:
         """sum |lambda_k|^p over the realized atoms."""
         return float(sum(abs(l) ** self.p for l in self.lambdas))
-
-    def alpha_stats(self) -> list[VIndex]:
-        return [decompose(a, self.generators) for a in self.alphas]
 
     def to_json(self) -> str:
         blob = {
@@ -195,8 +191,7 @@ def phi_value(phi: tuple | None, n: int, m: GeneratorSequence) -> float:
     tag = phi[0]
     if tag == "constant":
         return float(phi[1])
-    top = decompose(n, m).top
-    m_top = m.base(top)
+    m_top = decompose(n, m).m_top
     if tag == "log":
         return 1.0 + float(np.log(m_top))
     if tag == "power":
@@ -204,10 +199,9 @@ def phi_value(phi: tuple | None, n: int, m: GeneratorSequence) -> float:
     raise ValueError(f"unknown phi tag {phi!r}")
 
 
-def _ratio(m: GeneratorSequence, idx: VIndex, p: float) -> float:
+def _ratio(idx: VIndex, p: float) -> float:
     """(M_|n| / M_<n>)^(1/p-1), the block-spread growth rate."""
-    bases = m.scaled_bases(idx.top + 1)
-    return (bases[idx.top] / bases[idx.bottom]) ** (1.0 / p - 1.0)
+    return (idx.m_top / idx.m_bottom) ** (1.0 / p - 1.0)
 
 
 def select_gap_subsequence(m: GeneratorSequence, alphas, p: float) -> list[int]:
@@ -219,7 +213,7 @@ def select_gap_subsequence(m: GeneratorSequence, alphas, p: float) -> list[int]:
     kept: list[int] = []
     last_ratio = None
     for a in alphas:
-        r = _ratio(m, decompose(a, m), p)
+        r = _ratio(decompose(a, m), p)
         if last_ratio is None or (r > last_ratio and r >= last_ratio**2):
             kept.append(a)
             last_ratio = r
@@ -238,11 +232,10 @@ def tail_certificate_terms(
     terms = []
     for a in alphas:
         idx = decompose(a, m)
-        bases = m.scaled_bases(idx.top + 1)
         terms.append(
-            bases[idx.bottom] ** ((1.0 - p) / 2.0)
+            idx.m_bottom ** ((1.0 - p) / 2.0)
             * phi_value(phi, a, m) ** (p / 2.0)
-            / bases[idx.top] ** ((1.0 - p) / 2.0)
+            / idx.m_top ** ((1.0 - p) / 2.0)
         )
     return terms
 
@@ -286,9 +279,8 @@ def build_counterexample(
             )
         lam_list = []
         for a, idx in zip(alphas, stats):
-            bases = m.scaled_bases(idx.top + 1)
             lam_list.append(
-                (bases[idx.bottom] / bases[idx.top]) ** ((1.0 / p - 1.0) / 2.0)
+                (idx.m_bottom / idx.m_top) ** ((1.0 / p - 1.0) / 2.0)
                 * phi_value(phi, a, m) ** 0.5
             )
     elif rule == "unit_kernel":
@@ -299,7 +291,7 @@ def build_counterexample(
             )
         alphas = kept
         stats = [decompose(a, m) for a in alphas]
-        lam_list = [m.max_radix / _ratio(m, idx, p) for idx in stats]
+        lam_list = [m.max_radix / _ratio(idx, p) for idx in stats]
     elif rule == "explicit":
         if lambdas is None or len(lambdas) != len(alphas):
             raise ValueError("explicit rule needs one lambda per alpha")
@@ -336,9 +328,8 @@ def spectral_profile(spec: MartingaleSpec) -> np.ndarray:
     out = np.zeros(m.size(spec.truncation), dtype=np.complex128)
     for a, lam_k in zip(spec.alphas, spec.lambdas):
         idx = decompose(a, m)
-        bases = m.scaled_bases(idx.top + 1)
-        level = lam_k * bases[idx.top] ** (1.0 / spec.p - 1.0) / spec.max_radix
-        out[bases[idx.top] : bases[idx.top + 1]] = level
+        level = lam_k * idx.m_top ** (1.0 / spec.p - 1.0) / spec.max_radix
+        out[idx.m_top : m.base(idx.top + 1)] = level
     return out
 
 
@@ -356,8 +347,7 @@ def closed_partial_sum(spec: MartingaleSpec, j: int) -> GridFunction:
     acc = zero(m, spec.truncation)
     for a, lam_k in zip(spec.alphas, spec.lambdas):
         idx = decompose(a, m)
-        bases = m.scaled_bases(idx.top + 1)
-        m_top, m_top1 = bases[idx.top], bases[idx.top + 1]
+        m_top, m_top1 = idx.m_top, m.base(idx.top + 1)
         if j >= m_top1:
             acc = acc + lam_k * counterexample_atom(m, idx, spec.p, spec.truncation).values
         elif j > m_top:

@@ -66,6 +66,9 @@ def weak_lp(f: GridFunction, p: float) -> float:
     value, so each candidate level is backed off by a relative offset.
     """
     _check_p(p)
+    finite = np.isfinite(f.values)
+    if not finite.all():  # a nan would drop out of the levels below
+        raise ValueError(f"weak_lp: value {int(np.argmin(finite))} is not finite")
     mags = np.abs(f.values)
     levels = np.unique(mags)
     levels = levels[levels > 0]
@@ -166,7 +169,12 @@ def maximal_function(f: GridFunction) -> GridFunction:
 def hardy_norm(f: GridFunction, p: float) -> float:
     """||f||_{H_p} = ||f*||_p, exact for the martingale (S_{M_k}f)_{k<=N}."""
     _check_p(p)
-    return lp_norm(maximal_function(f), p)
+    value = lp_norm(maximal_function(f), p)
+    # The top level of f* is |f|, so a nan or inf in f reaches the norm;
+    # testing the one result spares a pass over f on every call.
+    if not np.isfinite(value):
+        raise ValueError("hardy_norm: f holds a non-finite value or overflows the float range")
+    return value
 
 
 def restricted_maximal(f: GridFunction, indices) -> GridFunction:

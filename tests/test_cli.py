@@ -7,8 +7,10 @@ from vilenkin.cli import main
 from vilenkin.group import WALSH
 from vilenkin.transform import (
     grid_function,
+    read_grid_binary,
     read_grid_csv,
     read_spectral_csv,
+    write_grid_binary,
     write_grid_csv,
 )
 
@@ -90,6 +92,30 @@ class TestTransformCommand:
         code = run(["transform", "--m", "2^", "--N", 3, "--op", "inverse", "--input", src, "--output", tmp_path / "x.csv"])
         assert code == 2
         assert "error:" in capsys.readouterr().err
+
+    def test_inverse_from_spectral_binary(self, tmp_path):
+        rng = np.random.default_rng(3)
+        f = grid_function(WALSH, 4, rng.standard_normal(16) + 1j * rng.standard_normal(16))
+        src = tmp_path / "f.bin"
+        with src.open("wb") as fh:
+            write_grid_binary(fh, f)
+        spec, back = tmp_path / "fhat.bin", tmp_path / "back.bin"
+        assert run(["transform", "--op", "forward", "--input", src, "--output", spec]) == 0
+        assert run(["transform", "--op", "inverse", "--input", spec, "--output", back]) == 0
+        with back.open("rb") as fh:
+            assert np.abs(read_grid_binary(fh).values - f.values).max() < 1e-12
+
+    def test_corrupted_kind_byte_is_usage_error(self, tmp_path, capsys):
+        f = grid_function(WALSH, 2, [1.0, 2.0, 3.0, 4.0])
+        src = tmp_path / "f.bin"
+        with src.open("wb") as fh:
+            write_grid_binary(fh, f)
+        blob = bytearray(src.read_bytes())
+        blob[4] = 7  # the kind byte: 0 grid, 1 spectral
+        src.write_bytes(bytes(blob))
+        assert run(["transform", "--op", "forward", "--input", src, "--output", tmp_path / "o.csv"]) == 2
+        _single_error_line(capsys)
+        assert not (tmp_path / "o.csv").exists()
 
 
 class TestAtomCommand:
@@ -178,6 +204,21 @@ class TestConfigPlumbing:
         assert run(["scan", "--name", "supp_measure", "--config", cfg, "--out", tmp_path]) == 0
         assert (tmp_path / "scan_supp_measure_m2c_N4.json").exists()
 
+    @pytest.mark.parametrize("value, svg", [("false", False), ("true", True)])
+    def test_config_switch(self, tmp_path, value, svg):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"svg={value}\n")
+        assert run(["scan", "--name", "supp_measure", "--N", 4, "--config", cfg, "--out", tmp_path]) == 0
+        assert (tmp_path / "scan_supp_measure_m2c_N4.json").exists()
+        assert (tmp_path / "scan_supp_measure_m2c_N4.svg").exists() == svg
+
+    def test_config_switch_needs_true_or_false(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("svg=0\n")
+        assert run(["scan", "--name", "supp_measure", "--N", 4, "--config", cfg, "--out", tmp_path]) == 2
+        assert "'svg'" in _single_error_line(capsys)
+        assert not list(tmp_path.glob("scan_*"))
+
     def test_outdir_env_override(self, tmp_path, monkeypatch):
         monkeypatch.setenv("VILENKIN_OUTDIR", str(tmp_path / "envdir"))
         assert run(["dirichlet", "--m", "2^", "--n", 2, "--N", 3]) == 0
@@ -264,3 +305,12 @@ class TestInputErrors:
         assert run(argv) == 2
         _single_error_line(capsys)
         assert not (tmp_path / "o.csv").exists()
+
+    @pytest.mark.parametrize("extra", [["--rank", 6], ["--rank", -1], ["--limit", 0], ["--limit", 17]],
+                             ids=["rank-above-N", "rank-negative", "limit-zero", "limit-above-MN"])
+    def test_kernel_average_out_of_range(self, tmp_path, capsys, extra):
+        argv = ["scan", "--name", "kernel_average", "--m", "2^", "--N", 4, "--out", tmp_path, *extra]
+        assert run(argv) == 2
+        _single_error_line(capsys)
+        assert not list(tmp_path.glob("scan_*"))
+

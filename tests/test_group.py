@@ -274,3 +274,71 @@ class TestTables:
         assert mask[0] and mask[4] and not mask[1]
         shifted = coset_mask(WALSH, 4, 2, base_index=3)
         assert shifted[3] and not shifted[0]
+
+
+def _literal_point_law(x, y, sign):
+    m = x.generators
+    coords = tuple((a + sign * b) % m.radix(k) for k, (a, b) in enumerate(zip(x.coords, y.coords)))
+    return GroupPoint(coords, m)
+
+
+def _literal_index_to_point(i, m, resolution):
+    coords = []
+    for k in range(resolution):
+        coords.append(i % m.radix(k))
+        i //= m.radix(k)
+    return GroupPoint(tuple(coords), m)
+
+
+class TestGroupLawIsIndexSub:
+    """group_add, group_sub, index_add and index_to_point all go through
+    index_sub or digits_of; these references are the literal forms."""
+
+    @given(_points_triple())
+    @settings(max_examples=150, deadline=None)
+    def test_point_law_is_coordinatewise(self, data):
+        _, x, y, _ = data
+        assert group_add(x, y) == _literal_point_law(x, y, +1)
+        assert group_sub(x, y) == _literal_point_law(x, y, -1)
+
+    @given(_index_pair())
+    @settings(max_examples=150, deadline=None)
+    def test_index_add_equals_digit_tensor_form(self, case):
+        m, resolution, i, j = case
+        radices = np.asarray(m.radices(resolution), dtype=np.int64)
+        bases = np.asarray(m.scaled_bases(resolution), dtype=np.int64)
+        slow = ((digits_of(i, m, resolution) + digits_of(j, m, resolution)) % radices) @ bases[:-1]
+        fast = index_add(i, j, m, resolution)
+        assert np.shape(fast) == np.shape(slow)
+        assert np.asarray(fast).dtype == np.int64
+        assert np.array_equal(fast, slow)
+
+    @given(_points_triple())
+    @settings(max_examples=100, deadline=None)
+    def test_index_to_point_equals_digit_loop(self, data):
+        m, x, _, _ = data
+        for i in range(min(m.size(x.resolution), 64)):
+            assert index_to_point(i, m, x.resolution) == _literal_index_to_point(i, m, x.resolution)
+
+    def test_index_to_point_range_checked(self):
+        with pytest.raises(ValueError):
+            index_to_point(8, WALSH, 3)
+
+
+class TestVIndexBases:
+    @given(
+        st.lists(st.integers(2, 6), min_size=1, max_size=4),
+        st.booleans(),
+        st.integers(1, 2**40),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_m_top_and_m_bottom(self, pattern, cyclic, n):
+        m = GeneratorSequence(tuple(pattern), cyclic=cyclic)
+        idx = decompose(n, m)
+        assert idx.m_top == m.base(idx.top)
+        assert idx.m_bottom == m.base(idx.bottom)
+        assert idx.m_bottom <= n < m.base(idx.top + 1)
+
+    def test_largest_index(self):
+        idx = decompose(2**63 - 1, WALSH)
+        assert (idx.top, idx.m_top, idx.m_bottom) == (62, 2**62, 1)

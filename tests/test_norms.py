@@ -238,3 +238,15 @@ class TestSupportMeasure:
     def test_report_row(self):
         report = NormReport(n=5, resolution=4, p=0.5, kind="Lp", value=1.25, lower_bound=1.0)
         assert report.csv_row() == "5,4,0.5,Lp,1.25,1,"
+
+
+class TestNonFiniteRefused:
+    """A nan used to drop out of weak_lp (0.999...) and turn hardy_norm into nan."""
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0, -np.inf)], ids=["nan", "inf", "imag-inf"])
+    @pytest.mark.parametrize("norm", [weak_lp, hardy_norm], ids=lambda f: f.__name__)
+    def test_refused(self, norm, bad):
+        values = np.ones(8, dtype=np.complex128)
+        values[5] = bad
+        with pytest.raises(ValueError, match=rf"{norm.__name__}: .*finite"):
+            norm(grid_function(WALSH, 3, values), 0.5)
