@@ -10,6 +10,7 @@ own headers.  Exit codes: 0 success, 1 a scan verdict came back
 from __future__ import annotations
 
 import argparse
+import inspect
 import os
 import sys
 from dataclasses import dataclass
@@ -21,6 +22,7 @@ from . import __version__
 from .group import (
     GeneratorSequence,
     GroupPoint,
+    WALSH,
     coset_mask,
     decompose,
     group_add,
@@ -28,7 +30,9 @@ from .group import (
     variation,
 )
 from .martingale import (
+    MartingaleSpec,
     build_counterexample,
+    closed_partial_sum,
     counterexample_atom,
     default_alphas,
     random_atom,
@@ -138,7 +142,6 @@ def _parse_common(args) -> tuple[GeneratorSequence, int]:
 
 
 def _cmd_transform(args) -> int:
-    m, n = _parse_common(args)
     src = Path(args.input)
     obj = _read_function(src)
     if args.op == "forward":
@@ -236,10 +239,8 @@ def _cmd_atom(args) -> int:
 def _cmd_counterexample(args) -> int:
     m, resolution = _parse_common(args)
     config = RunConfig("counterexample", m.format(), resolution, p=args.p, seed=args.seed)
-    alphas = (
-        [int(tok) for tok in args.alphas.split(",")] if args.alphas else default_alphas(m, resolution)
-    )
-    lambdas = [float(tok) for tok in args.lambdas.split(",")] if args.lambdas else None
+    alphas = _parse_list(args.alphas, int) or default_alphas(m, resolution)
+    lambdas = _parse_list(args.lambdas, float)
     phi = _parse_phi(args.phi)
     spec = build_counterexample(
         m, args.p, alphas, rule=args.rule, phi=phi, lambdas=lambdas, resolution=resolution
@@ -260,6 +261,10 @@ def _cmd_counterexample(args) -> int:
     return 0
 
 
+def _parse_list(text: str | None, cast) -> list | None:
+    return [cast(tok) for tok in text.split(",")] if text else None
+
+
 def _parse_phi(text: str | None):
     if not text or text == "none":
         return None
@@ -273,41 +278,31 @@ def _parse_phi(text: str | None):
     raise ValueError(f"unknown phi form {text!r} (use constant:<c>, log, power:<t>)")
 
 
+# Scan keywords whose flag has another name, and the --variant a scan gets
+# when none is given.  Every other keyword reads the flag of its own name; a
+# keyword with no flag (thresholds, support_ranks) keeps the scan's default.
+SCAN_FLAGS = {"resolution": "N", "n_rule": "variant", "n_limit": "limit", "support_rank": "rank"}
+SCAN_VARIANTS = {"divergence": "Mn_plus_1", "boundedness": "Mn", "modulus_convergence": "default"}
+
+
 def _cmd_scan(args) -> int:
     m, resolution = _parse_common(args)
     if args.name not in SCAN_REGISTRY:
         raise ValueError(f"unknown scan {args.name!r}; available: {', '.join(sorted(SCAN_REGISTRY))}")
     config = RunConfig(f"scan:{args.name}", m.format(), resolution, p=args.p, seed=args.seed)
-    kwargs: dict = {}
-    if args.name == "atom_ratio":
-        result = SCAN_REGISTRY[args.name](args.p, m, resolution, trials=args.trials, seed=args.seed)
-    elif args.name == "divergence":
-        alphas = [int(t) for t in args.alphas.split(",")] if args.alphas else None
-        lambdas = [float(t) for t in args.lambdas.split(",")] if args.lambdas else None
-        result = SCAN_REGISTRY[args.name](
-            args.p,
-            args.variant or "Mn_plus_1",
-            m,
-            resolution,
-            phi=_parse_phi(args.phi),
-            alphas=alphas,
-            rule=args.rule,
-            lambdas=lambdas,
-        )
-    elif args.name == "boundedness":
-        result = SCAN_REGISTRY[args.name](
-            args.p, args.variant or "Mn", m, resolution, trials=args.trials, seed=args.seed
-        )
-    elif args.name == "weighted_series":
-        result = SCAN_REGISTRY[args.name](args.p, m, resolution, trials=args.trials, seed=args.seed)
-    elif args.name == "modulus_convergence":
-        result = SCAN_REGISTRY[args.name](
-            args.p, args.f_rule, args.variant or "default", m, resolution
-        )
-    elif args.name == "kernel_average":
-        result = SCAN_REGISTRY[args.name](m, resolution, args.rank, n_limit=args.limit)
-    else:  # supp_measure, dirichlet_floor
-        result = SCAN_REGISTRY[args.name](m, resolution, n_limit=args.limit)
+    flags = dict(
+        vars(args),
+        m=m,
+        variant=args.variant or SCAN_VARIANTS.get(args.name),
+        alphas=_parse_list(args.alphas, int),
+        lambdas=_parse_list(args.lambdas, float),
+        phi=_parse_phi(args.phi),
+    )
+    # inspect.signature follows __wrapped__, so a functools.wraps wrapper in
+    # the registry still shows the scan's own keywords.
+    params = inspect.signature(SCAN_REGISTRY[args.name]).parameters
+    flag_of = {key: SCAN_FLAGS.get(key, key) for key in params}
+    result = SCAN_REGISTRY[args.name](**{key: flags[flag] for key, flag in flag_of.items() if flag in flags})
 
     outdir = _outdir(args)
     stem = f"scan_{args.name}_m{m.format().replace(',', '_').replace('^', 'c')}_N{resolution}"
@@ -321,169 +316,128 @@ def _cmd_scan(args) -> int:
 
 
 # ---------------------------------------------------------------------------
-# selftest: the trivial identities, asserted end to end
+# selftest: one named identity per row, also collected by the test suite
 # ---------------------------------------------------------------------------
 
+_TRIADIC = GeneratorSequence.parse("3^")
+_MIXED = GeneratorSequence.parse("2,3,4")
+_X = GroupPoint((1, 0, 1, 1), WALSH)
+_Y = GroupPoint((2, 1), GeneratorSequence((3, 2)))
+_SPREAD_CASES = ((WALSH, 5), (_TRIADIC, 4), (_MIXED, 3))
 
-def _selftest_checks():
-    walsh = GeneratorSequence.parse("2^")
-    triadic = GeneratorSequence.parse("3^")
-    mixed = GeneratorSequence.parse("2,3,4")
 
-    def scaled_bases():
-        assert GeneratorSequence((2, 2, 2)).scaled_bases(3) == [1, 2, 4, 8]
-        assert mixed.scaled_bases(3) == [1, 2, 6, 24]
-        assert walsh.scaled_bases(5) == [2**k for k in range(6)]
+def _close(a, b, tol: float = 1e-12) -> bool:
+    return bool(np.abs(np.asarray(a) - b).max(initial=0.0) < tol)
 
-    def digit_statistics():
-        for m, k in [(walsh, 5), (triadic, 4), (mixed, 3)]:
-            idx = decompose(m.base(k) + 1, m)
-            assert (idx.top, idx.bottom, idx.rho) == (k, 0, k)
-            idx = decompose(m.base(k) + m.base(k - 1), m)
-            assert (idx.top, idx.bottom, idx.rho) == (k, k - 1, 1)
-            idx = decompose(m.base(k), m)
-            assert (idx.top, idx.bottom, idx.rho) == (k, k, 0)
 
-    def variation_counts():
-        assert variation(decompose(1, walsh), walsh, "from1") == (1, 0)
-        assert variation(decompose(5, walsh), walsh, "from1") == (3, 0)
-        assert variation(decompose(1, triadic), triadic, "from0")[1] == 1
-        assert variation(decompose(1, triadic), triadic, "from1")[1] == 0
+def _noise(resolution: int, seed: int) -> GridFunction:
+    """A fixed complex random function on the Walsh grid."""
+    rng = np.random.default_rng(seed)
+    size = 2**resolution
+    return grid_function(WALSH, resolution, rng.standard_normal(size) + 1j * rng.standard_normal(size))
 
-    def group_law():
-        x = GroupPoint((1, 0, 1), walsh)
-        assert group_add(x, x).coords == (0, 0, 0)
-        m32 = GeneratorSequence((3, 2))
-        y = GroupPoint((2, 1), m32)
-        assert group_add(y, y).coords == ((2 + 2) % 3, 0)
-        assert group_sub(y, y).coords == (0, 0)
 
-    def characters():
-        assert np.allclose(character_values(walsh, 0, 3), 1.0)
-        vals = character_values(walsh, 1, 3)
-        assert vals[0] == 1 and abs(vals[1] + 1) < 1e-12
-        v3 = character_values(triadic, 1, 2)
-        assert abs(v3[1] - np.exp(2j * np.pi / 3)) < 1e-12
+def _psi(n: int, resolution: int) -> GridFunction:
+    return grid_function(WALSH, resolution, character_values(WALSH, n, resolution))
 
-    def orthonormality():
-        f = constant(walsh, 3)
-        coeffs = forward(f).coeffs
-        assert abs(coeffs[0] - 1) < 1e-12 and np.abs(coeffs[1:]).max() < 1e-12
-        g = grid_function(walsh, 3, character_values(walsh, 5, 3))
-        coeffs = forward(g).coeffs
-        assert abs(coeffs[5] - 1) < 1e-12
 
-    def kernels():
-        assert np.allclose(dirichlet_closed(walsh, 1, 3).values, 1.0)
-        for k in range(4):
-            d = dirichlet_closed(walsh, 2**k, 4).values
-            mask = (np.arange(16) % 2**k) == 0
-            assert np.abs(d[mask] - 2**k).max() < 1e-9
-            assert np.abs(d[~mask]).max(initial=0.0) < 1e-9
+def _coset(resolution: int, k: int) -> np.ndarray:
+    """The Walsh coset I_k as a 0/1 array."""
+    return coset_mask(WALSH, resolution, k).astype(float)
 
-    def partial_sums():
-        rng = np.random.default_rng(0)
-        f = grid_function(walsh, 4, rng.standard_normal(16))
-        assert np.abs(partial_sum(f, 16).values - f.values).max() < 1e-10
-        psi = grid_function(walsh, 4, character_values(walsh, 6, 4))
-        assert np.abs(partial_sum(psi, 7).values - psi.values).max() < 1e-10
-        assert np.abs(partial_sum(psi, 6).values).max() < 1e-10
 
-    def norm_values():
-        for k in range(4):
-            dk = dirichlet_closed(walsh, 2**k, 4)
-            assert abs(lp_norm(dk, 1.0) - 1.0) < 1e-12
-            assert abs(lp_norm(dk, 0.5) - 2.0**-k) < 1e-12  # M_k^(1-1/p), p=1/2
-        c = constant(walsh, 3, 2.5)
-        assert abs(lp_norm(c, 0.7) - 2.5) < 1e-12
-        assert abs(weak_lp(c, 0.5) - 2.5) < 1e-9
+def _statistics(n: int, m: GeneratorSequence) -> tuple[int, int, int]:
+    idx = decompose(n, m)
+    return idx.top, idx.bottom, idx.rho
 
-    def weak_two_level():
-        vals = np.zeros(8)
-        vals[::2] = 1.0  # indicator of I_1
-        f = grid_function(walsh, 3, vals)
-        for p in (0.5, 1.0, 2.0):
-            assert abs(weak_lp(f, p) - 0.5 ** (1.0 / p)) < 1e-9
 
-    def lebesgue_trivia():
-        assert abs(lebesgue_constant(walsh, 1, 4).value - 1.0) < 1e-12
-        for k in range(1, 4):
-            assert abs(lebesgue_constant(walsh, 2**k, 4).value - 1.0) < 1e-12
-        assert abs(lebesgue_constant(walsh, 3, 4).value - 1.5) < 1e-12
+def _refused_for(reason: str, call, *args) -> bool:
+    try:
+        call(*args)
+    except ValueError as exc:
+        return reason in str(exc)
+    return False
 
-    def hardy_trivia():
-        f = constant(walsh, 3)
-        assert abs(hardy_norm(f, 0.5) - 1.0) < 1e-12
-        rng = np.random.default_rng(1)
-        g = grid_function(walsh, 4, rng.standard_normal(16))
-        assert hardy_norm(g, 0.5) >= lp_norm(g, 0.5) - 1e-12
 
-    def restricted_trivia():
-        rng = np.random.default_rng(2)
-        f = grid_function(walsh, 3, rng.standard_normal(8))
-        top = restricted_maximal(f, [8])
-        assert np.abs(top.values.real - np.abs(f.values)).max() < 1e-10
-        full = restricted_maximal(f, [1, 2, 4, 8])
-        assert np.abs(full.values - maximal_function(f).values).max() < 1e-10
+def _two_atoms() -> MartingaleSpec:
+    return build_counterexample(WALSH, 0.5, [3, 5], rule="explicit", lambdas=[1.0, 1.0], resolution=6)
 
-    def modulus_trivia():
-        rng = np.random.default_rng(3)
-        f = grid_function(walsh, 4, rng.standard_normal(16))
-        assert modulus_hp(f, 4, 0.5) < 1e-12
-        psi = grid_function(walsh, 4, character_values(walsh, 4, 4))  # psi_{M_2}
-        for n in (0, 1, 2):
-            assert abs(modulus_hp(psi, n, 0.5) - hardy_norm(psi, 0.5)) < 1e-12
 
-    def atoms():
-        try:
-            validate_atom(constant(walsh, 3), 0.5, 0)
-            raise AssertionError("constant function accepted as atom")
-        except Exception as exc:
-            assert "mean" in str(exc)
-        atom = counterexample_atom(walsh, 3, 0.5, 4)
-        vals = atom.values.values.real
-        assert abs(vals[(np.arange(16) % 4) == 0].mean() * 0 + vals[0] - 2.0) < 1e-9
-        mask1 = (np.arange(16) % 2) == 0
-        assert abs(vals[mask1].mean()) < 1e-9  # mean zero over I_1
-
-    def counterexample_boundary():
-        spec = build_counterexample(walsh, 0.5, [3, 5], rule="explicit", lambdas=[1.0, 1.0], resolution=6)
-        from .martingale import closed_partial_sum
-
-        s = closed_partial_sum(spec, 4)  # j = M_{|alpha_1|}: kernel term vanishes
-        ref = partial_sum(spec.realized, 4)
-        assert np.abs(s.values - ref.values).max() < 1e-9
-
-    return [
-        ("scaled bases", scaled_bases),
-        ("digit statistics", digit_statistics),
-        ("variation counts", variation_counts),
-        ("group law", group_law),
-        ("characters", characters),
-        ("orthonormality", orthonormality),
-        ("block kernels", kernels),
-        ("partial sums", partial_sums),
-        ("norm values", norm_values),
-        ("weak two-level", weak_two_level),
-        ("Lebesgue constants", lebesgue_trivia),
-        ("Hardy norm", hardy_trivia),
-        ("restricted maximal", restricted_trivia),
-        ("modulus", modulus_trivia),
-        ("atoms", atoms),
-        ("counterexample boundary", counterexample_boundary),
-    ]
+# (name, check): each check computes one identity and returns whether it holds.
+IDENTITIES = [
+    ("scaled bases of (2, 2, 2)", lambda: GeneratorSequence((2, 2, 2)).scaled_bases(3) == [1, 2, 4, 8]),
+    ("scaled bases of 2,3,4", lambda: _MIXED.scaled_bases(3) == [1, 2, 6, 24]),
+    ("Walsh scaled bases are the powers of 2", lambda: WALSH.scaled_bases(12) == [2**k for k in range(13)]),
+    ("n = M_k + 1 has |n| = k, <n> = 0, rho = k", lambda: all(
+        _statistics(m.base(k) + 1, m) == (k, 0, k) for m, k in _SPREAD_CASES)),
+    ("n = M_k + M_(k-1) has |n| = k, <n> = k - 1, rho = 1", lambda: all(
+        _statistics(m.base(k) + m.base(k - 1), m) == (k, k - 1, 1) for m, k in _SPREAD_CASES)),
+    ("n = M_k has |n| = <n> = k, rho = 0", lambda: all(
+        _statistics(m.base(k), m) == (k, k, 0) for m, k in _SPREAD_CASES)),
+    ("Walsh (v, v*) of n = 1 is (1, 0)", lambda: variation(decompose(1, WALSH), WALSH, "from1") == (1, 0)),
+    ("Walsh (v, v*) of n = 5 is (3, 0)", lambda: variation(decompose(5, WALSH), WALSH, "from1") == (3, 0)),
+    ("triadic v*(1) is 1 from digit 0 and 0 from digit 1", lambda: [
+        variation(decompose(1, _TRIADIC), _TRIADIC, conv)[1] for conv in ("from0", "from1")] == [1, 0]),
+    ("a Walsh point is its own inverse", lambda: group_add(_X, _X).coords == (0, 0, 0, 0)),
+    ("the group law adds digit k mod m_k", lambda: group_add(_Y, _Y).coords == (1, 0)),
+    ("x - x = 0", lambda: group_sub(_Y, _Y).coords == (0, 0)),
+    ("psi_0 = 1", lambda: _close(character_values(WALSH, 0, 4), 1.0)),
+    ("Walsh psi_1 is the sign of the first digit", lambda: _close(
+        character_values(WALSH, 1, 3), [(-1) ** (i % 2) for i in range(8)])),
+    ("triadic psi_1 is exp(2 pi i / 3) at x = (1, 0)", lambda: _close(
+        character_values(_TRIADIC, 1, 2)[1], np.exp(2j * np.pi / 3))),
+    ("the transform of 1 is e_0", lambda: _close(forward(constant(WALSH, 4)).coeffs, np.eye(16)[0])),
+    ("the transform of psi_5 is e_5", lambda: _close(forward(_psi(5, 3)).coeffs, np.eye(8)[5])),
+    ("D_1 = 1", lambda: all(_close(dirichlet_closed(m, 1, 3).values, 1.0) for m in (WALSH, _TRIADIC))),
+    ("D_(M_k) = M_k on I_k and 0 off it", lambda: all(
+        _close(dirichlet_closed(WALSH, 2**k, 4).values, 2**k * _coset(4, k), 1e-9) for k in range(4))),
+    ("S_(M_N) f = f", lambda: _close(partial_sum(_noise(6, 1), 64).values, _noise(6, 1).values, 1e-10)),
+    ("S_7 psi_6 = psi_6", lambda: _close(partial_sum(_psi(6, 4), 7).values, _psi(6, 4).values, 1e-10)),
+    ("S_6 psi_6 = 0", lambda: _close(partial_sum(_psi(6, 4), 6).values, 0.0, 1e-10)),
+    ("||D_(M_k)||_1 = 1", lambda: all(
+        _close(lp_norm(dirichlet_closed(WALSH, 2**k, 5), 1.0), 1.0) for k in range(5))),
+    ("||D_(M_k)||_p = M_k^(1 - 1/p)", lambda: all(
+        _close(lp_norm(dirichlet_closed(m, m.base(k), 4), p), m.base(k) ** (1 - 1 / p), 1e-9)
+        for m in (WALSH, _TRIADIC) for p in (0.5, 2.0) for k in range(4))),
+    ("||c||_p = |c|", lambda: all(
+        _close(lp_norm(constant(WALSH, 4, c), p), abs(c))
+        for c in (2.5, -1.5) for p in (0.3, 0.5, 0.7, 1.0, 2.0))),
+    ("weak ||c||_p = |c|", lambda: all(_close(weak_lp(constant(WALSH, 3, c), 0.5), c, 1e-9) for c in (2.0, 2.5))),
+    ("weak ||1_(I_1)||_p = 2^(-1/p)", lambda: all(
+        _close(weak_lp(grid_function(WALSH, 3, _coset(3, 1)), p), 0.5 ** (1 / p), 1e-9)
+        for p in (0.5, 1.0, 2.0, 3.0))),
+    ("L_1 = 1", lambda: _close(lebesgue_constant(WALSH, 1, 4).value, 1.0)),
+    ("L_(M_k) = 1", lambda: all(_close(lebesgue_constant(WALSH, 2**k, 5).value, 1.0) for k in range(1, 5))),
+    ("Walsh L_3 = 3/2", lambda: _close(lebesgue_constant(WALSH, 3, 4).value, 1.5)),
+    ("||1||_(H_p) = 1", lambda: _close(hardy_norm(constant(WALSH, 4), 0.5), 1.0)),
+    ("||f||_(H_p) >= ||f||_p", lambda: all(
+        hardy_norm(_noise(5, seed), p) >= lp_norm(_noise(5, seed), p) - 1e-12
+        for seed in range(5) for p in (0.5, 1.0))),
+    ("the maximal operator over {M_N} is |f|", lambda: _close(
+        restricted_maximal(_noise(4, 1), [16]).values, np.abs(_noise(4, 1).values), 1e-10)),
+    ("the maximal operator over every M_k is f*", lambda: _close(
+        restricted_maximal(_noise(4, 2), [1, 2, 4, 8, 16]).values, maximal_function(_noise(4, 2)).values, 1e-10)),
+    ("omega(1/M_N, f) = 0", lambda: modulus_hp(_noise(5, 3), 5, 0.5) < 1e-12),
+    ("omega(1/M_n, psi_(M_k)) = ||psi_(M_k)||_(H_p) for n <= k", lambda: all(
+        _close(modulus_hp(_psi(8, 5), n, 0.5), hardy_norm(_psi(8, 5), 0.5)) for n in range(4))),
+    ("a constant is no atom: its mean is not 0", lambda: _refused_for(
+        "mean", validate_atom, constant(WALSH, 3), 0.5, 0)),
+    ("the Walsh atom at alpha = 3, p = 1/2 is 2 on I_2, -2 on the rest of I_1, 0 off I_1", lambda: _close(
+        counterexample_atom(WALSH, 3, 0.5, 4).values.values, 4 * _coset(4, 2) - 2 * _coset(4, 1), 1e-9)),
+    ("the closed S_j f drops the kernel term at j = M_|alpha_1|", lambda: _close(
+        closed_partial_sum(_two_atoms(), 4).values, partial_sum(_two_atoms().realized, 4).values, 1e-9)),
+]
 
 
 def _cmd_selftest(args) -> int:
     failures = 0
-    for name, check in _selftest_checks():
+    for name, check in IDENTITIES:
         try:
-            check()
+            ok = check()
         except Exception as exc:  # keep going; report all failures
-            failures += 1
-            print(f"FAIL {name}: {exc}")
-        else:
-            print(f"PASS {name}")
+            ok, name = False, f"{name}: {exc}"
+        failures += not ok
+        print(f"{'PASS' if ok else 'FAIL'} {name}")
     if failures:
         print(f"{failures} selftest check(s) failed")
         return 1
@@ -518,7 +472,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     s = commands["transform"] = subs.add_parser(
         "transform", help="forward/inverse transform a function file"
     )
-    _add_common(s)
+    s.add_argument("--config", default=None, help="key=value config file with flag defaults")
     s.add_argument("--op", choices=["forward", "inverse"], required=True)
     s.add_argument("--input", required=True)
     s.add_argument("--output", required=True)

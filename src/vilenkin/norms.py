@@ -166,6 +166,9 @@ def maximal_function(f: GridFunction) -> GridFunction:
     return GridFunction(f.generators, f.resolution, stack.max(axis=0).astype(np.complex128))
 
 
+# An inf in f turns its coset means into nan; that is refused below rather
+# than warned about.  (The decorator form costs a third of a `with` block.)
+@np.errstate(invalid="ignore")
 def hardy_norm(f: GridFunction, p: float) -> float:
     """||f||_{H_p} = ||f*||_p, exact for the martingale (S_{M_k}f)_{k<=N}."""
     _check_p(p)

@@ -1,17 +1,28 @@
+import contextlib
+import io
 import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from vilenkin.cli import main
-from vilenkin.group import WALSH
+from vilenkin import experiments
+from vilenkin.cli import IDENTITIES, main
+from vilenkin.group import GeneratorSequence, WALSH
 from vilenkin.transform import (
+    forward,
     grid_function,
     read_grid_binary,
     read_grid_csv,
+    read_spectral_binary,
     read_spectral_csv,
     write_grid_binary,
     write_grid_csv,
+    write_spectral_binary,
+    write_spectral_csv,
 )
 
 
@@ -59,15 +70,11 @@ class TestTransformCommand:
         with src.open("w") as fh:
             write_grid_csv(fh, f)
         spec_path = tmp_path / "fhat.csv"
-        assert run(
-            ["transform", "--m", "2^", "--N", 4, "--op", "forward", "--input", src, "--output", spec_path]
-        ) == 0
+        assert run(["transform", "--op", "forward", "--input", src, "--output", spec_path]) == 0
         with spec_path.open() as fh:
             sv = read_spectral_csv(fh)
         back_path = tmp_path / "back.csv"
-        assert run(
-            ["transform", "--m", "2^", "--N", 4, "--op", "inverse", "--input", spec_path, "--output", back_path]
-        ) == 0
+        assert run(["transform", "--op", "inverse", "--input", spec_path, "--output", back_path]) == 0
         with back_path.open() as fh:
             back = read_grid_csv(fh)
         assert np.abs(back.values - f.values).max() < 1e-9
@@ -80,7 +87,7 @@ class TestTransformCommand:
         with src.open("w") as fh:
             write_grid_csv(fh, f)
         out = tmp_path / "fhat.bin"
-        assert run(["transform", "--m", "2^", "--N", 3, "--op", "forward", "--input", src, "--output", out]) == 0
+        assert run(["transform", "--op", "forward", "--input", src, "--output", out]) == 0
         assert out.read_bytes()[:4] == b"VGF1"
 
     def test_wrong_kind_is_usage_error(self, tmp_path, capsys):
@@ -89,7 +96,7 @@ class TestTransformCommand:
         src = tmp_path / "f.csv"
         with src.open("w") as fh:
             write_grid_csv(fh, f)
-        code = run(["transform", "--m", "2^", "--N", 3, "--op", "inverse", "--input", src, "--output", tmp_path / "x.csv"])
+        code = run(["transform", "--op", "inverse", "--input", src, "--output", tmp_path / "x.csv"])
         assert code == 2
         assert "error:" in capsys.readouterr().err
 
@@ -116,6 +123,14 @@ class TestTransformCommand:
         assert run(["transform", "--op", "forward", "--input", src, "--output", tmp_path / "o.csv"]) == 2
         _single_error_line(capsys)
         assert not (tmp_path / "o.csv").exists()
+
+
+    @pytest.mark.parametrize("flag", [["--m", "2^"], ["--N", 4], ["--seed", 1]], ids=lambda flag: flag[0])
+    def test_grid_flags_refused(self, tmp_path, flag):
+        # transform takes the grid from its input file
+        with pytest.raises(SystemExit) as err:
+            run(["transform", *flag, "--op", "forward", "--input", tmp_path / "f.csv", "--output", tmp_path / "o.csv"])
+        assert err.value.code == 2
 
 
 class TestAtomCommand:
@@ -170,6 +185,56 @@ class TestScanCommand:
         assert run(["scan", "--name", "divergence", "--m", "2^", "--N", 12, "--p", 0.5,
                     "--variant", "Mn_plus_1", "--out", tmp_path]) == 0
         assert "verdict growing" in capsys.readouterr().out
+
+
+    def test_malformed_flag_refused_by_a_scan_that_ignores_it(self, tmp_path, capsys):
+        # --phi, --alphas and --lambdas are parsed for every scan
+        assert run(["scan", "--name", "supp_measure", "--N", 4, "--phi", "bogus", "--out", tmp_path]) == 2
+        assert "phi" in _single_error_line(capsys)
+        assert not list(tmp_path.glob("scan_*"))
+
+    # Flags that reach every keyword the CLI renames or defaults, and the
+    # library call they stand for; the "defaults" cases omit --variant.
+    SCANS = [
+        pytest.param("atom_ratio", ["--p", 0.5, "--N", 5, "--trials", 3, "--seed", 5],
+                     lambda: experiments.atom_ratio_scan(0.5, WALSH, 5, trials=3, seed=5), id="atom_ratio"),
+        pytest.param("divergence", ["--p", 0.5, "--N", 9, "--variant", "general", "--alphas", "3,5,17",
+                                    "--rule", "explicit", "--lambdas", "1,0.5,0.25", "--phi", "constant:2"],
+                     lambda: experiments.divergence_scan(0.5, "general", WALSH, 9, phi=("constant", 2.0),
+                                                         alphas=[3, 5, 17], rule="explicit", lambdas=[1.0, 0.5, 0.25]),
+                     id="divergence"),
+        pytest.param("divergence", ["--p", 0.5, "--N", 6],
+                     lambda: experiments.divergence_scan(0.5, "Mn_plus_1", WALSH, 6), id="divergence-defaults"),
+        pytest.param("boundedness", ["--p", 0.5, "--m", "3^", "--N", 4, "--variant", "rho_bounded", "--trials", 3,
+                                     "--seed", 5],
+                     lambda: experiments.boundedness_scan(0.5, "rho_bounded", GeneratorSequence.parse("3^"), 4,
+                                                          trials=3, seed=5),
+                     id="boundedness"),
+        pytest.param("boundedness", ["--p", 0.5, "--N", 5, "--trials", 3],
+                     lambda: experiments.boundedness_scan(0.5, "Mn", WALSH, 5, trials=3), id="boundedness-defaults"),
+        pytest.param("weighted_series", ["--p", 0.5, "--N", 5, "--trials", 3, "--seed", 5],
+                     lambda: experiments.weighted_series_scan(0.5, WALSH, 5, trials=3, seed=5), id="weighted_series"),
+        pytest.param("modulus_convergence", ["--p", 0.5, "--N", 8, "--f-rule", "fast_decay", "--variant", "Mn_plus_1"],
+                     lambda: experiments.modulus_convergence_scan(0.5, "fast_decay", "Mn_plus_1", WALSH, 8),
+                     id="modulus_convergence"),
+        pytest.param("modulus_convergence", ["--p", 0.5, "--N", 6],
+                     lambda: experiments.modulus_convergence_scan(0.5, "unit_kernel", "default", WALSH, 6),
+                     id="modulus_convergence-defaults"),
+        pytest.param("supp_measure", ["--m", "2,3^", "--N", 4, "--limit", 20],
+                     lambda: experiments.supp_measure_scan(GeneratorSequence.parse("2,3^"), 4, n_limit=20),
+                     id="supp_measure"),
+        pytest.param("dirichlet_floor", ["--N", 5, "--limit", 20],
+                     lambda: experiments.dirichlet_floor_scan(WALSH, 5, n_limit=20), id="dirichlet_floor"),
+        pytest.param("kernel_average", ["--N", 5, "--rank", 2, "--limit", 20],
+                     lambda: experiments.kernel_average_scan(WALSH, 5, 2, n_limit=20), id="kernel_average"),
+    ]
+
+    @pytest.mark.parametrize("name, flags, call", SCANS)
+    def test_cli_writes_the_library_result(self, tmp_path, name, flags, call):
+        assert {case.values[0] for case in self.SCANS} == set(experiments.SCAN_REGISTRY)
+        run(["scan", "--name", name, *flags, "--out", tmp_path])
+        (written,) = tmp_path.glob("scan_*.json")
+        assert written.read_text() == call().to_json() + "\n"
 
 
 class TestConfigPlumbing:
@@ -237,6 +302,10 @@ class TestSelftest:
         assert "all selftest checks passed" in out
         assert out.count("PASS") >= 15
 
+    @pytest.mark.parametrize("name, check", IDENTITIES, ids=[name for name, _ in IDENTITIES])
+    def test_identity(self, name, check):
+        assert check()
+
 
 class TestArtifactReproducibility:
     def test_same_config_same_bytes(self, tmp_path):
@@ -276,7 +345,7 @@ class TestInputErrors:
     def test_bad_csv_is_usage_error(self, tmp_path, capsys, fault):
         src = tmp_path / "f.csv"
         src.write_text(self.CSV_HEAD + self.CSV_FAULTS[fault])
-        argv = ["transform", "--m", "2^", "--N", 2, "--op", "forward", "--input", src, "--output", tmp_path / "o.csv"]
+        argv = ["transform", "--op", "forward", "--input", src, "--output", tmp_path / "o.csv"]
         assert run(argv) == 2
         _single_error_line(capsys)
         assert not (tmp_path / "o.csv").exists()
@@ -301,7 +370,7 @@ class TestInputErrors:
             blob = self._binary([1.0, np.inf, 3.0, 4.0])
         src = tmp_path / "f.bin"
         src.write_bytes(blob)
-        argv = ["transform", "--m", "2^", "--N", 2, "--op", "forward", "--input", src, "--output", tmp_path / "o.csv"]
+        argv = ["transform", "--op", "forward", "--input", src, "--output", tmp_path / "o.csv"]
         assert run(argv) == 2
         _single_error_line(capsys)
         assert not (tmp_path / "o.csv").exists()
@@ -314,3 +383,70 @@ class TestInputErrors:
         _single_error_line(capsys)
         assert not list(tmp_path.glob("scan_*"))
 
+
+def _valid_files() -> list[bytes]:
+    m = GeneratorSequence.parse("2,3^")
+    f = grid_function(m, 2, [1.0, -2.5, 0.25j, 3.0, 1e-3, -7.0])
+    files = []
+    for write, obj, buf in [
+        (write_grid_csv, f, io.StringIO()),
+        (write_spectral_csv, forward(f), io.StringIO()),
+        (write_grid_binary, f, io.BytesIO()),
+        (write_spectral_binary, forward(f), io.BytesIO()),
+    ]:
+        write(buf, obj)
+        blob = buf.getvalue()
+        files.append(blob.encode() if isinstance(blob, str) else blob)
+    return files
+
+
+_TOKENS = [b"0", b"1", b"9", b"-", b"+", b".", b",", b"e", b"nan", b"inf", b"^", b"#", b" ", b"\n", b"\x00", b"\xff"]
+
+
+@st.composite
+def _mutated_file(draw) -> bytes:
+    blob = bytearray(draw(st.sampled_from(_valid_files())))
+    for _ in range(draw(st.integers(1, 4))):
+        i = draw(st.integers(0, len(blob)))
+        edit = draw(st.sampled_from(["insert", "replace", "delete", "truncate"]))
+        if edit == "truncate":
+            del blob[i:]
+            continue
+        span = draw(st.integers(1, 8)) if edit != "insert" else 0
+        token = draw(st.one_of(st.sampled_from(_TOKENS), st.binary(min_size=1, max_size=4)))
+        blob[i:i + span] = b"" if edit == "delete" else token
+    return bytes(blob)
+
+
+class TestReaderFuzz:
+    """Arbitrary and mutated files end in ValueError or OverflowError in the
+    readers, and as exit 2 with one `error:` line in the CLI."""
+
+    READERS = {
+        ".csv": (read_grid_csv, read_spectral_csv),
+        ".bin": (read_grid_binary, read_spectral_binary),
+    }
+
+    @given(blob=st.one_of(st.binary(max_size=120), _mutated_file()), suffix=st.sampled_from([".csv", ".bin"]))
+    @settings(max_examples=300, deadline=None)
+    def test_refused_or_read(self, blob, suffix):
+        with tempfile.TemporaryDirectory() as tmp:
+            src, out = Path(tmp) / f"f{suffix}", Path(tmp) / "o.csv"
+            src.write_bytes(blob)
+            accepted = []
+            for reader in self.READERS[suffix]:
+                with src.open("rb" if suffix == ".bin" else "r") as fh:  # as the CLI opens it
+                    try:
+                        reader(fh)
+                    except (ValueError, OverflowError):
+                        continue
+                accepted.append(reader)
+            err = io.StringIO()
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                code = run(["transform", "--op", "forward", "--input", src, "--output", out])
+            if accepted == [self.READERS[suffix][0]]:
+                assert code == 0 and out.exists()
+            else:
+                lines = err.getvalue().strip().splitlines()
+                assert code == 2 and len(lines) == 1 and lines[0].startswith("error:"), lines
+                assert not out.exists()

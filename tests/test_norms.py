@@ -243,6 +243,7 @@ class TestSupportMeasure:
 class TestNonFiniteRefused:
     """A nan used to drop out of weak_lp (0.999...) and turn hardy_norm into nan."""
 
+    @pytest.mark.filterwarnings("error")  # refused without a numpy RuntimeWarning first
     @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0, -np.inf)], ids=["nan", "inf", "imag-inf"])
     @pytest.mark.parametrize("norm", [weak_lp, hardy_norm], ids=lambda f: f.__name__)
     def test_refused(self, norm, bad):

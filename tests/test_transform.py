@@ -11,7 +11,6 @@ from vilenkin.transform import (
     character,
     character_block,
     character_values,
-    constant,
     dirichlet_average,
     dirichlet_closed,
     dirichlet_direct,
@@ -68,11 +67,6 @@ class TestCharacters:
 
 
 class TestTransform:
-    def test_constant_gives_unit_vector(self):
-        coeffs = forward(constant(WALSH, 4)).coeffs
-        assert abs(coeffs[0] - 1.0) < 1e-12
-        assert np.abs(coeffs[1:]).max() < 1e-12
-
     @pytest.mark.parametrize("j", [0, 1, 5, 11])
     def test_character_gives_basis_vector(self, j):
         f = grid_function(ALTERNATING, 4, character_values(ALTERNATING, j, 4))
@@ -299,13 +293,6 @@ class TestPartialSums:
     def test_full_spectrum_identity(self):
         f = random_grid(WALSH, 6, seed=1)
         assert np.abs(partial_sum(f, f.size).values - f.values).max() < 1e-10
-
-    def test_character_selector(self):
-        psi = grid_function(WALSH, 4, character_values(WALSH, 6, 4))
-        kept = partial_sum(psi, 7)
-        dropped = partial_sum(psi, 6)
-        assert np.abs(kept.values - psi.values).max() < 1e-10
-        assert np.abs(dropped.values).max() < 1e-10
 
     @pytest.mark.parametrize("m", SEQUENCES, ids=lambda m: m.format())
     def test_coarse_sum_is_coset_average(self, m):
