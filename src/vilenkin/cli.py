@@ -464,13 +464,14 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     parser = argparse.ArgumentParser(
         prog="vilenkin",
         description="Vilenkin-Fourier analysis: transforms, kernels, Hardy norms, divergence scans",
+        allow_abbrev=False,
     )
     parser.add_argument("--version", action="version", version=f"vilenkin {__version__}")
     subs = parser.add_subparsers(dest="command", required=True)
     commands: dict[str, argparse.ArgumentParser] = {}
 
     s = commands["transform"] = subs.add_parser(
-        "transform", help="forward/inverse transform a function file"
+        "transform", allow_abbrev=False, help="forward/inverse transform a function file"
     )
     s.add_argument("--config", default=None, help="key=value config file with flag defaults")
     s.add_argument("--op", choices=["forward", "inverse"], required=True)
@@ -478,25 +479,31 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     s.add_argument("--output", required=True)
     s.set_defaults(func=_cmd_transform)
 
-    s = commands["dirichlet"] = subs.add_parser("dirichlet", help="emit a Dirichlet kernel and verify its identities")
+    s = commands["dirichlet"] = subs.add_parser(
+        "dirichlet", allow_abbrev=False, help="emit a Dirichlet kernel and verify its identities"
+    )
     _add_common(s)
     s.add_argument("--n", type=int, required=True)
     s.set_defaults(func=_cmd_dirichlet)
 
-    s = commands["lebesgue"] = subs.add_parser("lebesgue", help="exact Lebesgue constants with variation bounds")
+    s = commands["lebesgue"] = subs.add_parser(
+        "lebesgue", allow_abbrev=False, help="exact Lebesgue constants with variation bounds"
+    )
     _add_common(s)
     s.add_argument("--limit", type=int, default=None, help="table covers 1 <= n < limit")
     s.add_argument("--convention", choices=["auto", "from0", "from1"], default="auto")
     s.set_defaults(func=_cmd_lebesgue)
 
-    s = commands["atom"] = subs.add_parser("atom", help="generate or validate a p-atom")
+    s = commands["atom"] = subs.add_parser("atom", allow_abbrev=False, help="generate or validate a p-atom")
     _add_common(s, need_p=True)
     s.add_argument("--rank", type=int, default=2, help="support coset rank")
     s.add_argument("--base", type=int, default=0, help="support coset base index")
     s.add_argument("--validate", default=None, help="grid file to validate instead of generating")
     s.set_defaults(func=_cmd_atom)
 
-    s = commands["counterexample"] = subs.add_parser("counterexample", help="build the divergence martingale")
+    s = commands["counterexample"] = subs.add_parser(
+        "counterexample", allow_abbrev=False, help="build the divergence martingale"
+    )
     _add_common(s, need_p=True)
     s.add_argument("--rule", choices=["balanced", "unit_kernel", "explicit"], default="balanced")
     s.add_argument("--alphas", default=None, help="comma list; default M_(2^k)+1")
@@ -504,7 +511,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     s.add_argument("--phi", default=None, help="constant:<c> | log | power:<t>")
     s.set_defaults(func=_cmd_counterexample)
 
-    s = commands["scan"] = subs.add_parser("scan", help="run a scenario scan by name")
+    s = commands["scan"] = subs.add_parser("scan", allow_abbrev=False, help="run a scenario scan by name")
     _add_common(s, need_p=True)
     s.add_argument("--name", required=True, help=", ".join(sorted(SCAN_REGISTRY)))
     s.add_argument("--variant", default=None)
@@ -519,7 +526,9 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     s.add_argument("--svg", action="store_true", help="also write an SVG of the trace")
     s.set_defaults(func=_cmd_scan)
 
-    s = commands["selftest"] = subs.add_parser("selftest", help="run the built-in identity checks")
+    s = commands["selftest"] = subs.add_parser(
+        "selftest", allow_abbrev=False, help="run the built-in identity checks"
+    )
     s.set_defaults(func=_cmd_selftest)
 
     return parser, commands

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .group import GeneratorSequence, coset_mask, decompose
+from .group import GeneratorSequence, coset_mask, decompose, index_stats
 from .martingale import (
     MartingaleSpec,
     build_counterexample,
@@ -24,13 +24,14 @@ from .martingale import (
     phi_value,
     random_atom,
 )
-from .norms import hardy_norm, modulus_hp, weak_lp
+from .norms import SUPPORT_THRESHOLD, hardy_norm, modulus_hp, weak_lp
 from .transform import (
     GridFunction,
     coarse_sums,
     cumulative_rows,
     dirichlet_average,
-    dirichlet_kernel_blocks,
+    dirichlet_closed,
+    dirichlet_shells,
     forward,
     grid_function,
     partial_sum,
@@ -634,6 +635,22 @@ def modulus_convergence_scan(
 # ---------------------------------------------------------------------------
 
 
+def _closed_form_residual(m: GeneratorSequence, resolution: int, limit: int) -> float:
+    """Largest | |D_n| - shell table | over the grid, against ``dirichlet_closed``.
+
+    The sample {1, M_N - 1} and M_k +- 1 (1 <= k < N), cut at ``limit``, is
+    fixed, so the residual is a deterministic health number of the scan.
+    """
+    bases = m.scaled_bases(resolution)
+    sample = {1, bases[-1] - 1} | {bases[k] + e for k in range(1, resolution) for e in (-1, 1)}
+    ns = sorted(n for n in sample if 1 <= n <= limit)
+    grid = dirichlet_shells(m, resolution, ns).expand()
+    return max(
+        float(np.abs(row - np.abs(dirichlet_closed(m, n, resolution).values)).max())
+        for n, row in zip(ns, grid)
+    )
+
+
 def supp_measure_scan(
     m: GeneratorSequence, resolution: int, n_limit: int | None = None
 ) -> ScenarioResult:
@@ -641,37 +658,40 @@ def supp_measure_scan(
 
     The bracket [M_|n| / (2 M_<n>), lambda M_|n| / M_<n>] characterizes
     which partial-sum subsequences stay bounded, so a single escape flips
-    the verdict to "violated"."""
+    the verdict to "violated".  The support is counted on the shell table:
+    each cell above the threshold weighs its grid points, plus the origin."""
     size = _check_scan_size(m, resolution)
     limit = size if n_limit is None else n_limit
     if not 1 <= limit <= size:
         raise ValueError("support scan limit out of range")
     lam = m.max_radix
+    ns = np.arange(1, limit + 1, dtype=np.int64)
+    stats = index_stats(ns, m, resolution)
+    table = dirichlet_shells(m, resolution, ns)
+    supp_counts = (table.values > SUPPORT_THRESHOLD) @ table.points + 1
     points = []
     trace = []
     violated = False
-    for lo, kernels in dirichlet_kernel_blocks(m, resolution, limit):
-        supp_counts = (np.abs(kernels) > 1e-9).sum(axis=1)
-        for i in range(kernels.shape[0]):
-            n = lo + i + 1
-            idx = decompose(n, m)
-            n_mu = n * float(supp_counts[i]) / size
-            lower = idx.m_top / (2.0 * idx.m_bottom)
-            upper = lam * idx.m_top / idx.m_bottom
-            ok = lower - 1e-9 <= n_mu <= upper + 1e-9
-            violated = violated or not ok
-            trace.append(n_mu)
-            points.append(
-                {
-                    "n": n,
-                    "top": idx.top,
-                    "bottom": idx.bottom,
-                    "n_mu_supp": n_mu,
-                    "lower": lower,
-                    "upper": upper,
-                    "in_bracket": ok,
-                }
-            )
+    for n, count, top, bottom, m_top, m_bottom in zip(
+        ns.tolist(), supp_counts.tolist(), *(a.tolist() for a in stats)
+    ):
+        n_mu = n * float(count) / size
+        lower = m_top / (2.0 * m_bottom)
+        upper = lam * m_top / m_bottom
+        ok = lower - 1e-9 <= n_mu <= upper + 1e-9
+        violated = violated or not ok
+        trace.append(n_mu)
+        points.append(
+            {
+                "n": n,
+                "top": top,
+                "bottom": bottom,
+                "n_mu_supp": n_mu,
+                "lower": lower,
+                "upper": upper,
+                "in_bracket": ok,
+            }
+        )
     return ScenarioResult(
         scenario="supp_measure",
         params={"m": m.format(), "N": resolution, "limit": limit},
@@ -679,6 +699,7 @@ def supp_measure_scan(
         constants={
             "min_slack": min(pt["n_mu_supp"] / pt["lower"] for pt in points),
             "max_slack": max(pt["n_mu_supp"] / pt["upper"] for pt in points),
+            "closed_form_max_err": _closed_form_residual(m, resolution, limit),
         },
         trace=trace,
         verdict="violated" if violated else "bounded",
@@ -693,8 +714,8 @@ def supp_measure_scan(
 def dirichlet_floor_scan(
     m: GeneratorSequence, resolution: int, n_limit: int | None = None
 ) -> ScenarioResult:
-    """min |D_n| on I_<n> \\ I_<n>+1 against the floor M_<n>, with the
-    kernel-shift identity |D_n| = |D_{n - M_|n|}| checked on the same coset.
+    """min |D_n| on I_<n> \\ I_<n>+1 against the floor M_<n>, read from the
+    per-shell minima of the shell table.
 
     The floor is only claimed on the bottom coset; the per-n report also
     lists every rank s where it happens to hold, since the blanket-range
@@ -704,26 +725,20 @@ def dirichlet_floor_scan(
     limit = size if n_limit is None else n_limit
     if not 1 <= limit <= size:
         raise ValueError("floor scan limit out of range")
-    shells = [coset_mask(m, resolution, s) & ~coset_mask(m, resolution, s + 1) for s in range(resolution)]
+    ns = np.arange(1, limit + 1, dtype=np.int64)
+    stats = index_stats(ns, m, resolution)
+    keep = stats.top != stats.bottom
+    targets = stats.m_bottom[keep].astype(float)
+    mins = dirichlet_shells(m, resolution, ns[keep]).shell_min()
+    holds = mins >= targets[:, None] - 1e-6
 
-    kernels: dict[int, np.ndarray] = {}
     points = []
     trace = []
     violations = []
-    for lo, block in dirichlet_kernel_blocks(m, resolution, limit):
-        for i in range(block.shape[0]):
-            kernels[lo + i + 1] = np.abs(block[i])
-    for n in range(1, limit + 1):
-        idx = decompose(n, m)
-        if idx.top == idx.bottom:
-            continue
-        mags = kernels[n]
-        shell = shells[idx.bottom]
-        floor = float(mags[shell].min())
-        target = float(idx.m_bottom)
-        shifted = kernels.get(n - idx.m_top)
-        equal_err = float(np.abs(mags[shell] - shifted[shell]).max()) if shifted is not None else None
-        holds_s = [s for s in range(resolution) if shells[s].any() and mags[shells[s]].min() >= target - 1e-6]
+    for n, bottom, target, row, holds_row in zip(
+        ns[keep].tolist(), stats.bottom[keep].tolist(), targets.tolist(), mins, holds
+    ):
+        floor = float(row[bottom])
         ok = floor >= target - 1e-6
         if not ok:
             violations.append(n)
@@ -731,11 +746,10 @@ def dirichlet_floor_scan(
         points.append(
             {
                 "n": n,
-                "bottom": idx.bottom,
+                "bottom": bottom,
                 "floor": floor,
                 "target": target,
-                "shift_identity_err": equal_err,
-                "holds_at_s": holds_s,
+                "holds_at_s": np.flatnonzero(holds_row).tolist(),
                 "ok": ok,
             }
         )
@@ -746,6 +760,7 @@ def dirichlet_floor_scan(
         constants={
             "violations": violations,
             "min_floor_ratio": min(trace) if trace else math.inf,
+            "closed_form_max_err": _closed_form_residual(m, resolution, limit),
         },
         trace=trace,
         verdict="violated" if violations else "bounded",

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -164,6 +165,30 @@ def decompose(n: int, m: GeneratorSequence) -> VIndex:
     return VIndex(n, tuple(digits), top, bottom, m_top=bases[top], m_bottom=bases[bottom])
 
 
+class IndexStats(NamedTuple):
+    """The statistics of :class:`VIndex` for an array of indices, one entry each."""
+
+    top: np.ndarray
+    bottom: np.ndarray
+    m_top: np.ndarray
+    m_bottom: np.ndarray
+
+
+def index_stats(indices, m: GeneratorSequence, resolution: int) -> IndexStats:
+    """Vectorized ``decompose`` statistics for an int64 array of 1 <= n <= M_N.
+
+    M_|n| is the largest scaled base not above n, and M_<n> the largest one
+    dividing n; n = M_N itself has top = bottom = N.
+    """
+    idx = np.asarray(indices, dtype=np.int64)
+    bases, _ = _digit_arrays(m.pattern, m.cyclic, resolution)
+    if idx.size and not (idx.min() >= 1 and idx.max() <= bases[-1]):
+        raise ValueError(f"digit statistics need 1 <= n <= M_N = {int(bases[-1])}")
+    top = np.searchsorted(bases, idx, side="right") - 1
+    bottom = np.count_nonzero(idx[..., None] % bases[1:] == 0, axis=-1)
+    return IndexStats(top, bottom, bases[top], bases[bottom])
+
+
 def compose(digits: tuple[int, ...] | list[int], m: GeneratorSequence) -> int:
     """Reconstruct n = sum_j n_j M_j from little-endian digits."""
     bases = m.scaled_bases(len(digits))
@@ -272,11 +297,20 @@ def digit_table(m: GeneratorSequence, resolution: int) -> np.ndarray:
     return _digit_table(m.pattern, m.cyclic, resolution)
 
 
+@lru_cache(maxsize=256)
+def _digit_arrays(pattern: tuple[int, ...], cyclic: bool, resolution: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only int64 (M_0..M_N, m_0..m_{N-1}) behind every vectorized digit helper."""
+    bases = np.asarray(_scaled_bases(pattern, cyclic, resolution), dtype=np.int64)
+    radices = np.asarray(GeneratorSequence(pattern, cyclic).radices(resolution), dtype=np.int64)
+    bases.setflags(write=False)
+    radices.setflags(write=False)
+    return bases, radices
+
+
 def digits_of(indices: np.ndarray, m: GeneratorSequence, resolution: int) -> np.ndarray:
     """Vectorized digit expansion (no statistics) for an int64 index array."""
     idx = np.asarray(indices, dtype=np.int64)
-    bases = np.asarray(m.scaled_bases(resolution), dtype=np.int64)
-    radices = np.asarray(m.radices(resolution), dtype=np.int64)
+    bases, radices = _digit_arrays(m.pattern, m.cyclic, resolution)
     return (idx[..., None] // bases[:-1]) % radices
 
 
@@ -293,11 +327,10 @@ def index_sub(i, j, m: GeneratorSequence, resolution: int) -> np.ndarray:
     """
     i = np.asarray(i, dtype=np.int64)
     j = np.asarray(j, dtype=np.int64)
-    bases = m.scaled_bases(resolution)
+    bases, radices = _digit_arrays(m.pattern, m.cyclic, resolution)
     out = np.zeros(np.broadcast_shapes(i.shape, j.shape), dtype=np.int64)
-    for k in range(resolution):
-        mk = m.radix(k)
-        out += (i // bases[k] % mk - j // bases[k] % mk) % mk * bases[k]
+    for base, mk in zip(bases.tolist(), radices.tolist()):
+        out += (i // base % mk - j // base % mk) % mk * base
     return out[()]  # a 0-d result unwraps to a scalar, as the matmul form gives
 
 

@@ -29,6 +29,7 @@ from .group import (
     decompose,
     digit_table,
     digits_of,
+    index_stats,
     index_sub,
 )
 
@@ -123,7 +124,12 @@ class SpectralVector:
 
 
 def grid_function(m: GeneratorSequence, resolution: int, values) -> GridFunction:
-    return GridFunction(m, resolution, np.asarray(values, dtype=np.complex128))
+    """A grid function from finite values; nan and inf are refused where data enters."""
+    f = GridFunction(m, resolution, np.asarray(values, dtype=np.complex128))
+    finite = np.isfinite(f.values)
+    if not finite.all():
+        raise ValueError(f"grid_function: value {int(np.argmin(finite))} is not finite")
+    return f
 
 
 def zero(m: GeneratorSequence, resolution: int) -> GridFunction:
@@ -279,6 +285,93 @@ def dirichlet_closed(m: GeneratorSequence, n: int, resolution: int) -> GridFunct
         mask = (grid % bases[j]) == 0
         acc[mask] += bases[j] * geo[mask]
     return GridFunction(m, resolution, character_values(m, n, resolution) * acc)
+
+
+@lru_cache(maxsize=64)
+def _geometric_root_sums(radix: int) -> np.ndarray:
+    """G[d, v] = sum_{u=m-d}^{m-1} r^(u v) with r = exp(2 pi i / m): the
+    factor one digit d contributes to D_n at a coordinate v (G[0] = 0)."""
+    roots = unit_roots(radix)
+    table = np.zeros((radix, radix), dtype=np.complex128)
+    v = np.arange(radix)
+    for d in range(1, radix):
+        table[d] = table[d - 1] + roots[((radix - d) * v) % radix]
+    table.setflags(write=False)
+    return table
+
+
+@dataclass(frozen=True)
+class ShellTable:
+    """|D_n| on the shells I_s \\ I_{s+1} of the rank-N grid, one column per cell.
+
+    Column c is the cell x_0 = .. = x_{s-1} = 0, x_s = v with s = shell[c]
+    and v = coord[c] (1 <= v < m_s); it holds M_N / M_{s+1} grid points,
+    measure 1/M_{s+1}.  The origin, where |D_n(0)| = n, lies in no cell.
+    """
+
+    generators: GeneratorSequence
+    resolution: int
+    indices: np.ndarray  # (K,) the n of each row
+    values: np.ndarray  # (K, C) float64
+    shell: np.ndarray  # (C,)
+    coord: np.ndarray  # (C,)
+
+    @property
+    def points(self) -> np.ndarray:
+        """(C,) grid points per cell."""
+        bases = np.asarray(self.generators.scaled_bases(self.resolution), dtype=np.int64)
+        return bases[-1] // bases[self.shell + 1]
+
+    def shell_min(self) -> np.ndarray:
+        """(K, N) min |D_n| over each shell."""
+        return np.minimum.reduceat(self.values, np.flatnonzero(self.coord == 1), axis=1)
+
+    def expand(self) -> np.ndarray:
+        """(K, M_N) |D_n| on the whole grid in coset order."""
+        m, resolution = self.generators, self.resolution
+        grid = np.arange(1, m.size(resolution), dtype=np.int64)
+        s = index_stats(grid, m, resolution).bottom
+        v = digits_of(grid, m, resolution)[np.arange(grid.size), s]
+        first = np.flatnonzero(self.coord == 1)  # the column of (s, 1)
+        out = np.empty((self.indices.size, grid.size + 1))
+        out[:, 0] = self.indices
+        out[:, 1:] = self.values[:, first[s] + v - 1]
+        return out
+
+
+def dirichlet_shells(m: GeneratorSequence, resolution: int, indices) -> ShellTable:
+    """Shell table of |D_n| for an int64 array of 1 <= n <= M_N.
+
+    On the shell x_0 = .. = x_{s-1} = 0, x_s = v of the product formula in
+    ``dirichlet_closed`` only the digits j <= s survive, and r_j = 1 for
+    j < s, so
+
+        |D_n(x)| = |(n mod M_s) + M_s G_{m_s}[n_s, v]|
+
+    with G from ``_geometric_root_sums``: the kernel takes at most
+    N (lambda - 1) + 1 values, and no M_N-length row is built.
+    """
+    idx = np.asarray(indices, dtype=np.int64).reshape(-1)
+    size = m.size(resolution)
+    if idx.size and not (idx.min() >= 1 and idx.max() <= size):
+        raise ValueError(f"shell table needs 1 <= n <= M_N = {size}")
+    bases = m.scaled_bases(resolution)
+    digits = digits_of(idx, m, resolution)
+    blocks, shell, coord = [np.empty((idx.size, 0))], [], []
+    for s in range(resolution):
+        ms = m.radix(s)
+        geo = _geometric_root_sums(ms)[digits[:, s], 1:]
+        blocks.append(np.abs((idx % bases[s])[:, None] + bases[s] * geo))
+        shell += [s] * (ms - 1)
+        coord += range(1, ms)
+    return ShellTable(
+        m,
+        resolution,
+        idx,
+        np.concatenate(blocks, axis=1),
+        np.asarray(shell, dtype=np.int64),
+        np.asarray(coord, dtype=np.int64),
+    )
 
 
 def cumulative_rows(

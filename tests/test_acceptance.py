@@ -125,10 +125,10 @@ def test_criterion_3_lower_estimate():
     for m, resolution in [(WALSH, 10), (TRIADIC, 7), (ALTERNATING, 8)]:
         result = dirichlet_floor_scan(m, resolution, n_limit=1023)
         violations = result.constants["violations"]
-        shift_err = max(pt["shift_identity_err"] for pt in result.points)
-        ok = ok and not violations and shift_err <= 1e-9
+        closed_err = result.constants["closed_form_max_err"]
+        ok = ok and not violations and closed_err <= 1e-9
         details.append(f"{m.format()}: {len(result.points)} indices, min ratio "
-                       f"{result.constants['min_floor_ratio']:.6f}, shift err {shift_err:.1e}")
+                       f"{result.constants['min_floor_ratio']:.6f}, closed-form err {closed_err:.1e}")
     documented = dirichlet_floor_scan(MIXED_CYCLE, 5)
     ok = ok and documented.verdict == "violated"  # the radix-4 failure is real and reported
     report(

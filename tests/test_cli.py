@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import struct
 import tempfile
 from pathlib import Path
 
@@ -352,12 +353,11 @@ class TestInputErrors:
 
     @staticmethod
     def _binary(values) -> bytes:
-        from vilenkin.transform import write_grid_binary
-        import io
-
-        buf = io.BytesIO()
-        write_grid_binary(buf, grid_function(WALSH, 2, values))
-        return buf.getvalue()
+        # The VGF1 layout written by hand, so that a non-finite payload
+        # reaches the reader without passing grid_function.
+        mstr = WALSH.format().encode()
+        header = b"VGF1" + struct.pack("<BIH", 0, 2, len(mstr)) + mstr
+        return header + np.asarray(values, dtype="<c16").tobytes()
 
     @pytest.mark.parametrize("fault", ["short_header", "truncated_payload", "non_finite_payload"])
     def test_bad_binary_is_usage_error(self, tmp_path, capsys, fault):
@@ -374,6 +374,26 @@ class TestInputErrors:
         assert run(argv) == 2
         _single_error_line(capsys)
         assert not (tmp_path / "o.csv").exists()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["transform", "--op", "forward", "--input", "f.csv", "--out", "X"],
+            ["scan", "--name", "supp_measure", "--lim", 5],
+        ],
+        ids=["transform-out", "scan-lim"],
+    )
+    def test_flag_prefix_is_refused(self, tmp_path, capsys, monkeypatch, argv):
+        # --out is not read as --output, nor --lim as --limit
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setenv("VILENKIN_OUTDIR", str(tmp_path))
+        (tmp_path / "f.csv").write_text(self.CSV_HEAD + "0,1,0\n1,1,0\n2,1,0\n3,1,0\n")
+        with pytest.raises(SystemExit) as err:
+            run(argv)
+        assert err.value.code == 2
+        lines = capsys.readouterr().err.strip().splitlines()
+        assert len([line for line in lines if "error:" in line]) == 1, lines
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["f.csv"]
 
     @pytest.mark.parametrize("extra", [["--rank", 6], ["--rank", -1], ["--limit", 0], ["--limit", 17]],
                              ids=["rank-above-N", "rank-negative", "limit-zero", "limit-above-MN"])

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -242,8 +243,8 @@ class TestDirichletFloorScan:
         result = dirichlet_floor_scan(m, resolution)
         assert result.verdict == "bounded"
         assert result.constants["min_floor_ratio"] >= 1.0 - 1e-9
-        # the shift identity |D_n| = |D_{n - M_|n|}| holds on the bottom shell
-        assert all(pt["shift_identity_err"] < 1e-9 for pt in result.points)
+        # the shell table the floors are read from agrees with the closed form
+        assert result.constants["closed_form_max_err"] <= 1e-9
 
     def test_radix_four_fails_pointwise(self):
         # A radix-4 digit of 2 zeroes the geometric factor on part of the
@@ -258,6 +259,28 @@ class TestDirichletFloorScan:
         result = dirichlet_floor_scan(WALSH, 7)
         for pt in result.points:
             assert pt["bottom"] in pt["holds_at_s"]
+
+
+class TestKernelScanMemory:
+    @staticmethod
+    def _traced_peak(scan, resolution):
+        tracemalloc.start()
+        try:
+            scan(WALSH, resolution)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    @pytest.mark.parametrize("scan", [supp_measure_scan, dirichlet_floor_scan], ids=lambda f: f.__name__)
+    def test_peak_grows_linearly(self, scan):
+        # M_N grows 4x from N=8 to N=10; a quadratic scan would grow 16x
+        scan(WALSH, 4)  # module-level caches are not part of the scan's footprint
+        small, large = self._traced_peak(scan, 8), self._traced_peak(scan, 10)
+        assert large <= 6 * small, (small, large)
+
+    def test_supp_measure_reports_closed_form_residual(self):
+        result = supp_measure_scan(MIXED_CYCLE, 4)
+        assert result.constants["closed_form_max_err"] <= 1e-9
 
 
 class TestKernelAverageScan:

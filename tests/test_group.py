@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from vilenkin.group import (
     BaseOverflowError,
+    _digit_arrays,
     GeneratorSequence,
     GroupPoint,
     WALSH,
@@ -16,6 +17,7 @@ from vilenkin.group import (
     group_add,
     group_sub,
     index_add,
+    index_stats,
     index_sub,
     index_to_point,
     point_to_index,
@@ -346,3 +348,43 @@ class TestVIndexBases:
     def test_largest_index(self):
         idx = decompose(2**63 - 1, WALSH)
         assert (idx.top, idx.m_top, idx.m_bottom) == (62, 2**62, 1)
+
+
+class TestIndexStats:
+    @given(st.lists(st.integers(2, 5), min_size=1, max_size=4), st.booleans(), st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_equals_decompose(self, pattern, cyclic, data):
+        m = GeneratorSequence(tuple(pattern), cyclic=cyclic)
+        resolution = data.draw(st.integers(0, 6))
+        while m.size(resolution) > 1024:
+            resolution -= 1
+        ns = np.arange(1, m.size(resolution) + 1)
+        stats = index_stats(ns, m, resolution)
+        expected = [decompose(int(n), m) for n in ns]
+        for field in ("top", "bottom", "m_top", "m_bottom"):
+            column = getattr(stats, field)
+            assert column.dtype == np.int64
+            assert column.tolist() == [getattr(idx, field) for idx in expected], field
+
+    def test_out_of_range_rejected(self):
+        for n in (0, 17):
+            with pytest.raises(ValueError):
+                index_stats([1, n], WALSH, 4)
+
+
+class TestDigitArraysCache:
+    def test_one_read_only_pair_per_grid(self):
+        bases, radices = _digit_arrays(MIXED.pattern, MIXED.cyclic, 3)
+        assert (bases.tolist(), radices.tolist()) == ([1, 2, 6, 24], [2, 3, 4])
+        assert not bases.flags.writeable and not radices.flags.writeable
+        assert _digit_arrays(MIXED.pattern, MIXED.cyclic, 3)[0] is bases
+        digits = digits_of(np.arange(24), MIXED, 3)
+        digits[0, 0] = 7  # a fresh result array: the shared pair is untouched
+        assert digits_of(0, MIXED, 3).tolist() == [0, 0, 0]
+
+    def test_cache_key_includes_cyclic(self):
+        n = np.int64(23)
+        assert digits_of(n, GeneratorSequence((2, 3), cyclic=True), 3).tolist() == [1, 2, 1]
+        assert digits_of(n, GeneratorSequence((2, 3)), 3).tolist() == [1, 2, 0]
+        assert digits_of(n, GeneratorSequence((2, 3), cyclic=True), 4).tolist() == [1, 2, 1, 1]
+        assert digits_of(n, GeneratorSequence((2, 3)), 4).tolist() == [1, 2, 0, 1]

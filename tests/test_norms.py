@@ -17,6 +17,7 @@ from vilenkin.norms import (
     weak_lp,
 )
 from vilenkin.transform import (
+    GridFunction,
     character_values,
     constant,
     dirichlet_closed,
@@ -241,7 +242,10 @@ class TestSupportMeasure:
 
 
 class TestNonFiniteRefused:
-    """A nan used to drop out of weak_lp (0.999...) and turn hardy_norm into nan."""
+    """A nan used to drop out of weak_lp (0.999...) and turn hardy_norm into nan.
+
+    grid_function refuses non-finite values, so the functions here are built
+    with the GridFunction constructor, which the norms must still guard against."""
 
     @pytest.mark.filterwarnings("error")  # refused without a numpy RuntimeWarning first
     @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0, -np.inf)], ids=["nan", "inf", "imag-inf"])
@@ -250,4 +254,4 @@ class TestNonFiniteRefused:
         values = np.ones(8, dtype=np.complex128)
         values[5] = bad
         with pytest.raises(ValueError, match=rf"{norm.__name__}: .*finite"):
-            norm(grid_function(WALSH, 3, values), 0.5)
+            norm(GridFunction(WALSH, 3, values), 0.5)

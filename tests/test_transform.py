@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from vilenkin.group import GeneratorSequence, GroupPoint, WALSH, decompose
+from vilenkin.norms import SUPPORT_THRESHOLD, lebesgue_table
 from vilenkin.transform import (
     GridFunction,
     character,
@@ -15,6 +16,7 @@ from vilenkin.transform import (
     dirichlet_closed,
     dirichlet_direct,
     dirichlet_kernel_blocks,
+    dirichlet_shells,
     conditional_expectation,
     coarse_sums,
     cumulative_rows,
@@ -289,6 +291,87 @@ class TestDirichlet:
             dirichlet_direct(WALSH, 0, 4)
 
 
+@st.composite
+def _shell_case(draw):
+    pattern = tuple(draw(st.lists(st.integers(2, 5), min_size=1, max_size=4)))
+    m = GeneratorSequence(pattern, cyclic=draw(st.booleans()))
+    top = 0
+    while m.size(top + 1) <= 1024:
+        top += 1
+    resolution = draw(st.integers(0, top))
+    return m, resolution, draw(st.integers(1, m.size(resolution)))
+
+
+class TestShellTable:
+    """The shell table against the kernel paths it replaces in the scans:
+    ``dirichlet_kernel_blocks``, ``dirichlet_direct`` and ``lebesgue_table``."""
+
+    @given(_shell_case())
+    @settings(max_examples=60, deadline=None)
+    def test_support_and_magnitudes_match_kernel_blocks(self, case):
+        m, resolution, limit = case
+        ns = np.arange(1, limit + 1)
+        grid = dirichlet_shells(m, resolution, ns).expand()
+        for lo, kernels in dirichlet_kernel_blocks(m, resolution, limit):
+            rows = grid[lo : lo + kernels.shape[0]]
+            mags = np.abs(kernels)
+            assert np.array_equal(rows > SUPPORT_THRESHOLD, mags > SUPPORT_THRESHOLD), lo
+            assert (np.abs(rows - mags).max(axis=1) <= 1e-12 * ns[lo : lo + kernels.shape[0]]).all()
+
+    @given(_shell_case(), st.lists(st.integers(0, 1 << 30), min_size=1, max_size=4))
+    @settings(max_examples=60, deadline=None)
+    def test_equals_direct_kernel(self, case, draws):
+        m, resolution, _ = case
+        ns = [1 + d % m.size(resolution) for d in draws]
+        grid = dirichlet_shells(m, resolution, ns).expand()
+        for n, row in zip(ns, grid):
+            assert np.abs(row - np.abs(dirichlet_direct(m, n, resolution).values)).max() <= 1e-12 * n
+
+    @given(_shell_case())
+    @settings(max_examples=40, deadline=None)
+    def test_weighted_mean_is_lebesgue_constant(self, case):
+        m, resolution, limit = case
+        size = m.size(resolution)
+        if size < 2:
+            return
+        stop = min(limit, size - 1) + 1
+        table = dirichlet_shells(m, resolution, np.arange(1, stop))
+        shell_l = (table.values @ table.points + table.indices) / size
+        exact = [r.value for r in lebesgue_table(m, resolution, stop)]
+        assert np.allclose(shell_l, exact, rtol=1e-12, atol=0)
+
+    def test_cells_tile_the_grid(self):
+        table = dirichlet_shells(MIXED_CYCLE, 4, [5])
+        assert table.shell.tolist() == [0, 1, 1, 2, 2, 2, 3]
+        assert table.coord.tolist() == [1, 1, 2, 1, 2, 3, 1]
+        assert int(table.points.sum()) + 1 == MIXED_CYCLE.size(4)
+        assert table.shell_min().shape == (1, 4)
+
+    def test_top_index_is_the_block_kernel(self):
+        # D_{M_N} is M_N at the origin and 0 on every shell
+        table = dirichlet_shells(TRIADIC, 3, [27])
+        assert not table.values.any()
+        assert table.expand()[0].tolist() == [27.0] + [0.0] * 26
+
+    def test_out_of_range_rejected(self):
+        for n in (0, 17):
+            with pytest.raises(ValueError):
+                dirichlet_shells(WALSH, 4, [1, n])
+
+    @pytest.mark.parametrize("m,resolution", [(WALSH, 7), (TRIADIC, 5)], ids=["2^N7", "3^N5"])
+    def test_shift_identity_on_bottom_shell(self, m, resolution):
+        # |D_n| = |D_{n - M_|n|}| on I_<n> \ I_<n>+1, for every n with |n| != <n>
+        grid = np.arange(m.size(resolution))
+        for n in range(1, m.size(resolution)):
+            idx = decompose(n, m)
+            if idx.top == idx.bottom:
+                continue
+            shell = (grid % idx.m_bottom == 0) & (grid % m.base(idx.bottom + 1) != 0)
+            a = np.abs(dirichlet_closed(m, n, resolution).values[shell])
+            b = np.abs(dirichlet_closed(m, n - idx.m_top, resolution).values[shell])
+            assert np.abs(a - b).max() <= 1e-9, n
+
+
 class TestPartialSums:
     def test_full_spectrum_identity(self):
         f = random_grid(WALSH, 6, seed=1)
@@ -402,6 +485,11 @@ class TestGridFunctionAlgebra:
     def test_integral_is_mean(self):
         f = grid_function(WALSH, 2, [1, 2, 3, 4])
         assert f.integral() == pytest.approx(2.5)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, np.inf)], ids=["nan", "inf", "imag-inf"])
+    def test_non_finite_rejected(self, bad):
+        with pytest.raises(ValueError, match="value 2 is not finite"):
+            grid_function(WALSH, 2, [1.0, 2.0, bad, 4.0])
 
     def test_wrong_length_rejected(self):
         with pytest.raises(ValueError):
