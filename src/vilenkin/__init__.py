@@ -50,7 +50,6 @@ from .norms import (
     modulus_hp,
     restricted_maximal,
     select_variation_convention,
-    support_measure,
     weak_lp,
 )
 from .martingale import (

@@ -23,6 +23,7 @@ from .martingale import (
     default_alphas,
     phi_value,
     random_atom,
+    spread_rate,
 )
 from .norms import SUPPORT_THRESHOLD, hardy_norm, modulus_hp, weak_lp
 from .transform import (
@@ -195,13 +196,9 @@ def atom_ratio_scan(
     size = _check_scan_size(m, resolution)
     rng = np.random.default_rng(seed)
     bases = m.scaled_bases(resolution)
-    base_arr = np.asarray(bases)
-    # Discount factors (M_<n>/M_|n|)^(1/p-1) for every n, computed once.
-    discount = np.empty(size + 1)
-    discount[0] = 0.0
-    for n in range(1, size + 1):
-        idx = decompose(n, m)
-        discount[n] = (idx.m_bottom / idx.m_top) ** (1.0 / p - 1.0)
+    # |n| and the discount (M_<n>/M_|n|)^(1/p-1) of every n >= 1, at entry n - 1.
+    stats = index_stats(np.arange(1, size + 1), m, resolution)
+    discount = (stats.m_bottom / stats.m_top) ** (1.0 / p - 1.0)
 
     points = []
     global_max = 0.0
@@ -220,10 +217,9 @@ def atom_ratio_scan(
                 continue
             ps_keep = ps[keep]
             ns_keep = ns[keep]
-            ks = np.searchsorted(base_arr, ns_keep, side="right") - 1
-            stars = np.maximum(running[ks], np.abs(ps_keep))
+            stars = np.maximum(running[stats.top[ns_keep - 1]], np.abs(ps_keep))
             hardys = np.mean(stars**p, axis=1) ** (1.0 / p)
-            rs = hardys * discount[ns_keep]
+            rs = hardys * discount[ns_keep - 1]
             i = int(np.argmax(rs))
             if rs[i] > best_r:
                 best_r, best_n = float(rs[i]), int(ns_keep[i])
@@ -281,22 +277,18 @@ def divergence_scan(
     if not 0 < p < 1:
         raise ValueError("divergence scan needs 0 < p < 1")
     _check_scan_size(m, resolution)
-    alpha_list = _divergence_alphas(variant, m, resolution, alphas)
-    alpha_list = [a for a in alpha_list if decompose(a, m).top < resolution]
-    if len(alpha_list) < 2:
+    stats = [decompose(a, m) for a in _divergence_alphas(variant, m, resolution, alphas)]
+    stats = [idx for idx in stats if idx.top < resolution]
+    if len(stats) < 2:
         raise ValueError("fewer than two resolvable alpha indices")
 
-    rhos = [decompose(a, m).rho for a in alpha_list]
+    rhos = [idx.rho for idx in stats]
     if any(b <= a for a, b in zip(rhos, rhos[1:])):
         raise ValueError(
             f"digit spread rho is not strictly increasing (rho trace {rhos}); "
             "this sequence sits in the bounded regime"
         )
-    growth_ratios = []
-    for a in alpha_list:
-        idx = decompose(a, m)
-        rate = (idx.m_top / idx.m_bottom) ** (1.0 / p - 1.0)
-        growth_ratios.append(rate / phi_value(phi, a, m))
+    growth_ratios = [spread_rate(idx, p) / phi_value(phi, idx.value, m) for idx in stats]
     if any(b <= a for a, b in zip(growth_ratios, growth_ratios[1:])):
         raise ValueError(
             "growth hypothesis fails on the truncated sequence: "
@@ -304,8 +296,9 @@ def divergence_scan(
         )
 
     spec = build_counterexample(
-        m, p, alpha_list, rule=rule, phi=phi, lambdas=lambdas, resolution=resolution
+        m, p, [idx.value for idx in stats], rule=rule, phi=phi, lambdas=lambdas, resolution=resolution
     )
+    rho_of = {idx.value: idx.rho for idx in stats}  # spec.alphas may drop some
     points = []
     trace = []
     cross_err = 0.0
@@ -322,7 +315,7 @@ def divergence_scan(
             {
                 "k": k,
                 "alpha": a,
-                "rho": decompose(a, m).rho,
+                "rho": rho_of[a],
                 "lambda_k": spec.lambdas[k],
                 "phi": phi_k,
                 "weak_norm": value,
@@ -562,9 +555,9 @@ def modulus_convergence_scan(
     err_weak_trace = []
     rate_ratios = []
     c_max = 0.0
-    for k, a in enumerate(spec.alphas):
-        idx = decompose(a, m)
-        rate = (idx.m_top / idx.m_bottom) ** (1.0 / p - 1.0)
+    stats = [decompose(a, m) for a in spec.alphas]
+    for k, (a, idx) in enumerate(zip(spec.alphas, stats)):
+        rate = spread_rate(idx, p)
         omega = omegas[idx.top]
         diff = partial_sum(spectrum, a) - f
         err_hp = hardy_norm(diff, p)
@@ -591,9 +584,8 @@ def modulus_convergence_scan(
 
     # modulus tails against the coefficient tails, per truncation
     tail_constants = []
-    tops = [decompose(a, m).top for a in spec.alphas]
     for t in range(resolution + 1):
-        tail = sum(abs(l) ** p for l, top in zip(spec.lambdas, tops) if top >= t)
+        tail = sum(abs(l) ** p for l, idx in zip(spec.lambdas, stats) if idx.top >= t)
         omega_t = omegas[t]
         if tail > 0:
             tail_constants.append(omega_t**p / tail)

@@ -137,9 +137,6 @@ class VIndex:
         """rho(n) = |n| - <n>, the digit-spread divergence gauge."""
         return self.top - self.bottom
 
-    def digit(self, j: int) -> int:
-        return self.digits[j] if j <= self.top else 0
-
 
 def decompose(n: int, m: GeneratorSequence) -> VIndex:
     """Digit expansion of n >= 1 with its statistics.
@@ -198,8 +195,11 @@ def compose(digits: tuple[int, ...] | list[int], m: GeneratorSequence) -> int:
     return sum(d * bases[j] for j, d in enumerate(digits))
 
 
-def variation(n: VIndex, m: GeneratorSequence, convention: str = "from1") -> tuple[int, int]:
-    """Variation counts (v, v*) controlling the Lebesgue constant bracket.
+def variation_counts(
+    indices, m: GeneratorSequence, resolution: int, convention: str = "from1"
+) -> tuple[np.ndarray, np.ndarray]:
+    """Variation counts (v, v*) controlling the Lebesgue constant bracket,
+    for an int64 array of 1 <= n <= M_N.
 
     With delta_j = sign(n_j) and delta*_j = |(-n_j mod m_j) - 1| * delta_j:
 
@@ -208,25 +208,29 @@ def variation(n: VIndex, m: GeneratorSequence, convention: str = "from1") -> tup
 
     ``convention`` selects whether the sums start at j = 1 (the printed
     form) or at j = 0; the discrepancy is decided empirically by the
-    exact-Lebesgue-constant oracle, so both stay available.
+    exact-Lebesgue-constant oracle, so both stay available.  The digits
+    are read at N + 1 positions, so n = M_N has its one digit.
     """
     if convention not in ("from0", "from1"):
         raise ValueError(f"unknown variation convention {convention!r}")
     start = 0 if convention == "from0" else 1
-
-    def delta(j: int) -> int:
-        return 1 if n.digit(j) else 0
-
-    v = delta(0)
-    for j in range(start, n.top + 1):
-        v += abs(delta(j + 1) - delta(j))
-    v_star = 0
-    for j in range(start, n.top + 1):
-        dj = n.digit(j)
-        if dj:
-            # |(-n_j mod m_j) - 1| = m_j - n_j - 1 for 1 <= n_j < m_j
-            v_star += m.radix(j) - dj - 1
+    idx = np.asarray(indices, dtype=np.int64)
+    bases, radices = _digit_arrays(m.pattern, m.cyclic, resolution + 1)
+    if idx.size and not (idx.min() >= 1 and idx.max() <= bases[-2]):
+        raise ValueError(f"variation counts need 1 <= n <= M_N = {int(bases[-2])}")
+    digits = digits_of(idx, m, resolution + 1)
+    delta = digits != 0
+    # a boolean diff is |delta_{j+1} - delta_j|; delta_{N+1} = 0 because n <= M_N
+    v = delta[..., 0] + np.diff(delta, axis=-1, append=False)[..., start:].sum(axis=-1)
+    # |(-n_j mod m_j) - 1| = m_j - n_j - 1 for 1 <= n_j < m_j
+    v_star = np.where(delta, radices - digits - 1, 0)[..., start:].sum(axis=-1)
     return v, v_star
+
+
+def variation(n: VIndex, m: GeneratorSequence, convention: str = "from1") -> tuple[int, int]:
+    """(v, v*) of one index; see :func:`variation_counts`."""
+    v, v_star = variation_counts(n.value, m, n.top + 1, convention)
+    return int(v), int(v_star)
 
 
 @dataclass(frozen=True)

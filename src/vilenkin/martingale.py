@@ -199,7 +199,7 @@ def phi_value(phi: tuple | None, n: int, m: GeneratorSequence) -> float:
     raise ValueError(f"unknown phi tag {phi!r}")
 
 
-def _ratio(idx: VIndex, p: float) -> float:
+def spread_rate(idx: VIndex, p: float) -> float:
     """(M_|n| / M_<n>)^(1/p-1), the block-spread growth rate."""
     return (idx.m_top / idx.m_bottom) ** (1.0 / p - 1.0)
 
@@ -213,7 +213,7 @@ def select_gap_subsequence(m: GeneratorSequence, alphas, p: float) -> list[int]:
     kept: list[int] = []
     last_ratio = None
     for a in alphas:
-        r = _ratio(decompose(a, m), p)
+        r = spread_rate(decompose(a, m), p)
         if last_ratio is None or (r > last_ratio and r >= last_ratio**2):
             kept.append(a)
             last_ratio = r
@@ -291,7 +291,7 @@ def build_counterexample(
             )
         alphas = kept
         stats = [decompose(a, m) for a in alphas]
-        lam_list = [m.max_radix / _ratio(idx, p) for idx in stats]
+        lam_list = [m.max_radix / spread_rate(idx, p) for idx in stats]
     elif rule == "explicit":
         if lambdas is None or len(lambdas) != len(alphas):
             raise ValueError("explicit rule needs one lambda per alpha")

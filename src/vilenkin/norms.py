@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .group import GeneratorSequence, decompose, variation
+from .group import GeneratorSequence, decompose, variation, variation_counts
 from .transform import (
     GridFunction,
     coarse_sums,
@@ -94,7 +94,7 @@ class LebesgueReport:
 
     @property
     def in_bracket(self) -> bool:
-        return self.lower_bound - 1e-9 <= self.value <= self.upper_bound + 1e-9
+        return bool(_in_bracket(self.value, self.lower_bound, self.upper_bound))
 
     def csv_row(self) -> str:
         return (
@@ -103,10 +103,15 @@ class LebesgueReport:
         )
 
 
-def _bracket(v: int, v_star: int, lam: int) -> tuple[float, float]:
+def _bracket(v, v_star, lam: int):
+    """(lower, upper) bounds on L_n from scalar or array variation counts."""
     lower = v / (4.0 * lam) + v_star / lam + 1.0 / (2.0 * lam)
     upper = 1.5 * v + 4.0 * v_star - 1.0
     return lower, upper
+
+
+def _in_bracket(value, lower, upper):
+    return (lower - 1e-9 <= value) & (value <= upper + 1e-9)
 
 
 def lebesgue_constant(
@@ -115,32 +120,33 @@ def lebesgue_constant(
     """L_n = ||D_n||_1 with the two-sided variation bounds."""
     kernel = dirichlet_closed(m, n, resolution)
     value = lp_norm(kernel, 1.0)
-    idx = decompose(n, m)
-    v, v_star = variation(idx, m, convention)
+    v, v_star = variation(decompose(n, m), m, convention)
     lower, upper = _bracket(v, v_star, m.max_radix)
     return LebesgueReport(n, value, lower, upper, v, v_star, convention)
 
 
-def lebesgue_table(
-    m: GeneratorSequence, resolution: int, limit: int | None = None, convention: str = "from1"
-) -> list[LebesgueReport]:
-    """Exhaustive L_n table for 1 <= n < limit (default M_N)."""
+def _lebesgue_values(m: GeneratorSequence, resolution: int, limit: int | None) -> np.ndarray:
+    """Exact L_n for 1 <= n < limit (default M_N), from one blocked kernel pass."""
     from .transform import dirichlet_kernel_blocks
 
     size = m.size(resolution)
     stop = size if limit is None else limit
     if not 2 <= stop <= size + 1:
         raise ValueError("table limit out of range")
-    reports = []
-    for lo, kernels in dirichlet_kernel_blocks(m, resolution, stop - 1):
-        values = np.mean(np.abs(kernels), axis=1)
-        for i, value in enumerate(values):
-            n = lo + i + 1
-            idx = decompose(n, m)
-            v, v_star = variation(idx, m, convention)
-            lower, upper = _bracket(v, v_star, m.max_radix)
-            reports.append(LebesgueReport(n, float(value), lower, upper, v, v_star, convention))
-    return reports
+    blocks = dirichlet_kernel_blocks(m, resolution, stop - 1)
+    return np.concatenate([np.mean(np.abs(kernels), axis=1) for _, kernels in blocks])
+
+
+def lebesgue_table(
+    m: GeneratorSequence, resolution: int, limit: int | None = None, convention: str = "from1"
+) -> list[LebesgueReport]:
+    """Exhaustive L_n table for 1 <= n < limit (default M_N)."""
+    values = _lebesgue_values(m, resolution, limit)
+    ns = np.arange(1, values.size + 1, dtype=np.int64)
+    v, v_star = variation_counts(ns, m, resolution, convention)
+    lower, upper = _bracket(v, v_star, m.max_radix)
+    columns = (ns, values, lower, upper, v, v_star)
+    return [LebesgueReport(*row, convention) for row in zip(*(c.tolist() for c in columns))]
 
 
 def select_variation_convention(
@@ -149,12 +155,15 @@ def select_variation_convention(
     """Decide the digit-sum convention empirically against exact L_n.
 
     Returns the winning convention and, per convention, the indices where
-    the bracket failed.  Ties go to "from1" (the printed form).
+    the bracket failed.  Ties go to "from1" (the printed form).  The
+    kernels are summed once; each convention only re-brackets the values.
     """
+    values = _lebesgue_values(m, resolution, limit)
+    ns = np.arange(1, values.size + 1, dtype=np.int64)
     violations: dict[str, list[int]] = {}
     for convention in ("from1", "from0"):
-        table = lebesgue_table(m, resolution, limit, convention)
-        violations[convention] = [r.n for r in table if not r.in_bracket]
+        lower, upper = _bracket(*variation_counts(ns, m, resolution, convention), m.max_radix)
+        violations[convention] = ns[~_in_bracket(values, lower, upper)].tolist()
     if len(violations["from1"]) <= len(violations["from0"]):
         return "from1", violations
     return "from0", violations
@@ -198,8 +207,3 @@ def modulus_hp(f: GridFunction, n: int, p: float) -> float:
     if not 0 <= n <= f.resolution:
         raise ValueError(f"modulus rank {n} out of range at resolution {f.resolution}")
     return hardy_norm(f - conditional_expectation(f, n), p)
-
-
-def support_measure(f: GridFunction, threshold: float = SUPPORT_THRESHOLD) -> float:
-    """mu{x : |f(x)| > threshold}."""
-    return float(np.count_nonzero(np.abs(f.values) > threshold) / f.size)

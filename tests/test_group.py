@@ -22,6 +22,7 @@ from vilenkin.group import (
     index_to_point,
     point_to_index,
     variation,
+    variation_counts,
 )
 
 TRIADIC = GeneratorSequence.parse("3^")
@@ -117,13 +118,28 @@ class TestDecompose:
             assert 2**idx.rho <= spread <= m.max_radix**idx.rho
 
 
+def _variation_literal(n: int, m: GeneratorSequence, convention: str) -> tuple[int, int]:
+    """The variation counts as a scalar loop over the digits of one n."""
+    idx = decompose(n, m)
+    start = 0 if convention == "from0" else 1
+
+    def digit(j: int) -> int:
+        return idx.digits[j] if j <= idx.top else 0
+
+    def delta(j: int) -> int:
+        return 1 if digit(j) else 0
+
+    v = delta(0)
+    for j in range(start, idx.top + 1):
+        v += abs(delta(j + 1) - delta(j))
+    v_star = 0
+    for j in range(start, idx.top + 1):
+        if digit(j):
+            v_star += m.radix(j) - digit(j) - 1
+    return v, v_star
+
+
 class TestVariation:
-    def test_walsh_n1_from1(self):
-        assert variation(decompose(1, WALSH), WALSH, "from1") == (1, 0)
-
-    def test_walsh_n5_from1(self):
-        assert variation(decompose(5, WALSH), WALSH, "from1") == (3, 0)
-
     def test_walsh_vstar_always_zero(self):
         for n in range(1, 256):
             for conv in ("from0", "from1"):
@@ -132,6 +148,29 @@ class TestVariation:
     def test_unknown_convention(self):
         with pytest.raises(ValueError):
             variation(decompose(1, WALSH), WALSH, "sideways")
+        with pytest.raises(ValueError, match="unknown variation convention"):
+            variation_counts(np.arange(1, 9), WALSH, 3, "sideways")
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        pattern=st.lists(st.integers(2, 6), min_size=1, max_size=4),
+        cyclic=st.booleans(),
+        resolution=st.integers(0, 4),
+        convention=st.sampled_from(["from0", "from1"]),
+    )
+    def test_counts_match_digit_loop(self, pattern, cyclic, resolution, convention):
+        # every n from 1 up to and including M_N, whose one digit sits at N
+        m = GeneratorSequence(tuple(pattern), cyclic=cyclic)
+        ns = list(range(1, m.size(resolution) + 1))
+        v, v_star = variation_counts(np.array(ns), m, resolution, convention)
+        literal = [_variation_literal(n, m, convention) for n in ns]
+        assert list(zip(v.tolist(), v_star.tolist())) == literal
+        assert variation(decompose(ns[-1], m), m, convention) == literal[-1]
+
+    @pytest.mark.parametrize("n", [0, 9])
+    def test_counts_refuse_out_of_range(self, n):
+        with pytest.raises(ValueError, match="1 <= n <= M_N = 8"):
+            variation_counts(np.array([1, n]), WALSH, 3)
 
 
 class TestGroupLaw:

@@ -4,6 +4,7 @@ import pytest
 from vilenkin.group import GeneratorSequence, WALSH
 from vilenkin.martingale import random_atom
 from vilenkin.norms import (
+    SUPPORT_THRESHOLD,
     NormReport,
     hardy_norm,
     lebesgue_constant,
@@ -13,7 +14,6 @@ from vilenkin.norms import (
     modulus_hp,
     restricted_maximal,
     select_variation_convention,
-    support_measure,
     weak_lp,
 )
 from vilenkin.transform import (
@@ -85,13 +85,6 @@ class TestWeakLp:
 
 
 class TestLebesgue:
-    def test_l1_is_one(self):
-        assert lebesgue_constant(WALSH, 1, 4).value == pytest.approx(1.0)
-
-    def test_block_indices(self):
-        for k in range(1, 5):
-            assert lebesgue_constant(WALSH, 2**k, 5).value == pytest.approx(1.0)
-
     def test_walsh_l3(self):
         # D_3 takes values 3, 1, 1, -1 on the four rank-2 cosets.
         kernel = dirichlet_direct(WALSH, 3, 2).values
@@ -115,6 +108,21 @@ class TestLebesgue:
         assert len(table) == 511
         for report in table:
             assert report.in_bracket, (report.n, report.value, report.lower_bound, report.upper_bound)
+
+    def test_convention_pick_sums_kernels_once(self, monkeypatch):
+        import vilenkin.transform as transform
+
+        passes = []
+        blocks = transform.dirichlet_kernel_blocks
+        monkeypatch.setattr(
+            transform, "dirichlet_kernel_blocks", lambda *a: passes.append(a) or blocks(*a)
+        )
+        winner, violations = select_variation_convention(ALTERNATING, 5, 73)
+        assert len(passes) == 1
+        # the same picks as two full tables
+        for convention in ("from1", "from0"):
+            table = lebesgue_table(ALTERNATING, 5, 73, convention)
+            assert violations[convention] == [r.n for r in table if not r.in_bracket]
 
     def test_table_default_covers_n_below_mn(self):
         table = lebesgue_table(WALSH, 5)
@@ -233,7 +241,8 @@ class TestSupportMeasure:
         for n in range(1, m.size(resolution)):
             idx = decompose(n, m)
             m_bottom = m.base(idx.bottom)
-            mu = support_measure(dirichlet_closed(m, n, resolution))
+            kernel = dirichlet_closed(m, n, resolution).values
+            mu = np.count_nonzero(np.abs(kernel) > SUPPORT_THRESHOLD) / kernel.size
             assert 1.0 / (2 * m_bottom) - 1e-12 <= mu <= 1.0 / m_bottom + 1e-12
 
     def test_report_row(self):
