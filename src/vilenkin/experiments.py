@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .group import GeneratorSequence, coset_mask, decompose, index_stats
+from .group import GeneratorSequence, VIndex, coset_mask, decompose, index_stats
 from .martingale import (
     MartingaleSpec,
     build_counterexample,
@@ -288,34 +288,31 @@ def divergence_scan(
             f"digit spread rho is not strictly increasing (rho trace {rhos}); "
             "this sequence sits in the bounded regime"
         )
-    growth_ratios = [spread_rate(idx, p) / phi_value(phi, idx.value, m) for idx in stats]
+    growth_ratios = [spread_rate(idx, p) / phi_value(phi, idx) for idx in stats]
     if any(b <= a for a, b in zip(growth_ratios, growth_ratios[1:])):
         raise ValueError(
             "growth hypothesis fails on the truncated sequence: "
             f"rate/Phi trace {growth_ratios} is not strictly increasing"
         )
 
-    spec = build_counterexample(
-        m, p, [idx.value for idx in stats], rule=rule, phi=phi, lambdas=lambdas, resolution=resolution
-    )
-    rho_of = {idx.value: idx.rho for idx in stats}  # spec.alphas may drop some
+    spec = build_counterexample(m, p, stats, rule=rule, phi=phi, lambdas=lambdas, resolution=resolution)
     points = []
     trace = []
     cross_err = 0.0
     spectrum = forward(spec.realized)
-    for k, a in enumerate(spec.alphas):
-        s_fast = partial_sum(spectrum, a)
-        s_closed = closed_partial_sum(spec, a)
+    for k, idx in enumerate(spec.indices):
+        s_fast = partial_sum(spectrum, idx.value)
+        s_closed = closed_partial_sum(spec, idx.value)
         err = float(np.abs(s_fast.values - s_closed.values).max())
         cross_err = max(cross_err, err)
-        phi_k = phi_value(phi, a, m)
+        phi_k = phi_value(phi, idx)
         value = weak_lp(s_fast, p) / phi_k
         trace.append(value)
         points.append(
             {
                 "k": k,
-                "alpha": a,
-                "rho": rho_of[a],
+                "alpha": idx.value,
+                "rho": idx.rho,
                 "lambda_k": spec.lambdas[k],
                 "phi": phi_k,
                 "weak_norm": value,
@@ -365,6 +362,24 @@ def _bounded_indices(variant: str, m: GeneratorSequence, resolution: int) -> lis
     raise ValueError(f"unknown boundedness variant {variant!r}")
 
 
+def _function_pool(
+    p: float, m: GeneratorSequence, resolution: int, trials: int, seed: int
+) -> list[tuple[str, GridFunction]]:
+    """``trials`` seeded random complex functions, then the balanced
+    counterexample martingale: the pool every many-function scan ranges over."""
+    size = m.size(resolution)
+    rng = np.random.default_rng(seed)
+    pool = []
+    for t in range(trials):
+        values = rng.standard_normal(size) + 1j * rng.standard_normal(size)
+        pool.append((f"random{t}", grid_function(m, resolution, values)))
+    spec = build_counterexample(
+        m, p, default_alphas(m, resolution), rule="balanced", resolution=resolution
+    )
+    pool.append(("martingale", spec.realized))
+    return pool
+
+
 def boundedness_scan(
     p: float,
     variant: str,
@@ -379,20 +394,13 @@ def boundedness_scan(
     counterexample martingale."""
     if not 0 < p <= 1:
         raise ValueError("boundedness scan needs 0 < p <= 1")
-    size = _check_scan_size(m, resolution)
+    _check_scan_size(m, resolution)
     indices = _bounded_indices(variant, m, resolution)
-    rng = np.random.default_rng(seed)
-
-    functions: list[tuple[str, GridFunction]] = []
-    for t in range(trials):
-        values = rng.standard_normal(size) + 1j * rng.standard_normal(size)
-        functions.append((f"random{t}", grid_function(m, resolution, values)))
-    spec = build_counterexample(
-        m, p, default_alphas(m, resolution), rule="balanced", resolution=resolution
-    )
-    functions.append(("martingale", spec.realized))
     # One spectrum and one H_p norm per function; every S_n f truncates the spectrum.
-    pool = [(label, forward(f), hardy_norm(f, p)) for label, f in functions]
+    pool = [
+        (label, forward(f), hardy_norm(f, p))
+        for label, f in _function_pool(p, m, resolution, trials, seed)
+    ]
 
     max_ratio = 0.0
     per_index = []
@@ -471,18 +479,9 @@ def weighted_series_scan(
     pool median (the series constant is never pinned, only its stability)."""
     if not 0 < p < 1:
         raise ValueError("the weighted series needs 0 < p < 1")
-    size = _check_scan_size(m, resolution, cap=1 << 12)
-    rng = np.random.default_rng(seed)
-    pool: list[tuple[str, GridFunction]] = []
-    for t in range(trials):
-        values = rng.standard_normal(size) + 1j * rng.standard_normal(size)
-        pool.append((f"random{t}", grid_function(m, resolution, values)))
-    spec = build_counterexample(
-        m, p, default_alphas(m, resolution), rule="balanced", resolution=resolution
-    )
-    pool.append(("martingale", spec.realized))
+    _check_scan_size(m, resolution, cap=1 << 12)
     points = []
-    for label, f in pool:
+    for label, f in _function_pool(p, m, resolution, trials, seed):
         report = weighted_series(f, p)
         points.append({"label": label, "total": report.total, "ratio": report.ratio})
     ratios = [pt["ratio"] for pt in points]
@@ -504,18 +503,16 @@ def weighted_series_scan(
 
 
 def _modulus_spec(
-    f_rule: str, m: GeneratorSequence, p: float, alphas: list[int], resolution: int
+    f_rule: str, m: GeneratorSequence, p: float, indices: list[VIndex], resolution: int
 ) -> MartingaleSpec:
     if f_rule == "unit_kernel":
-        return build_counterexample(m, p, alphas, rule="unit_kernel", resolution=resolution)
+        return build_counterexample(m, p, indices, rule="unit_kernel", resolution=resolution)
     if f_rule == "fast_decay":
-        lambdas = []
-        for k, a in enumerate(alphas):
-            idx = decompose(a, m)
-            target = (idx.m_bottom / idx.m_top) ** (1.0 / p - 1.0)
-            lambdas.append(target * 4.0**-k)
+        lambdas = [
+            (idx.m_bottom / idx.m_top) ** (1.0 / p - 1.0) * 4.0**-k for k, idx in enumerate(indices)
+        ]
         return build_counterexample(
-            m, p, alphas, rule="explicit", lambdas=lambdas, resolution=resolution
+            m, p, indices, rule="explicit", lambdas=lambdas, resolution=resolution
         )
     raise ValueError(f"unknown f_rule {f_rule!r}")
 
@@ -545,7 +542,7 @@ def modulus_convergence_scan(
         alphas = [m.base(k) + 1 for k in range(1, resolution)]
     else:
         raise ValueError(f"unknown n_rule {n_rule!r}")
-    spec = _modulus_spec(f_rule, m, p, alphas, resolution)
+    spec = _modulus_spec(f_rule, m, p, [decompose(a, m) for a in alphas], resolution)
     f = spec.realized
     spectrum = forward(f)
     omegas = [modulus_hp(f, t, p) for t in range(resolution + 1)]
@@ -555,11 +552,10 @@ def modulus_convergence_scan(
     err_weak_trace = []
     rate_ratios = []
     c_max = 0.0
-    stats = [decompose(a, m) for a in spec.alphas]
-    for k, (a, idx) in enumerate(zip(spec.alphas, stats)):
+    for k, idx in enumerate(spec.indices):
         rate = spread_rate(idx, p)
         omega = omegas[idx.top]
-        diff = partial_sum(spectrum, a) - f
+        diff = partial_sum(spectrum, idx.value) - f
         err_hp = hardy_norm(diff, p)
         err_weak = weak_lp(diff, p)
         target = 1.0 / rate  # (M_<n>/M_|n|)^(1/p-1)
@@ -572,7 +568,7 @@ def modulus_convergence_scan(
         points.append(
             {
                 "k": k,
-                "n": a,
+                "n": idx.value,
                 "omega": omega,
                 "err_hardy": err_hp,
                 "err_weak": err_weak,
@@ -585,7 +581,7 @@ def modulus_convergence_scan(
     # modulus tails against the coefficient tails, per truncation
     tail_constants = []
     for t in range(resolution + 1):
-        tail = sum(abs(l) ** p for l, idx in zip(spec.lambdas, stats) if idx.top >= t)
+        tail = sum(abs(l) ** p for l, idx in zip(spec.lambdas, spec.indices) if idx.top >= t)
         omega_t = omegas[t]
         if tail > 0:
             tail_constants.append(omega_t**p / tail)

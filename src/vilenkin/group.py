@@ -209,16 +209,18 @@ def variation_counts(
     ``convention`` selects whether the sums start at j = 1 (the printed
     form) or at j = 0; the discrepancy is decided empirically by the
     exact-Lebesgue-constant oracle, so both stay available.  The digits
-    are read at N + 1 positions, so n = M_N has its one digit.
+    are read at N + 1 positions, so n = M_N has its one digit; that top
+    digit is n // M_N, so only M_N has to fit in 64 bits.
     """
     if convention not in ("from0", "from1"):
         raise ValueError(f"unknown variation convention {convention!r}")
     start = 0 if convention == "from0" else 1
     idx = np.asarray(indices, dtype=np.int64)
-    bases, radices = _digit_arrays(m.pattern, m.cyclic, resolution + 1)
-    if idx.size and not (idx.min() >= 1 and idx.max() <= bases[-2]):
-        raise ValueError(f"variation counts need 1 <= n <= M_N = {int(bases[-2])}")
-    digits = digits_of(idx, m, resolution + 1)
+    bases, radices = _digit_arrays(m.pattern, m.cyclic, resolution)
+    if idx.size and not (idx.min() >= 1 and idx.max() <= bases[-1]):
+        raise ValueError(f"variation counts need 1 <= n <= M_N = {int(bases[-1])}")
+    digits = np.concatenate([digits_of(idx, m, resolution), idx[..., None] // bases[-1]], axis=-1)
+    radices = np.append(radices, m.radix(resolution))
     delta = digits != 0
     # a boolean diff is |delta_{j+1} - delta_j|; delta_{N+1} = 0 because n <= M_N
     v = delta[..., 0] + np.diff(delta, axis=-1, append=False)[..., start:].sum(axis=-1)

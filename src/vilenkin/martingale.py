@@ -17,14 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .group import GeneratorSequence, GroupPoint, VIndex, coset_mask, decompose, index_to_point
-from .transform import (
-    GridFunction,
-    character_values,
-    dirichlet_closed,
-    grid_function,
-    zero,
-)
+from .group import GeneratorSequence, VIndex, coset_mask, decompose
+from .transform import GridFunction, character_values, dirichlet_closed, zero
 
 # Validator tolerances: the mean condition is absolute, the sup bound is
 # relative to mu(I)^{-1/p}; support must vanish exactly.
@@ -46,7 +40,6 @@ class PAtom:
 
     p: float
     support_rank: int
-    base_point: GroupPoint
     values: GridFunction
 
 
@@ -78,8 +71,7 @@ def validate_atom(
 
     if failures:
         raise AtomViolationError(failures, "; ".join(details))
-    base_point = index_to_point(base_index % m_rank, a.generators, support_rank)
-    return PAtom(p=p, support_rank=support_rank, base_point=base_point, values=a)
+    return PAtom(p=p, support_rank=support_rank, values=a)
 
 
 def random_atom(
@@ -105,6 +97,11 @@ def random_atom(
     return validate_atom(GridFunction(m, resolution, values), p, support_rank, base_index)
 
 
+def _block_level(m: GeneratorSequence, idx: VIndex, p: float, lam_k: float) -> float:
+    """lambda_k M_{|a_k|}^{1/p-1} / lambda: the spectral level of block k."""
+    return lam_k * idx.m_top ** (1.0 / p - 1.0) / m.max_radix
+
+
 def counterexample_atom(
     m: GeneratorSequence, alpha: int | VIndex, p: float, resolution: int
 ) -> PAtom:
@@ -114,12 +111,11 @@ def counterexample_atom(
         raise ValueError(
             f"resolution {resolution} too small for an atom at |alpha| = {idx.top}"
         )
-    scale = idx.m_top ** (1.0 / p - 1.0) / m.max_radix
     diff = (
         dirichlet_closed(m, m.base(idx.top + 1), resolution).values
         - dirichlet_closed(m, idx.m_top, resolution).values
     )
-    a = GridFunction(m, resolution, scale * diff)
+    a = GridFunction(m, resolution, _block_level(m, idx, p, 1.0) * diff)
     return validate_atom(a, p, idx.top)
 
 
@@ -129,12 +125,17 @@ class MartingaleSpec:
 
     generators: GeneratorSequence
     p: float
-    alphas: tuple[int, ...]
+    indices: tuple[VIndex, ...]
     lambdas: tuple[float, ...]
     rule: str
     phi: tuple | None
     truncation: int
     realized: GridFunction
+
+    @property
+    def alphas(self) -> tuple[int, ...]:
+        """The kept alphas as ints."""
+        return tuple(idx.value for idx in self.indices)
 
     @property
     def max_radix(self) -> int:
@@ -181,7 +182,7 @@ def default_alphas(m: GeneratorSequence, resolution: int) -> list[int]:
     return alphas
 
 
-def phi_value(phi: tuple | None, n: int, m: GeneratorSequence) -> float:
+def phi_value(phi: tuple | None, idx: VIndex) -> float:
     """Evaluate a closed-form Phi tag at index n.
 
     Tags: ("constant", c), ("log",) -> 1 + ln M_{|n|}, ("power", t) -> M_{|n|}^t.
@@ -191,11 +192,10 @@ def phi_value(phi: tuple | None, n: int, m: GeneratorSequence) -> float:
     tag = phi[0]
     if tag == "constant":
         return float(phi[1])
-    m_top = decompose(n, m).m_top
     if tag == "log":
-        return 1.0 + float(np.log(m_top))
+        return 1.0 + float(np.log(idx.m_top))
     if tag == "power":
-        return float(m_top ** float(phi[1]))
+        return float(idx.m_top ** float(phi[1]))
     raise ValueError(f"unknown phi tag {phi!r}")
 
 
@@ -204,40 +204,35 @@ def spread_rate(idx: VIndex, p: float) -> float:
     return (idx.m_top / idx.m_bottom) ** (1.0 / p - 1.0)
 
 
-def select_gap_subsequence(m: GeneratorSequence, alphas, p: float) -> list[int]:
+def select_gap_subsequence(indices, p: float) -> list[VIndex]:
     """Greedy filter enforcing the two sharpness gap conditions.
 
     Keeps a candidate only if its spread ratio strictly exceeds the last
     kept one and is at least its square (the doubling gap).
     """
-    kept: list[int] = []
+    kept: list[VIndex] = []
     last_ratio = None
-    for a in alphas:
-        r = spread_rate(decompose(a, m), p)
+    for idx in indices:
+        r = spread_rate(idx, p)
         if last_ratio is None or (r > last_ratio and r >= last_ratio**2):
-            kept.append(a)
+            kept.append(idx)
             last_ratio = r
     return kept
 
 
-def tail_certificate_terms(
-    m: GeneratorSequence, alphas, p: float, phi: tuple | None
-) -> list[float]:
+def tail_certificate_terms(indices, p: float, phi: tuple | None) -> list[float]:
     """Summability certificate terms for the divergence construction:
 
         t_k = M_<a_k>^((1-p)/2) Phi_{a_k}^(p/2) / M_|a_k|^((1-p)/2)
 
     A strictly decreasing sequence certifies the finite tail at desk scale.
     """
-    terms = []
-    for a in alphas:
-        idx = decompose(a, m)
-        terms.append(
-            idx.m_bottom ** ((1.0 - p) / 2.0)
-            * phi_value(phi, a, m) ** (p / 2.0)
-            / idx.m_top ** ((1.0 - p) / 2.0)
-        )
-    return terms
+    return [
+        idx.m_bottom ** ((1.0 - p) / 2.0)
+        * phi_value(phi, idx) ** (p / 2.0)
+        / idx.m_top ** ((1.0 - p) / 2.0)
+        for idx in indices
+    ]
 
 
 def build_counterexample(
@@ -252,6 +247,9 @@ def build_counterexample(
 ) -> MartingaleSpec:
     """Assemble the counterexample martingale truncated at rank N.
 
+    ``alphas`` holds ints or their :class:`VIndex` expansions; each int is
+    decomposed here, once.
+
     Rules:
       - "balanced": lambda_k = (M_<a_k>/M_|a_k|)^((1/p-1)/2) Phi_{a_k}^(1/2),
         guarded by the tail certificate (terms must strictly decrease).
@@ -259,60 +257,55 @@ def build_counterexample(
         lambda_k = lambda * (M_<a_k>/M_|a_k|)^(1/p-1).
       - "explicit": coefficients supplied by the caller.
     """
-    alphas = [int(a) for a in alphas]
-    if any(b <= a for a, b in zip(alphas, alphas[1:])):
+    stats = [a if isinstance(a, VIndex) else decompose(int(a), m) for a in alphas]
+    if any(u.value <= t.value for t, u in zip(stats, stats[1:])):
         raise ValueError("alpha sequence must be strictly increasing")
-    stats = [decompose(a, m) for a in alphas]
     if any(t.top >= u.top for t, u in zip(stats, stats[1:])):
         raise ValueError(
             "alpha tops |a_k| must be strictly increasing (the spectral blocks must be disjoint)"
         )
-    if not alphas:
+    if not stats:
         raise ValueError("alpha sequence is empty")
 
     if rule == "balanced":
-        terms = tail_certificate_terms(m, alphas, p, phi)
+        terms = tail_certificate_terms(stats, p, phi)
         bad = [k for k in range(1, len(terms)) if terms[k] >= terms[k - 1]]
         if bad:
             raise ValueError(
                 f"tail certificate fails at k = {bad}: terms do not decrease"
             )
-        lam_list = []
-        for a, idx in zip(alphas, stats):
-            lam_list.append(
-                (idx.m_bottom / idx.m_top) ** ((1.0 / p - 1.0) / 2.0)
-                * phi_value(phi, a, m) ** 0.5
-            )
+        lam_list = [
+            (idx.m_bottom / idx.m_top) ** ((1.0 / p - 1.0) / 2.0) * phi_value(phi, idx) ** 0.5
+            for idx in stats
+        ]
     elif rule == "unit_kernel":
-        kept = select_gap_subsequence(m, alphas, p)
-        if len(kept) < 2:
+        stats = select_gap_subsequence(stats, p)
+        if len(stats) < 2:
             raise ValueError(
                 "gap conditions leave fewer than two indices; supply a sparser alpha sequence"
             )
-        alphas = kept
-        stats = [decompose(a, m) for a in alphas]
         lam_list = [m.max_radix / spread_rate(idx, p) for idx in stats]
     elif rule == "explicit":
-        if lambdas is None or len(lambdas) != len(alphas):
+        if lambdas is None or len(lambdas) != len(stats):
             raise ValueError("explicit rule needs one lambda per alpha")
         lam_list = [float(l) for l in lambdas]
     else:
         raise ValueError(f"unknown lambda rule {rule!r}")
 
     realized = zero(m, resolution)
-    kept_alphas = []
+    kept_indices = []
     kept_lambdas = []
-    for a, lam_k, idx in zip(alphas, lam_list, stats):
+    for lam_k, idx in zip(lam_list, stats):
         if idx.top >= resolution:
             continue  # beyond the truncation; stays symbolic
         atom = counterexample_atom(m, idx, p, resolution)
         realized = realized + lam_k * atom.values
-        kept_alphas.append(a)
+        kept_indices.append(idx)
         kept_lambdas.append(lam_k)
     return MartingaleSpec(
         generators=m,
         p=p,
-        alphas=tuple(kept_alphas),
+        indices=tuple(kept_indices),
         lambdas=tuple(kept_lambdas),
         rule=rule,
         phi=phi,
@@ -326,10 +319,8 @@ def spectral_profile(spec: MartingaleSpec) -> np.ndarray:
     on the block [M_{|a_k|}, M_{|a_k|+1}), zero off the blocks."""
     m = spec.generators
     out = np.zeros(m.size(spec.truncation), dtype=np.complex128)
-    for a, lam_k in zip(spec.alphas, spec.lambdas):
-        idx = decompose(a, m)
-        level = lam_k * idx.m_top ** (1.0 / spec.p - 1.0) / spec.max_radix
-        out[idx.m_top : m.base(idx.top + 1)] = level
+    for idx, lam_k in zip(spec.indices, spec.lambdas):
+        out[idx.m_top : m.base(idx.top + 1)] = _block_level(m, idx, spec.p, lam_k)
     return out
 
 
@@ -337,25 +328,28 @@ def closed_partial_sum(spec: MartingaleSpec, j: int) -> GridFunction:
     """S_j f from the block structure: completed atoms plus, inside a block,
     the twisted kernel term lambda_l M^{1/p-1} psi_{M_{|a_l|}} D_{j-M_{|a_l|}} / lambda.
 
-    Between blocks the spectral profile is zero, so the completed-atom sum
-    is already exact; D_0 is the zero kernel by convention.
+    A completed atom is its block level times D_{M_{t+1}} - D_{M_t}, read
+    from coset masks since D_{M_t} = M_t on I_t and 0 off it.  Between
+    blocks the spectral profile is zero, so the completed-atom sum is
+    already exact; D_0 is the zero kernel by convention.
     """
-    m = spec.generators
-    size = m.size(spec.truncation)
+    m, resolution = spec.generators, spec.truncation
+    size = m.size(resolution)
     if not 0 <= j <= size:
         raise ValueError(f"partial sum order {j} out of range")
-    acc = zero(m, spec.truncation)
-    for a, lam_k in zip(spec.alphas, spec.lambdas):
-        idx = decompose(a, m)
-        m_top, m_top1 = idx.m_top, m.base(idx.top + 1)
+    acc = np.zeros(size, dtype=np.complex128)
+    for idx, lam_k in zip(spec.indices, spec.lambdas):
+        level = _block_level(m, idx, spec.p, lam_k)
+        m_top1 = m.base(idx.top + 1)
         if j >= m_top1:
-            acc = acc + lam_k * counterexample_atom(m, idx, spec.p, spec.truncation).values
-        elif j > m_top:
-            scale = lam_k * m_top ** (1.0 / spec.p - 1.0) / spec.max_radix
-            twist = character_values(m, m_top, spec.truncation)
-            kernel = dirichlet_closed(m, j - m_top, spec.truncation).values
-            acc = acc + grid_function(m, spec.truncation, scale * twist * kernel)
+            acc += level * (
+                m_top1 * coset_mask(m, resolution, idx.top + 1)
+                - idx.m_top * coset_mask(m, resolution, idx.top)
+            )
+        elif j > idx.m_top:
+            twist = character_values(m, idx.m_top, resolution)
+            acc += level * twist * dirichlet_closed(m, j - idx.m_top, resolution).values
             break
         else:
             break
-    return acc
+    return GridFunction(m, resolution, acc)

@@ -260,7 +260,7 @@ def dirichlet_closed(m: GeneratorSequence, n: int, resolution: int) -> GridFunct
         D_n = psi_n * sum_j D_{M_j} sum_{u=m_j-n_j}^{m_j-1} r_j^u
 
     where D_{M_j} = M_j on I_j and 0 elsewhere, so each nonzero digit
-    contributes one masked geometric block.
+    contributes one geometric block on the coset slice ``[::M_j]`` (I_j).
     """
     size = _check_kernel_args(m, n, resolution)
     if n == size:
@@ -272,18 +272,17 @@ def dirichlet_closed(m: GeneratorSequence, n: int, resolution: int) -> GridFunct
     idx = decompose(n, m)
     bases = m.scaled_bases(resolution)
     xdig = digit_table(m, resolution)
-    grid = np.arange(size, dtype=np.int64)
     acc = np.zeros(size, dtype=np.complex128)
     for j, nj in enumerate(idx.digits):
         if nj == 0:
             continue
         mj = m.radix(j)
         roots = unit_roots(mj)
-        geo = np.zeros(size, dtype=np.complex128)
+        xj = xdig[:: bases[j], j]
+        geo = np.zeros(xj.size, dtype=np.complex128)
         for u in range(mj - nj, mj):
-            geo += roots[(u * xdig[:, j]) % mj]
-        mask = (grid % bases[j]) == 0
-        acc[mask] += bases[j] * geo[mask]
+            geo += roots[(u * xj) % mj]
+        acc[:: bases[j]] += bases[j] * geo
     return GridFunction(m, resolution, character_values(m, n, resolution) * acc)
 
 

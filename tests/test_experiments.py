@@ -163,6 +163,52 @@ class TestOneSpectrumPerFunction:
         assert len(forward_calls) == 1
 
 
+class TestDivergenceWork:
+    """The divergence scan decomposes each alpha once and builds each atom once."""
+
+    def test_one_atom_per_alpha(self, monkeypatch):
+        import sys
+
+        import vilenkin.experiments as experiments
+        import vilenkin.group as group
+        import vilenkin.martingale as martingale
+
+        counts = {"decompose": 0, "counterexample_atom": 0, "validate_atom": 0, "inside_closed": 0}
+        in_closed = []
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                counts[name] += 1
+                if in_closed and name != "decompose":
+                    counts["inside_closed"] += 1
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        original = group.decompose
+        for mod in [m for name, m in sys.modules.items() if name.startswith("vilenkin")]:
+            if getattr(mod, "decompose", None) is original:
+                monkeypatch.setattr(mod, "decompose", counted("decompose", original))
+        for name in ("counterexample_atom", "validate_atom"):
+            monkeypatch.setattr(martingale, name, counted(name, getattr(martingale, name)))
+        closed = experiments.closed_partial_sum
+
+        def closed_tracked(spec, j):
+            in_closed.append(j)
+            try:
+                return closed(spec, j)
+            finally:
+                in_closed.pop()
+
+        monkeypatch.setattr(experiments, "closed_partial_sum", closed_tracked)
+        result = divergence_scan(0.5, "Mn_plus_1", WALSH, 10)
+        assert len(result.points) == 9
+        assert counts["counterexample_atom"] == 9
+        assert counts["validate_atom"] == 9
+        assert counts["decompose"] <= 45
+        assert counts["inside_closed"] == 0
+
+
 class TestWeightedSeries:
     def test_constant_function_oracle(self):
         # f = psi_0: ||S_k f||_p = 1 for all k >= 1, so the sum telescopes to

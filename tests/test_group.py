@@ -31,15 +31,6 @@ ALTERNATING = GeneratorSequence.parse("2,3^")
 
 
 class TestGeneratorSequence:
-    def test_scaled_bases_walsh(self):
-        assert GeneratorSequence((2, 2, 2)).scaled_bases(3) == [1, 2, 4, 8]
-
-    def test_scaled_bases_mixed(self):
-        assert MIXED.scaled_bases(3) == [1, 2, 6, 24]
-
-    def test_walsh_powers_of_two(self):
-        assert WALSH.scaled_bases(12) == [2**k for k in range(13)]
-
     def test_parse_forms(self):
         assert GeneratorSequence.parse("2^").radices(4) == (2, 2, 2, 2)
         assert GeneratorSequence.parse("2,3,4").radices(6) == (2, 3, 4, 4, 4, 4)
@@ -167,6 +158,10 @@ class TestVariation:
         assert list(zip(v.tolist(), v_star.tolist())) == literal
         assert variation(decompose(ns[-1], m), m, convention) == literal[-1]
 
+    def test_only_m_top_needs_64_bits(self):
+        # |n| = 61: M_62 fits in int64, M_63 would not
+        assert variation(decompose(2**61 + 5, WALSH), WALSH) == (5, 0)
+
     @pytest.mark.parametrize("n", [0, 9])
     def test_counts_refuse_out_of_range(self, n):
         with pytest.raises(ValueError, match="1 <= n <= M_N = 8"):
@@ -174,10 +169,6 @@ class TestVariation:
 
 
 class TestGroupLaw:
-    def test_walsh_self_inverse(self):
-        x = GroupPoint((1, 0, 1, 1), WALSH)
-        assert group_add(x, x).coords == (0, 0, 0, 0)
-
     def test_componentwise_mod(self):
         m = GeneratorSequence((3, 2))
         x = GroupPoint((2, 1), m)

@@ -134,7 +134,8 @@ class TestBuildCounterexample:
 
     def test_gap_filter_keeps_doubling_family(self):
         alphas = default_alphas(WALSH, 12)
-        assert select_gap_subsequence(WALSH, alphas, 0.5) == alphas
+        kept = select_gap_subsequence([decompose(a, WALSH) for a in alphas], 0.5)
+        assert [idx.value for idx in kept] == alphas
 
     def test_gap_filter_rejects_flat_family(self):
         flat = [WALSH.base(k) + WALSH.base(k - 1) for k in range(2, 8)]
@@ -143,7 +144,7 @@ class TestBuildCounterexample:
 
     def test_tail_certificate_rejects_flat_terms(self):
         flat = [WALSH.base(k) + WALSH.base(k - 1) for k in range(2, 8)]
-        terms = tail_certificate_terms(WALSH, flat, 0.5, None)
+        terms = tail_certificate_terms([decompose(a, WALSH) for a in flat], 0.5, None)
         assert max(terms) / min(terms) == pytest.approx(1.0)
         with pytest.raises(ValueError) as err:
             build_counterexample(WALSH, 0.5, flat, rule="balanced", resolution=9)
@@ -237,14 +238,14 @@ class TestModulusDecay:
 
 class TestPhi:
     def test_constant(self):
-        assert phi_value(("constant", 2.5), 7, WALSH) == 2.5
-        assert phi_value(None, 7, WALSH) == 1.0
+        assert phi_value(("constant", 2.5), decompose(7, WALSH)) == 2.5
+        assert phi_value(None, decompose(7, WALSH)) == 1.0
 
     def test_log_and_power(self):
-        n = WALSH.base(4) + 1
-        assert phi_value(("log",), n, WALSH) == pytest.approx(1 + np.log(16))
-        assert phi_value(("power", 0.5), n, WALSH) == pytest.approx(4.0)
+        n = decompose(WALSH.base(4) + 1, WALSH)
+        assert phi_value(("log",), n) == pytest.approx(1 + np.log(16))
+        assert phi_value(("power", 0.5), n) == pytest.approx(4.0)
 
     def test_unknown_tag(self):
         with pytest.raises(ValueError):
-            phi_value(("mystery",), 3, WALSH)
+            phi_value(("mystery",), decompose(3, WALSH))

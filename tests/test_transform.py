@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from vilenkin.group import GeneratorSequence, GroupPoint, WALSH, decompose
+from vilenkin.group import GeneratorSequence, GroupPoint, WALSH, decompose, digit_table
 from vilenkin.norms import SUPPORT_THRESHOLD, lebesgue_table
 from vilenkin.transform import (
     GridFunction,
@@ -30,6 +30,7 @@ from vilenkin.transform import (
     read_grid_binary,
     read_grid_csv,
     read_spectral_csv,
+    unit_roots,
     write_grid_binary,
     write_grid_csv,
     write_spectral_csv,
@@ -300,6 +301,41 @@ def _shell_case(draw):
         top += 1
     resolution = draw(st.integers(0, top))
     return m, resolution, draw(st.integers(1, m.size(resolution)))
+
+
+def _dirichlet_closed_masked(m, n, resolution):
+    """The product formula with each digit's block added through a full-grid
+    coset mask, as ``dirichlet_closed`` did before it read coset slices."""
+    size = m.size(resolution)
+    if n == size:
+        values = np.zeros(size, dtype=np.complex128)
+        values[0] = size
+        return values
+    bases = m.scaled_bases(resolution)
+    xdig = digit_table(m, resolution)
+    grid = np.arange(size, dtype=np.int64)
+    acc = np.zeros(size, dtype=np.complex128)
+    for j, nj in enumerate(decompose(n, m).digits):
+        if nj == 0:
+            continue
+        mj = m.radix(j)
+        roots = unit_roots(mj)
+        geo = np.zeros(size, dtype=np.complex128)
+        for u in range(mj - nj, mj):
+            geo += roots[(u * xdig[:, j]) % mj]
+        mask = (grid % bases[j]) == 0
+        acc[mask] += bases[j] * geo[mask]
+    return character_values(m, n, resolution) * acc
+
+
+class TestDirichletCosetSlices:
+    @settings(max_examples=80, deadline=None)
+    @given(case=_shell_case())
+    def test_bitwise_equal_to_masked_loop(self, case):
+        m, resolution, n = case
+        fast = dirichlet_closed(m, n, resolution).values
+        ref = _dirichlet_closed_masked(m, n, resolution)
+        assert np.array_equal(fast.view(np.uint64), ref.view(np.uint64))
 
 
 class TestShellTable:
