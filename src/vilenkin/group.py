@@ -72,7 +72,8 @@ class GeneratorSequence:
         return self.pattern[-1]
 
     def radices(self, count: int) -> tuple[int, ...]:
-        return tuple(self.radix(k) for k in range(count))
+        """(m_0, ..., m_{count-1}), one cached tuple per sequence and count."""
+        return _radices(self.pattern, self.cyclic, count)
 
     @property
     def max_radix(self) -> int:
@@ -98,6 +99,12 @@ class GeneratorSequence:
 
 
 WALSH = GeneratorSequence((2,), cyclic=True)
+
+
+@lru_cache(maxsize=1024)
+def _radices(pattern: tuple[int, ...], cyclic: bool, count: int) -> tuple[int, ...]:
+    m = GeneratorSequence(pattern, cyclic)
+    return tuple(m.radix(k) for k in range(count))
 
 
 @lru_cache(maxsize=1024)

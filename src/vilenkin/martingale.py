@@ -328,8 +328,8 @@ def closed_partial_sum(spec: MartingaleSpec, j: int) -> GridFunction:
     """S_j f from the block structure: completed atoms plus, inside a block,
     the twisted kernel term lambda_l M^{1/p-1} psi_{M_{|a_l|}} D_{j-M_{|a_l|}} / lambda.
 
-    A completed atom is its block level times D_{M_{t+1}} - D_{M_t}, read
-    from coset masks since D_{M_t} = M_t on I_t and 0 off it.  Between
+    A completed atom is its block level times D_{M_{t+1}} - D_{M_t}, added
+    on the coset slice of I_t since D_{M_t} = M_t on I_t and 0 off it.  Between
     blocks the spectral profile is zero, so the completed-atom sum is
     already exact; D_0 is the zero kernel by convention.
     """
@@ -342,10 +342,10 @@ def closed_partial_sum(spec: MartingaleSpec, j: int) -> GridFunction:
         level = _block_level(m, idx, spec.p, lam_k)
         m_top1 = m.base(idx.top + 1)
         if j >= m_top1:
-            acc += level * (
-                m_top1 * coset_mask(m, resolution, idx.top + 1)
-                - idx.m_top * coset_mask(m, resolution, idx.top)
-            )
+            # on I_t, one add per cell: M_{t+1} - M_t on I_{t+1}, -M_t off it
+            d = np.full(size // idx.m_top, -idx.m_top, dtype=np.int64)
+            d[:: m.radix(idx.top)] += m_top1
+            acc[:: idx.m_top] += level * d
         elif j > idx.m_top:
             twist = character_values(m, idx.m_top, resolution)
             acc += level * twist * dirichlet_closed(m, j - idx.m_top, resolution).values

@@ -4,7 +4,7 @@ Grid functions live on the rank-N cosets of G_m in little-endian coset
 order (x_0 fastest), so index i <-> point with digits of i.  In that
 layout the Paley-ordered character transform is a multidimensional DFT
 over Z_{m_0} x ... x Z_{m_{N-1}} with no reindexing permutation: the fast
-path is a staged mixed-radix FFT, the naive path is the literal
+path is one 1-D FFT pass per digit, the naive path is the literal
 coefficient formula and serves as its oracle.
 
 All complex arithmetic is 64-bit; the roots of unity for each radix come
@@ -175,30 +175,43 @@ def character_values(m: GeneratorSequence, n: int, resolution: int) -> np.ndarra
     return character_block(m, resolution, np.asarray([n]))[0]
 
 
-def _cube_shape(m: GeneratorSequence, resolution: int) -> tuple[int, ...]:
-    # C-order axes are (x_{N-1}, ..., x_0) so that x_0 varies fastest.
-    return tuple(reversed(m.radices(resolution)))
+def _digit_passes(values: np.ndarray, m: GeneratorSequence, resolution: int, fft) -> np.ndarray:
+    # Pass k reads digit k on the contiguous last axis and writes it to the
+    # front through a transposed view of the other ping-pong buffer.
+    bufs = (np.empty_like(values), np.empty_like(values))
+    x = values
+    for k, mk in enumerate(m.radices(resolution)):
+        out = bufs[k % 2]
+        fft(x.reshape(-1, mk), out=out.reshape(mk, -1).T)
+        x = out
+    return x
 
 
 def forward(f: GridFunction) -> SpectralVector:
     """Fast transform: f^(n) = (1/M_N) sum_x f(x) conj(psi_n(x)).
 
-    Staged per digit as a mixed-radix multidimensional FFT; Paley index
-    order and little-endian coset order align, so no scrambling step.
+    One 1-D FFT pass per digit, x_0 first: pass k transforms the last axis
+    of ``x.reshape(-1, m_k)`` (digit k) into a transposed buffer view, so
+    that digit moves to the front and after N passes the little-endian
+    (Paley) order is back with no transpose copy.  ``np.fft.fftn`` over the
+    C-order cube (m_{N-1}, ..., m_0) takes its axes in this order and runs
+    each fiber through the same pocketfft plan, so the result is bitwise
+    ``fftn(cube) / M_N``.  ``f`` is not modified.
     """
     if f.resolution == 0:
         return SpectralVector(f.generators, 0, f.values.copy())
-    cube = f.values.reshape(_cube_shape(f.generators, f.resolution))
-    coeffs = np.fft.fftn(cube).reshape(-1) / f.size
+    coeffs = _digit_passes(f.values, f.generators, f.resolution, np.fft.fft)
+    coeffs /= f.size
     return SpectralVector(f.generators, f.resolution, coeffs)
 
 
 def inverse(sv: SpectralVector) -> GridFunction:
-    """Fast synthesis: f(x) = sum_n f^(n) psi_n(x)."""
+    """Fast synthesis: f(x) = sum_n f^(n) psi_n(x), by the per-digit passes
+    of ``forward`` with ``ifft``: bitwise ``ifftn(cube) * M_N``."""
     if sv.resolution == 0:
         return GridFunction(sv.generators, 0, sv.coeffs.copy())
-    cube = sv.coeffs.reshape(_cube_shape(sv.generators, sv.resolution))
-    values = np.fft.ifftn(cube).reshape(-1) * sv.size
+    values = _digit_passes(sv.coeffs, sv.generators, sv.resolution, np.fft.ifft)
+    values *= sv.size
     return GridFunction(sv.generators, sv.resolution, values)
 
 

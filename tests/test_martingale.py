@@ -1,10 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from vilenkin.group import GeneratorSequence, WALSH, decompose
+from vilenkin.group import GeneratorSequence, WALSH, coset_mask, decompose
 from vilenkin.martingale import (
     AtomViolationError,
     MartingaleSpec,
+    _block_level,
     build_counterexample,
     closed_partial_sum,
     counterexample_atom,
@@ -176,6 +179,44 @@ class TestBuildCounterexample:
         assert np.abs(clone.realized.values - spec.realized.values).max() < 1e-12
 
 
+@st.composite
+def _block_case(draw):
+    pattern = tuple(draw(st.lists(st.integers(2, 5), min_size=1, max_size=4)))
+    m = GeneratorSequence(pattern, cyclic=draw(st.booleans()))
+    top = 1
+    while m.size(top + 1) <= 1024:
+        top += 1
+    resolution = draw(st.integers(1, top))
+    tops = draw(st.lists(st.integers(0, resolution - 1), min_size=1, unique=True).map(sorted))
+    alphas = [draw(st.integers(m.base(t), m.base(t + 1) - 1)) for t in tops]
+    lambdas = draw(st.lists(st.floats(0.01, 10.0), min_size=len(alphas), max_size=len(alphas)))
+    p = draw(st.sampled_from((0.5, 2.0 / 3.0, 0.9)))
+    spec = build_counterexample(m, p, alphas, rule="explicit", lambdas=lambdas, resolution=resolution)
+    return spec, draw(st.integers(0, m.size(resolution)))
+
+
+def _closed_partial_sum_masked(spec, j):
+    """``closed_partial_sum`` with each finished block added through two
+    full-grid coset masks, as it did before it added on coset slices."""
+    m, resolution = spec.generators, spec.truncation
+    acc = np.zeros(m.size(resolution), dtype=np.complex128)
+    for idx, lam_k in zip(spec.indices, spec.lambdas):
+        level = _block_level(m, idx, spec.p, lam_k)
+        m_top1 = m.base(idx.top + 1)
+        if j >= m_top1:
+            acc += level * (
+                m_top1 * coset_mask(m, resolution, idx.top + 1)
+                - idx.m_top * coset_mask(m, resolution, idx.top)
+            )
+        elif j > idx.m_top:
+            twist = character_values(m, idx.m_top, resolution)
+            acc += level * twist * dirichlet_closed(m, j - idx.m_top, resolution).values
+            break
+        else:
+            break
+    return acc
+
+
 class TestClosedPartialSum:
     @pytest.mark.parametrize("m", [WALSH, ALTERNATING], ids=lambda m: m.format())
     def test_matches_spectral_truncation_everywhere(self, m):
@@ -192,6 +233,14 @@ class TestClosedPartialSum:
             closed = closed_partial_sum(spec, j)
             spectral = partial_sum(spec.realized, j)
             assert np.abs(closed.values - spectral.values).max() < 1e-9, j
+
+    @settings(max_examples=80, deadline=None)
+    @given(case=_block_case())
+    def test_bitwise_equal_to_masked_blocks(self, case):
+        spec, j = case
+        fast = closed_partial_sum(spec, j).values
+        ref = _closed_partial_sum_masked(spec, j)
+        assert np.array_equal(fast.view(np.uint64), ref.view(np.uint64))
 
     def test_two_term_decomposition_at_alpha(self):
         # S_{a_k} f = S_{M_{|a_k|}} f + lambda_k M^{1/p-1} psi_{M_{|a_k|}} D_{a_k - M} / lambda

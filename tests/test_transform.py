@@ -9,6 +9,7 @@ from vilenkin.group import GeneratorSequence, GroupPoint, WALSH, decompose, digi
 from vilenkin.norms import SUPPORT_THRESHOLD, lebesgue_table
 from vilenkin.transform import (
     GridFunction,
+    SpectralVector,
     character,
     character_block,
     character_values,
@@ -51,14 +52,6 @@ def random_grid(m, resolution, seed=0):
 
 
 class TestCharacters:
-    def test_psi0_is_one(self):
-        assert np.allclose(character_values(WALSH, 0, 4), 1.0)
-
-    def test_walsh_psi1_is_sign_of_first_digit(self):
-        vals = character_values(WALSH, 1, 3)
-        expected = np.array([(-1) ** (i % 2) for i in range(8)])
-        assert np.abs(vals - expected).max() < 1e-12
-
     def test_triadic_psi1(self):
         x = GroupPoint((1, 0, 0), TRIADIC)
         assert abs(character(decompose(1, TRIADIC), x) - np.exp(2j * np.pi / 3)) < 1e-12
@@ -67,6 +60,27 @@ class TestCharacters:
         for m in SEQUENCES:
             vals = character_values(m, 7, 4)
             assert np.abs(np.abs(vals) - 1.0).max() < 1e-12
+
+
+@st.composite
+def _fft_case(draw):
+    radix = st.one_of(st.integers(2, 7), st.just(97))
+    m = GeneratorSequence(tuple(draw(st.lists(radix, min_size=1, max_size=4))), cyclic=draw(st.booleans()))
+    top = 0
+    while top < 6 and m.size(top + 1) <= 1 << 14:
+        top += 1
+    resolution = draw(st.integers(0, top))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    size = m.size(resolution)
+    return m, resolution, rng.standard_normal(size) + 1j * rng.standard_normal(size)
+
+
+def _fftn_reference(values, m, resolution, inverse=False):
+    """The transform as numpy's n-D FFT over the C-order digit cube (m_{N-1}, ..., m_0)."""
+    cube = values.reshape(tuple(reversed(m.radices(resolution))))
+    if inverse:
+        return np.fft.ifftn(cube).reshape(-1) * values.size
+    return np.fft.fftn(cube).reshape(-1) / values.size
 
 
 class TestTransform:
@@ -108,6 +122,17 @@ class TestTransform:
     def test_size_cap(self):
         with pytest.raises(ValueError):
             zero(WALSH, 21)
+
+    @settings(max_examples=80, deadline=None)
+    @given(case=_fft_case())
+    def test_bitwise_equal_to_fftn(self, case):
+        m, resolution, values = case
+        kept = values.copy()
+        fast = forward(GridFunction(m, resolution, values)).coeffs
+        back = inverse(SpectralVector(m, resolution, values)).values
+        assert np.array_equal(fast.view(np.uint64), _fftn_reference(kept, m, resolution).view(np.uint64))
+        assert np.array_equal(back.view(np.uint64), _fftn_reference(kept, m, resolution, True).view(np.uint64))
+        assert np.array_equal(values.view(np.uint64), kept.view(np.uint64))
 
 
 @st.composite
@@ -259,9 +284,6 @@ class TestDirichlet:
             mask = (grid % mk) == 0
             assert np.abs(kernel[mask] - mk).max() <= 1e-9
             assert np.abs(kernel[~mask]).max(initial=0.0) <= 1e-9
-
-    def test_d1_is_one(self):
-        assert np.allclose(dirichlet_closed(TRIADIC, 1, 3).values, 1.0)
 
     def test_walsh_n5_closed_vs_direct(self):
         a = dirichlet_direct(WALSH, 5, 4).values
