@@ -41,7 +41,6 @@ from .transform import (
 )
 from .norms import (
     LebesgueReport,
-    NormReport,
     hardy_norm,
     lebesgue_constant,
     lebesgue_table,

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import inspect
+import io
 import os
 import sys
 from dataclasses import dataclass
@@ -83,7 +84,6 @@ class RunConfig:
     N: int
     p: float | None = None
     seed: int = DEFAULT_SEED
-    outdir: str = "."
 
     def header_lines(self) -> list[str]:
         pairs = [f"command={self.command}", f"m={self.m}", f"N={self.N}"]
@@ -107,10 +107,16 @@ def _load_config_file(path: str) -> dict[str, str]:
 
 
 def _outdir(args) -> Path:
-    out = os.environ.get(ENV_OUTDIR) or getattr(args, "out", None) or "."
+    """``--out``, else ``$VILENKIN_OUTDIR``, else the working directory."""
+    out = getattr(args, "out", None) or os.environ.get(ENV_OUTDIR) or "."
     path = Path(out)
     path.mkdir(parents=True, exist_ok=True)
     return path
+
+
+def _file_tag(m: GeneratorSequence) -> str:
+    """The generator sequence as a file-name part: 2,3^ becomes 2_3c."""
+    return m.format().replace(",", "_").replace("^", "c")
 
 
 def _write_text(path: Path, config: RunConfig, body: str) -> None:
@@ -181,10 +187,8 @@ def _cmd_dirichlet(args) -> int:
         block_err = float(np.abs(closed.values - ref).max())
         print(f"block-kernel identity at k={k}: max err {block_err:.3e}")
     outdir = _outdir(args)
-    path = outdir / f"dirichlet_m{m.format().replace(',', '_').replace('^', 'c')}_n{args.n}.csv"
-    import io as _io
-
-    buf = _io.StringIO()
+    path = outdir / f"dirichlet_m{_file_tag(m)}_n{args.n}.csv"
+    buf = io.StringIO()
     write_grid_csv(buf, closed)
     _write_text(path, config, buf.getvalue())
     print(f"kernel written to {path}")
@@ -205,7 +209,7 @@ def _cmd_lebesgue(args) -> int:
     rows = ["n,L_n,lower,upper,v,v_star,convention"]
     rows.extend(r.csv_row() for r in table)
     outdir = _outdir(args)
-    path = outdir / f"lebesgue_m{m.format().replace(',', '_').replace('^', 'c')}_N{resolution}.csv"
+    path = outdir / f"lebesgue_m{_file_tag(m)}_N{resolution}.csv"
     _write_text(path, config, "\n".join(rows) + "\n")
     bad = [r.n for r in table if not r.in_bracket]
     print(f"{len(table)} rows under convention {convention}{note}; bracket violations: {bad or 'none'}")
@@ -227,9 +231,7 @@ def _cmd_atom(args) -> int:
     atom = random_atom(m, args.p, args.rank, resolution, rng, base_index=args.base)
     outdir = _outdir(args)
     path = outdir / f"atom_p{args.p:g}_rank{args.rank}.csv"
-    import io as _io
-
-    buf = _io.StringIO()
+    buf = io.StringIO()
     write_grid_csv(buf, atom.values)
     _write_text(path, config, buf.getvalue())
     print(f"random p-atom written to {path} (validated)")
@@ -305,7 +307,7 @@ def _cmd_scan(args) -> int:
     result = SCAN_REGISTRY[args.name](**{key: flags[flag] for key, flag in flag_of.items() if flag in flags})
 
     outdir = _outdir(args)
-    stem = f"scan_{args.name}_m{m.format().replace(',', '_').replace('^', 'c')}_N{resolution}"
+    stem = f"scan_{args.name}_m{_file_tag(m)}_N{resolution}"
     (outdir / f"{stem}.json").write_text(result.to_json() + "\n")
     _write_text(outdir / f"{stem}.csv", config, result.to_csv())
     if args.svg:
@@ -454,7 +456,7 @@ def _add_common(sub, need_p=False):
     sub.add_argument("--m", default="2^", help="generator sequence, e.g. 2^ or 2,3,4 or 2,3^")
     sub.add_argument("--N", type=int, default=8, help="resolution (grid has M_N cosets)")
     sub.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    sub.add_argument("--out", default=None, help=f"output directory (or ${ENV_OUTDIR})")
+    sub.add_argument("--out", default=None, help=f"output directory (default ${ENV_OUTDIR}, else .)")
     sub.add_argument("--config", default=None, help="key=value config file with flag defaults")
     if need_p:
         sub.add_argument("--p", type=float, default=0.5)

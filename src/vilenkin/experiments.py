@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .group import GeneratorSequence, VIndex, coset_mask, decompose, index_stats
+from .group import GeneratorSequence, VIndex, decompose, index_stats
 from .martingale import (
     MartingaleSpec,
     build_counterexample,
@@ -149,6 +149,14 @@ def _check_scan_size(m: GeneratorSequence, resolution: int, cap: int = SCAN_SIZE
     return size
 
 
+def _scan_limit(n_limit: int | None, default: int, size: int, what: str) -> int:
+    """The last n of an exhaustive kernel scan: ``n_limit``, else ``default``."""
+    limit = default if n_limit is None else n_limit
+    if not 1 <= limit <= size:
+        raise ValueError(f"{what} limit out of range")
+    return limit
+
+
 def _increasing_suffix(trace: list[float]) -> tuple[int, float]:
     """Length of the strictly increasing suffix and its total growth."""
     if not trace:
@@ -248,9 +256,14 @@ def atom_ratio_scan(
 # ---------------------------------------------------------------------------
 
 
+def _mk_plus_1(m: GeneratorSequence, resolution: int) -> list[int]:
+    """The alphas M_k + 1, 1 <= k < N: digit spread rho = k grows with k."""
+    return [m.base(k) + 1 for k in range(1, resolution)]
+
+
 def _divergence_alphas(variant: str, m: GeneratorSequence, resolution: int, alphas) -> list[int]:
     if variant == "Mn_plus_1":
-        return [m.base(k) + 1 for k in range(1, resolution)]
+        return _mk_plus_1(m, resolution)
     if variant == "general":
         return [int(a) for a in alphas] if alphas is not None else default_alphas(m, resolution)
     raise ValueError(f"unknown divergence variant {variant!r}")
@@ -539,7 +552,7 @@ def modulus_convergence_scan(
     if n_rule == "default":
         alphas = default_alphas(m, resolution)
     elif n_rule == "Mn_plus_1":
-        alphas = [m.base(k) + 1 for k in range(1, resolution)]
+        alphas = _mk_plus_1(m, resolution)
     else:
         raise ValueError(f"unknown n_rule {n_rule!r}")
     spec = _modulus_spec(f_rule, m, p, [decompose(a, m) for a in alphas], resolution)
@@ -623,20 +636,26 @@ def modulus_convergence_scan(
 # ---------------------------------------------------------------------------
 
 
-def _closed_form_residual(m: GeneratorSequence, resolution: int, limit: int) -> float:
-    """Largest | |D_n| - shell table | over the grid, against ``dirichlet_closed``.
+def _closed_form_residual(m: GeneratorSequence, resolution: int, limit: int, rank: int | None = None) -> float:
+    """Largest gap between the shell table and an independent kernel path.
 
-    The sample {1, M_N - 1} and M_k +- 1 (1 <= k < N), cut at ``limit``, is
-    fixed, so the residual is a deterministic health number of the scan.
+    Against ``dirichlet_closed`` it is | |D_n| - shell table | over the grid;
+    with a ``rank`` R it is | shell table / M_R - ``dirichlet_average`` | off
+    I_R, where t in I_R leaves the shell of x - t unchanged.  The sample
+    {1, M_N - 1} and M_k +- 1 (1 <= k < N), cut at ``limit``, is fixed, so
+    the residual is a deterministic health number of the scan.
     """
     bases = m.scaled_bases(resolution)
     sample = {1, bases[-1] - 1} | {bases[k] + e for k in range(1, resolution) for e in (-1, 1)}
     ns = sorted(n for n in sample if 1 <= n <= limit)
     grid = dirichlet_shells(m, resolution, ns).expand()
-    return max(
-        float(np.abs(row - np.abs(dirichlet_closed(m, n, resolution).values)).max())
-        for n, row in zip(ns, grid)
-    )
+    if rank is None:
+        refs = (np.abs(dirichlet_closed(m, n, resolution).values) for n in ns)
+    else:
+        off = np.arange(bases[-1]) % bases[rank] != 0
+        grid = grid[:, off] / bases[rank]
+        refs = (dirichlet_average(m, n, rank, resolution).values[off] for n in ns)
+    return max(float(np.abs(row - ref).max(initial=0.0)) for row, ref in zip(grid, refs))
 
 
 def supp_measure_scan(
@@ -649,9 +668,7 @@ def supp_measure_scan(
     the verdict to "violated".  The support is counted on the shell table:
     each cell above the threshold weighs its grid points, plus the origin."""
     size = _check_scan_size(m, resolution)
-    limit = size if n_limit is None else n_limit
-    if not 1 <= limit <= size:
-        raise ValueError("support scan limit out of range")
+    limit = _scan_limit(n_limit, size, size, "support scan")
     lam = m.max_radix
     ns = np.arange(1, limit + 1, dtype=np.int64)
     stats = index_stats(ns, m, resolution)
@@ -710,14 +727,12 @@ def dirichlet_floor_scan(
     phrasing is not empirically true (and fails outright once a radix
     reaches 4: a middle digit can zero the geometric factor)."""
     size = _check_scan_size(m, resolution)
-    limit = size if n_limit is None else n_limit
-    if not 1 <= limit <= size:
-        raise ValueError("floor scan limit out of range")
+    limit = _scan_limit(n_limit, size, size, "floor scan")
     ns = np.arange(1, limit + 1, dtype=np.int64)
     stats = index_stats(ns, m, resolution)
     keep = stats.top != stats.bottom
     targets = stats.m_bottom[keep].astype(float)
-    mins = dirichlet_shells(m, resolution, ns[keep]).shell_min()
+    mins = dirichlet_shells(m, resolution, ns[keep]).per_shell(np.minimum)
     holds = mins >= targets[:, None] - 1e-6
 
     points = []
@@ -770,34 +785,26 @@ def kernel_average_scan(
 
         int_{I_R} |D_n(x - t)| dmu(t) <= c * M_s / M_R  on I_s \\ I_{s+1},
 
-    recorded as the max over n and s < R of the normalized shell maximum."""
+    recorded as the max over n and s < R of the normalized shell maximum.
+    For t in I_R, x - t keeps the digits of x below R, so on the shells
+    s < R the average is |D_n(x)| / M_R and c(n) is the largest per-shell
+    maximum of the shell table over M_s."""
     size = _check_scan_size(m, resolution, cap=1 << 12)
     if not 0 <= support_rank <= resolution:
         raise ValueError(f"support rank {support_rank} out of range 0..{resolution}")
-    limit = min(size, 4 * m.base(support_rank)) if n_limit is None else n_limit
-    if not 1 <= limit <= size:
-        raise ValueError("kernel average limit out of range")
-    bases = m.scaled_bases(resolution)
-    shells = [coset_mask(m, resolution, s) & ~coset_mask(m, resolution, s + 1) for s in range(support_rank)]
-    m_rank = bases[support_rank]
-    points = []
-    c_max = 0.0
-    for n in range(1, limit + 1):
-        avg = dirichlet_average(m, n, support_rank, resolution).values.real
-        worst = 0.0
-        for s, shell in enumerate(shells):
-            if not shell.any():
-                continue
-            c_ns = float(avg[shell].max()) * m_rank / bases[s]
-            worst = max(worst, c_ns)
-        c_max = max(c_max, worst)
-        points.append({"n": n, "c": worst})
+    limit = _scan_limit(n_limit, min(size, 4 * m.base(support_rank)), size, "kernel average")
+    ns = np.arange(1, limit + 1, dtype=np.int64)
+    maxima = dirichlet_shells(m, resolution, ns).per_shell(np.maximum)[:, :support_rank]
+    cs = (maxima / m.scaled_bases(resolution)[:support_rank]).max(axis=1, initial=0.0).tolist()
     return ScenarioResult(
         scenario="kernel_average",
         params={"m": m.format(), "N": resolution, "support_rank": support_rank, "limit": limit},
-        points=points,
-        constants={"c_max": c_max},
-        trace=[pt["c"] for pt in points],
+        points=[{"n": n, "c": c} for n, c in zip(ns.tolist(), cs)],
+        constants={
+            "c_max": max(cs),
+            "closed_form_max_err": _closed_form_residual(m, resolution, limit, support_rank),
+        },
+        trace=cs,
         verdict="bounded",
     )
 

@@ -35,24 +35,6 @@ def _check_p(p: float) -> None:
         raise ValueError(f"exponent p = {p} must be positive")
 
 
-@dataclass(frozen=True)
-class NormReport:
-    """One measured quasi-norm, with the bracket columns where they apply."""
-
-    n: int
-    resolution: int
-    p: float
-    kind: str  # Lp | WeakLp | Hardy
-    value: float
-    lower_bound: float | None = None
-    upper_bound: float | None = None
-
-    def csv_row(self) -> str:
-        lo = "" if self.lower_bound is None else f"{self.lower_bound:.12g}"
-        hi = "" if self.upper_bound is None else f"{self.upper_bound:.12g}"
-        return f"{self.n},{self.resolution},{self.p:.12g},{self.kind},{self.value:.12g},{lo},{hi}"
-
-
 def lp_norm(f: GridFunction, p: float) -> float:
     """((1/M_N) sum |f|^p)^(1/p); a quasi-norm for p < 1."""
     _check_p(p)

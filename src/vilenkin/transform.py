@@ -334,9 +334,9 @@ class ShellTable:
         bases = np.asarray(self.generators.scaled_bases(self.resolution), dtype=np.int64)
         return bases[-1] // bases[self.shell + 1]
 
-    def shell_min(self) -> np.ndarray:
-        """(K, N) min |D_n| over each shell."""
-        return np.minimum.reduceat(self.values, np.flatnonzero(self.coord == 1), axis=1)
+    def per_shell(self, op: np.ufunc) -> np.ndarray:
+        """(K, N) reduction of |D_n| over each shell by ``op``, e.g. np.minimum."""
+        return op.reduceat(self.values, np.flatnonzero(self.coord == 1), axis=1)
 
     def expand(self) -> np.ndarray:
         """(K, M_N) |D_n| on the whole grid in coset order."""

@@ -290,6 +290,13 @@ class TestConfigPlumbing:
         assert run(["dirichlet", "--m", "2^", "--n", 2, "--N", 3]) == 0
         assert (tmp_path / "envdir" / "dirichlet_m2c_n2.csv").exists()
 
+    def test_out_flag_beats_outdir_env(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("VILENKIN_OUTDIR", str(tmp_path / "envdir"))
+        assert run(["scan", "--name", "supp_measure", "--N", 3, "--out", tmp_path / "flagdir"]) == 0
+        assert sorted(p.name for p in (tmp_path / "flagdir").iterdir()) == [
+            "scan_supp_measure_m2c_N3.csv", "scan_supp_measure_m2c_N3.json"]
+        assert not (tmp_path / "envdir").exists()
+
     def test_usage_error_exit_code(self):
         with pytest.raises(SystemExit) as err:
             run(["dirichlet", "--m", "2^", "--N", 4])  # missing --n

@@ -3,7 +3,10 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import vilenkin.experiments as experiments
 from vilenkin.group import GeneratorSequence, WALSH
 from vilenkin.experiments import (
     Thresholds,
@@ -19,7 +22,7 @@ from vilenkin.experiments import (
 )
 from vilenkin.martingale import build_counterexample, default_alphas, random_atom
 from vilenkin.norms import hardy_norm, lp_norm
-from vilenkin.transform import constant, forward, grid_function, partial_sum
+from vilenkin.transform import constant, dirichlet_average, forward, grid_function, partial_sum
 
 ALTERNATING = GeneratorSequence.parse("2,3^")
 MIXED_CYCLE = GeneratorSequence.parse("2,3,4^")
@@ -329,12 +332,60 @@ class TestKernelScanMemory:
         assert result.constants["closed_form_max_err"] <= 1e-9
 
 
+@st.composite
+def _average_case(draw):
+    pattern = tuple(draw(st.lists(st.integers(2, 5), min_size=1, max_size=4)))
+    m = GeneratorSequence(pattern, cyclic=draw(st.booleans()))
+    top = 0
+    while m.size(top + 1) <= 512:
+        top += 1
+    resolution = draw(st.integers(0, top))
+    return m, resolution, draw(st.integers(0, resolution))
+
+
+def _kernel_average_loop(m, resolution, rank, limit):
+    """c(n) for 1 <= n <= limit from ``dirichlet_average`` and full-grid shell
+    masks, one n at a time, as ``kernel_average_scan`` computed it before it
+    read the shell table."""
+    bases = m.scaled_bases(resolution)
+    grid = np.arange(m.size(resolution))
+    shells = [((grid % bases[s]) == 0) & ((grid % bases[s + 1]) != 0) for s in range(rank)]
+    cs = []
+    for n in range(1, limit + 1):
+        avg = dirichlet_average(m, n, rank, resolution).values.real
+        per_shell = [float(avg[shell].max()) * bases[rank] / bases[s] for s, shell in enumerate(shells)]
+        cs.append(max(per_shell, default=0.0))
+    return cs
+
+
 class TestKernelAverageScan:
     def test_constant_bounded_across_sizes(self):
         small = kernel_average_scan(WALSH, 7, 3)
         large = kernel_average_scan(WALSH, 9, 4)
         assert small.constants["c_max"] <= 2.0
         assert large.constants["c_max"] <= 2.0
+        for result in (small, large):
+            assert result.constants["closed_form_max_err"] <= 1e-9
+
+    @settings(max_examples=60, deadline=None)
+    @given(_average_case())
+    def test_matches_per_n_average_loop(self, case):
+        m, resolution, rank = case
+        result = kernel_average_scan(m, resolution, rank)
+        ref = _kernel_average_loop(m, resolution, rank, result.params["limit"])
+        assert [pt["n"] for pt in result.points] == list(range(1, len(ref) + 1))
+        assert np.allclose([pt["c"] for pt in result.points], ref, rtol=1e-12, atol=0)
+        assert result.constants["c_max"] == max(pt["c"] for pt in result.points)
+        assert result.constants["closed_form_max_err"] <= 1e-9
+
+    def test_averages_only_the_residual_sample(self, monkeypatch):
+        # limit 4 M_3 = 32 cuts the sample {1, 255} u {2^k +- 1} to 1, 3, 5, 7, 9, 15, 17, 31
+        calls = []
+        monkeypatch.setattr(
+            experiments, "dirichlet_average", lambda m, n, *a: calls.append(n) or dirichlet_average(m, n, *a)
+        )
+        kernel_average_scan(WALSH, 8, 3)
+        assert calls == [1, 3, 5, 7, 9, 15, 17, 31]
 
 
 class TestResultPlumbing:

@@ -403,7 +403,7 @@ class TestShellTable:
         assert table.shell.tolist() == [0, 1, 1, 2, 2, 2, 3]
         assert table.coord.tolist() == [1, 1, 2, 1, 2, 3, 1]
         assert int(table.points.sum()) + 1 == MIXED_CYCLE.size(4)
-        assert table.shell_min().shape == (1, 4)
+        assert table.per_shell(np.minimum).shape == (1, 4)
 
     def test_top_index_is_the_block_kernel(self):
         # D_{M_N} is M_N at the origin and 0 on every shell
