@@ -10,6 +10,7 @@ own headers.  Exit codes: 0 success, 1 a scan verdict came back
 from __future__ import annotations
 
 import argparse
+import functools
 import inspect
 import io
 import os
@@ -66,6 +67,7 @@ from .transform import (
     read_grid_csv,
     read_spectral_binary,
     read_spectral_csv,
+    write_csv_rows,
     write_grid_binary,
     write_grid_csv,
     write_spectral_binary,
@@ -250,10 +252,10 @@ def _cmd_counterexample(args) -> int:
     outdir = _outdir(args)
     stem = f"counterexample_p{args.p:g}_N{resolution}"
     (outdir / f"{stem}.json").write_text(spec.to_json() + "\n")
-    profile = spectral_profile(spec)
-    rows = ["j,re,im"]
-    rows.extend(f"{j},{z.real:.12g},{z.imag:.12g}" for j, z in enumerate(profile))
-    _write_text(outdir / f"{stem}_coefficients.csv", config, "\n".join(rows) + "\n")
+    buf = io.StringIO()
+    buf.write("j,re,im\n")
+    write_csv_rows(buf, spectral_profile(spec))
+    _write_text(outdir / f"{stem}_coefficients.csv", config, buf.getvalue())
     with (outdir / f"{stem}_realized.bin").open("wb") as fh:
         write_grid_binary(fh, spec.realized)
     print(
@@ -550,11 +552,19 @@ def _cast_config(action: argparse.Action, value: str):
         raise ValueError(f"config key {action.dest!r}: cannot read {value!r}") from None
 
 
+@functools.cache
+def _shared_parser() -> argparse.ArgumentParser:
+    """The parser every call without ``--config`` reads; parsing leaves it as built."""
+    return build_parser()[0]
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser, commands = build_parser()
-    args = parser.parse_args(argv)
+    args = _shared_parser().parse_args(argv)
     try:
         if getattr(args, "config", None):
+            # Config values become defaults of a parser built for this call
+            # only, so the shared parser never sees them.
+            parser, commands = build_parser()
             sub = commands[args.command]
             known = {action.dest: action for action in sub._actions if action.dest != "help"}
             overrides = {}

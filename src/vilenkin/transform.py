@@ -252,13 +252,16 @@ def _check_kernel_args(m: GeneratorSequence, n: int, resolution: int) -> int:
     return size
 
 
-def dirichlet_direct(m: GeneratorSequence, n: int, resolution: int, block: int = 512) -> GridFunction:
+def dirichlet_direct(m: GeneratorSequence, n: int, resolution: int) -> GridFunction:
     """D_n as the literal sum of the first n characters.
 
     It stays on literal ``character_block`` rows, not on cumulative_rows,
-    so that it remains an independent check on the kernel engine.
+    so that it remains an independent check on the kernel engine.  Rows are
+    summed in blocks of at most 2^22 entries (64 MiB), so memory stays
+    linear in M_N up to ``SIZE_CAP``.
     """
     size = _check_kernel_args(m, n, resolution)
+    block = max(1, min(512, (1 << 22) // size))
     acc = np.zeros(size, dtype=np.complex128)
     for lo in range(0, n, block):
         hi = min(lo + block, n)
@@ -524,13 +527,26 @@ def dirichlet_average(m: GeneratorSequence, n: int, rank: int, resolution: int) 
 # ---------------------------------------------------------------------------
 
 
+_CSV_ROW = "%d,%.12g,%.12g\n"
+_CSV_BLOCK = 4096
+
+
+def write_csv_rows(out: io.TextIOBase, data: np.ndarray) -> None:
+    """Write ``i,re,im`` for each entry of ``data``, one block of rows at a time.
+
+    One ``%``-format per block of 4096 rows gives the same bytes as the
+    per-row ``f"{i},{z.real:.12g},{z.imag:.12g}"`` (``%d`` of an exact float
+    index is the integer), and never holds the whole body as one string.
+    """
+    for lo in range(0, len(data), _CSV_BLOCK):
+        z = data[lo : lo + _CSV_BLOCK]
+        cells = np.column_stack((np.arange(lo, lo + len(z)), z.real, z.imag))
+        out.write(_CSV_ROW * len(z) % tuple(cells.ravel().tolist()))
+
+
 def _write_rows(out: io.TextIOBase, m: GeneratorSequence, resolution: int, kind: str, data: np.ndarray) -> None:
-    out.write(f"# vilenkin {kind} v1\n")
-    out.write(f"# m={m.format()}\n")
-    out.write(f"# N={resolution}\n")
-    out.write("index,re,im\n")
-    for i, z in enumerate(data):
-        out.write(f"{i},{z.real:.12g},{z.imag:.12g}\n")
+    out.write(f"# vilenkin {kind} v1\n# m={m.format()}\n# N={resolution}\nindex,re,im\n")
+    write_csv_rows(out, data)
 
 
 def write_grid_csv(out: io.TextIOBase, f: GridFunction) -> None:

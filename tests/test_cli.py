@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from vilenkin import experiments
+from vilenkin import cli, experiments
 from vilenkin.cli import IDENTITIES, main
 from vilenkin.group import GeneratorSequence, WALSH
 from vilenkin.transform import (
@@ -277,6 +277,29 @@ class TestConfigPlumbing:
         assert run(["scan", "--name", "supp_measure", "--N", 4, "--config", cfg, "--out", tmp_path]) == 0
         assert (tmp_path / "scan_supp_measure_m2c_N4.json").exists()
         assert (tmp_path / "scan_supp_measure_m2c_N4.svg").exists() == svg
+
+    def test_config_leaves_the_shared_parser_alone(self, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("svg=true\n")
+        argv = ["scan", "--name", "supp_measure", "--N", 3]
+        assert run([*argv, "--config", cfg, "--out", tmp_path / "config"]) == 0
+        assert run([*argv, "--out", tmp_path / "plain"]) == 0
+        assert (tmp_path / "config" / "scan_supp_measure_m2c_N3.svg").exists()
+        assert not (tmp_path / "plain" / "scan_supp_measure_m2c_N3.svg").exists()
+
+    def test_parser_is_built_once(self, tmp_path, monkeypatch):
+        builds = []
+        build = cli.build_parser
+
+        def counted():
+            builds.append(1)
+            return build()
+
+        monkeypatch.setattr(cli, "build_parser", counted)
+        cli._shared_parser.cache_clear()
+        for n in (2, 3, 4):
+            assert run(["dirichlet", "--m", "2^", "--n", n, "--N", 3, "--out", tmp_path]) == 0
+        assert len(builds) == 1
 
     def test_config_switch_needs_true_or_false(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"

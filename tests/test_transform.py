@@ -1,4 +1,5 @@
 import io
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 from vilenkin.group import GeneratorSequence, GroupPoint, WALSH, decompose, digit_table
 from vilenkin.norms import SUPPORT_THRESHOLD, lebesgue_table
 from vilenkin.transform import (
+    _CSV_BLOCK,
     GridFunction,
     SpectralVector,
     character,
@@ -313,6 +315,20 @@ class TestDirichlet:
         with pytest.raises(ValueError):
             dirichlet_direct(WALSH, 0, 4)
 
+    def test_direct_row_block_is_bounded_by_grid_size(self):
+        # M_N = 2^15 in three digits, n = 512: one 512-row block of character
+        # rows and its temporaries peak near 640 MiB; 128-row blocks (2^22
+        # entries, 64 MiB) stay near 225 MiB.
+        m = GeneratorSequence.parse("32^")
+        dirichlet_direct(m, 1, 3)  # module-level caches are not part of the footprint
+        tracemalloc.start()
+        try:
+            dirichlet_direct(m, 512, 3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 5 * 64 * 2**20, peak
+
 
 @st.composite
 def _shell_case(draw):
@@ -491,7 +507,55 @@ class TestKernelAverage:
             assert worst <= 2.0 + 1e-9
 
 
+def _literal_csv(kind, m, resolution, data):
+    """The per-row f-string form of a CSV function file: the writer's oracle."""
+    lines = [f"# vilenkin {kind} v1", f"# m={m.format()}", f"# N={resolution}", "index,re,im"]
+    lines.extend(f"{i},{z.real:.12g},{z.imag:.12g}" for i, z in enumerate(data))
+    return "\n".join(lines) + "\n"
+
+
+# Grids of 1, block - 1, block, block + 1 and 3 block + 5 rows (4096-row
+# blocks) over radix 2, radix 3 and mixed radices, plus 3^8 = 6561 rows.
+_WRITER_GRIDS = [
+    (WALSH, 0), (TRIADIC, 0), (ALTERNATING, 0),
+    (GeneratorSequence((3, 3, 5, 7, 13)), 5),
+    (WALSH, 12),
+    (GeneratorSequence((17, 241)), 2),
+    (GeneratorSequence((19, 647)), 2),
+    (TRIADIC, 8),
+]
+_SPECIAL_CELLS = [-0.0, 5e-324, 1e300, -1e300, np.nan, np.inf, -np.inf]
+
+
+@st.composite
+def _csv_cells(draw, size):
+    """``size`` complex values with exponents over +-300 and every special
+    cell somewhere among their real and imaginary parts."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    cells = rng.standard_normal(2 * size) * 10.0 ** rng.integers(-300, 300, 2 * size)
+    spots = draw(st.lists(st.integers(0, 2 * size - 1), min_size=len(_SPECIAL_CELLS), max_size=len(_SPECIAL_CELLS)))
+    cells[spots] = _SPECIAL_CELLS
+    return cells.view(np.complex128)
+
+
 class TestSerialization:
+    def test_writer_grids_straddle_the_row_block(self):
+        sizes = {m.size(resolution) for m, resolution in _WRITER_GRIDS}
+        assert {1, _CSV_BLOCK - 1, _CSV_BLOCK, _CSV_BLOCK + 1, 3 * _CSV_BLOCK + 5} <= sizes
+
+    @pytest.mark.parametrize("kind", ["grid", "spectral"])
+    @pytest.mark.parametrize("m, resolution", _WRITER_GRIDS, ids=[f"{m.format()}-N{n}" for m, n in _WRITER_GRIDS])
+    @settings(max_examples=5, deadline=None)
+    @given(st.data())
+    def test_csv_writer_matches_per_row_format(self, m, resolution, kind, data):
+        values = data.draw(_csv_cells(m.size(resolution)))
+        buf = io.StringIO()
+        if kind == "grid":
+            write_grid_csv(buf, GridFunction(m, resolution, values))
+        else:
+            write_spectral_csv(buf, SpectralVector(m, resolution, values))
+        assert buf.getvalue() == _literal_csv(kind, m, resolution, values)
+
     def test_grid_csv_round_trip(self):
         f = random_grid(ALTERNATING, 3, seed=21)
         buf = io.StringIO()
