@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import functools
 import inspect
-import io
 import os
 import sys
 from dataclasses import dataclass
@@ -87,12 +86,13 @@ class RunConfig:
     p: float | None = None
     seed: int = DEFAULT_SEED
 
-    def header_lines(self) -> list[str]:
+    def header(self) -> str:
+        """The first line of every file written under this configuration."""
         pairs = [f"command={self.command}", f"m={self.m}", f"N={self.N}"]
         if self.p is not None:
             pairs.append(f"p={self.p:.12g}")
         pairs.extend([f"seed={self.seed}", f"version={__version__}"])
-        return [f"# vilenkin-config: {' '.join(pairs)}"]
+        return f"# vilenkin-config: {' '.join(pairs)}\n"
 
 
 def _load_config_file(path: str) -> dict[str, str]:
@@ -119,10 +119,6 @@ def _outdir(args) -> Path:
 def _file_tag(m: GeneratorSequence) -> str:
     """The generator sequence as a file-name part: 2,3^ becomes 2_3c."""
     return m.format().replace(",", "_").replace("^", "c")
-
-
-def _write_text(path: Path, config: RunConfig, body: str) -> None:
-    path.write_text("\n".join(config.header_lines()) + "\n" + body)
 
 
 def _read_function(path: Path):
@@ -190,9 +186,9 @@ def _cmd_dirichlet(args) -> int:
         print(f"block-kernel identity at k={k}: max err {block_err:.3e}")
     outdir = _outdir(args)
     path = outdir / f"dirichlet_m{_file_tag(m)}_n{args.n}.csv"
-    buf = io.StringIO()
-    write_grid_csv(buf, closed)
-    _write_text(path, config, buf.getvalue())
+    with path.open("w") as fh:
+        fh.write(config.header())
+        write_grid_csv(fh, closed)
     print(f"kernel written to {path}")
     return 0 if err <= 1e-9 else 1
 
@@ -208,11 +204,11 @@ def _cmd_lebesgue(args) -> int:
         )
         note = f" (oracle pick; bracket violations {dict((k, len(v)) for k, v in violations.items())})"
     table = lebesgue_table(m, resolution, args.limit, convention)
-    rows = ["n,L_n,lower,upper,v,v_star,convention"]
-    rows.extend(r.csv_row() for r in table)
     outdir = _outdir(args)
     path = outdir / f"lebesgue_m{_file_tag(m)}_N{resolution}.csv"
-    _write_text(path, config, "\n".join(rows) + "\n")
+    with path.open("w") as fh:
+        fh.write(config.header() + "n,L_n,lower,upper,v,v_star,convention\n")
+        fh.writelines(f"{r.csv_row()}\n" for r in table)
     bad = [r.n for r in table if not r.in_bracket]
     print(f"{len(table)} rows under convention {convention}{note}; bracket violations: {bad or 'none'}")
     print(f"table written to {path}")
@@ -233,9 +229,9 @@ def _cmd_atom(args) -> int:
     atom = random_atom(m, args.p, args.rank, resolution, rng, base_index=args.base)
     outdir = _outdir(args)
     path = outdir / f"atom_p{args.p:g}_rank{args.rank}.csv"
-    buf = io.StringIO()
-    write_grid_csv(buf, atom.values)
-    _write_text(path, config, buf.getvalue())
+    with path.open("w") as fh:
+        fh.write(config.header())
+        write_grid_csv(fh, atom.values)
     print(f"random p-atom written to {path} (validated)")
     return 0
 
@@ -249,13 +245,13 @@ def _cmd_counterexample(args) -> int:
     spec = build_counterexample(
         m, args.p, alphas, rule=args.rule, phi=phi, lambdas=lambdas, resolution=resolution
     )
+    profile = spectral_profile(spec)
     outdir = _outdir(args)
     stem = f"counterexample_p{args.p:g}_N{resolution}"
     (outdir / f"{stem}.json").write_text(spec.to_json() + "\n")
-    buf = io.StringIO()
-    buf.write("j,re,im\n")
-    write_csv_rows(buf, spectral_profile(spec))
-    _write_text(outdir / f"{stem}_coefficients.csv", config, buf.getvalue())
+    with (outdir / f"{stem}_coefficients.csv").open("w") as fh:
+        fh.write(config.header() + "j,re,im\n")
+        write_csv_rows(fh, profile)
     with (outdir / f"{stem}_realized.bin").open("wb") as fh:
         write_grid_binary(fh, spec.realized)
     print(
@@ -311,7 +307,8 @@ def _cmd_scan(args) -> int:
     outdir = _outdir(args)
     stem = f"scan_{args.name}_m{_file_tag(m)}_N{resolution}"
     (outdir / f"{stem}.json").write_text(result.to_json() + "\n")
-    _write_text(outdir / f"{stem}.csv", config, result.to_csv())
+    with (outdir / f"{stem}.csv").open("w") as fh:
+        fh.write(config.header() + result.to_csv())
     if args.svg:
         (outdir / f"{stem}.svg").write_text(result.to_svg())
     print(f"scan {args.name}: verdict {result.verdict}; constants {result.constants}")

@@ -90,8 +90,8 @@ class ScenarioResult:
                 lines.append(",".join(_csv_cell(row.get(c)) for c in cols))
         return "\n".join(lines) + "\n"
 
-    def to_svg(self, title: str | None = None) -> str:
-        return _trace_svg(title or self.scenario, self.trace)
+    def to_svg(self) -> str:
+        return _trace_svg(self.scenario, self.trace)
 
 
 def _json_default(obj):
@@ -100,6 +100,11 @@ def _json_default(obj):
     if isinstance(obj, (np.floating,)):
         return float(obj)
     raise TypeError(f"cannot serialize {type(obj)!r}")
+
+
+def _records(**columns) -> list[dict]:
+    """One point dict per row of equal-length columns, keys in column order."""
+    return [dict(zip(columns, row)) for row in zip(*columns.values())]
 
 
 def _csv_cell(value) -> str:
@@ -645,6 +650,8 @@ def _closed_form_residual(m: GeneratorSequence, resolution: int, limit: int, ran
     {1, M_N - 1} and M_k +- 1 (1 <= k < N), cut at ``limit``, is fixed, so
     the residual is a deterministic health number of the scan.
     """
+    if rank == 0:
+        return 0.0  # every grid point lies in I_0, so nothing is compared
     bases = m.scaled_bases(resolution)
     sample = {1, bases[-1] - 1} | {bases[k] + e for k in range(1, resolution) for e in (-1, 1)}
     ns = sorted(n for n in sample if 1 <= n <= limit)
@@ -669,45 +676,32 @@ def supp_measure_scan(
     each cell above the threshold weighs its grid points, plus the origin."""
     size = _check_scan_size(m, resolution)
     limit = _scan_limit(n_limit, size, size, "support scan")
-    lam = m.max_radix
     ns = np.arange(1, limit + 1, dtype=np.int64)
     stats = index_stats(ns, m, resolution)
     table = dirichlet_shells(m, resolution, ns)
-    supp_counts = (table.values > SUPPORT_THRESHOLD) @ table.points + 1
-    points = []
-    trace = []
-    violated = False
-    for n, count, top, bottom, m_top, m_bottom in zip(
-        ns.tolist(), supp_counts.tolist(), *(a.tolist() for a in stats)
-    ):
-        n_mu = n * float(count) / size
-        lower = m_top / (2.0 * m_bottom)
-        upper = lam * m_top / m_bottom
-        ok = lower - 1e-9 <= n_mu <= upper + 1e-9
-        violated = violated or not ok
-        trace.append(n_mu)
-        points.append(
-            {
-                "n": n,
-                "top": top,
-                "bottom": bottom,
-                "n_mu_supp": n_mu,
-                "lower": lower,
-                "upper": upper,
-                "in_bracket": ok,
-            }
-        )
+    n_mu = ns * ((table.values > SUPPORT_THRESHOLD) @ table.points + 1).astype(float) / size
+    lower = stats.m_top / (2.0 * stats.m_bottom)
+    upper = m.max_radix * stats.m_top / stats.m_bottom
+    ok = (lower - 1e-9 <= n_mu) & (n_mu <= upper + 1e-9)
     return ScenarioResult(
         scenario="supp_measure",
         params={"m": m.format(), "N": resolution, "limit": limit},
-        points=points,
+        points=_records(
+            n=ns.tolist(),
+            top=stats.top.tolist(),
+            bottom=stats.bottom.tolist(),
+            n_mu_supp=n_mu.tolist(),
+            lower=lower.tolist(),
+            upper=upper.tolist(),
+            in_bracket=ok.tolist(),
+        ),
         constants={
-            "min_slack": min(pt["n_mu_supp"] / pt["lower"] for pt in points),
-            "max_slack": max(pt["n_mu_supp"] / pt["upper"] for pt in points),
+            "min_slack": float((n_mu / lower).min()),
+            "max_slack": float((n_mu / upper).max()),
             "closed_form_max_err": _closed_form_residual(m, resolution, limit),
         },
-        trace=trace,
-        verdict="violated" if violated else "bounded",
+        trace=n_mu.tolist(),
+        verdict="bounded" if ok.all() else "violated",
     )
 
 
@@ -731,35 +725,24 @@ def dirichlet_floor_scan(
     ns = np.arange(1, limit + 1, dtype=np.int64)
     stats = index_stats(ns, m, resolution)
     keep = stats.top != stats.bottom
+    ns, bottom = ns[keep], stats.bottom[keep]
     targets = stats.m_bottom[keep].astype(float)
-    mins = dirichlet_shells(m, resolution, ns[keep]).per_shell(np.minimum)
-    holds = mins >= targets[:, None] - 1e-6
-
-    points = []
-    trace = []
-    violations = []
-    for n, bottom, target, row, holds_row in zip(
-        ns[keep].tolist(), stats.bottom[keep].tolist(), targets.tolist(), mins, holds
-    ):
-        floor = float(row[bottom])
-        ok = floor >= target - 1e-6
-        if not ok:
-            violations.append(n)
-        trace.append(floor / target)
-        points.append(
-            {
-                "n": n,
-                "bottom": bottom,
-                "floor": floor,
-                "target": target,
-                "holds_at_s": np.flatnonzero(holds_row).tolist(),
-                "ok": ok,
-            }
-        )
+    mins = dirichlet_shells(m, resolution, ns).per_shell(np.minimum)
+    floors = mins[np.arange(ns.size), bottom]
+    ok = floors >= targets - 1e-6
+    trace = (floors / targets).tolist()
+    violations = ns[~ok].tolist()
     return ScenarioResult(
         scenario="dirichlet_floor",
         params={"m": m.format(), "N": resolution, "limit": limit},
-        points=points,
+        points=_records(
+            n=ns.tolist(),
+            bottom=bottom.tolist(),
+            floor=floors.tolist(),
+            target=targets.tolist(),
+            holds_at_s=[np.flatnonzero(row).tolist() for row in mins >= targets[:, None] - 1e-6],
+            ok=ok.tolist(),
+        ),
         constants={
             "violations": violations,
             "min_floor_ratio": min(trace) if trace else math.inf,
@@ -799,7 +782,7 @@ def kernel_average_scan(
     return ScenarioResult(
         scenario="kernel_average",
         params={"m": m.format(), "N": resolution, "support_rank": support_rank, "limit": limit},
-        points=[{"n": n, "c": c} for n, c in zip(ns.tolist(), cs)],
+        points=_records(n=ns.tolist(), c=cs),
         constants={
             "c_max": max(cs),
             "closed_form_max_err": _closed_form_residual(m, resolution, limit, support_rank),

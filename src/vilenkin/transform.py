@@ -558,7 +558,10 @@ def write_spectral_csv(out: io.TextIOBase, sv: SpectralVector) -> None:
 
 
 def _read_rows(src: io.TextIOBase) -> tuple[GeneratorSequence, int, str, np.ndarray]:
-    header = src.readline().strip()
+    header = src.readline()
+    while header.startswith("#") and not header.startswith("# vilenkin "):
+        header = src.readline()  # a comment ahead of the header, e.g. a run configuration
+    header = header.strip()
     if not header.startswith("# vilenkin "):
         raise ValueError("not a vilenkin CSV file")
     kind = header.split()[2]

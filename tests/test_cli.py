@@ -14,6 +14,7 @@ from vilenkin import cli, experiments
 from vilenkin.cli import IDENTITIES, main
 from vilenkin.group import GeneratorSequence, WALSH
 from vilenkin.transform import (
+    dirichlet_closed,
     forward,
     grid_function,
     read_grid_binary,
@@ -43,6 +44,16 @@ class TestDirichletCommand:
         values = {int(r[0]): float(r[1]) for r in rows}
         for i in range(16):
             assert values[i] == pytest.approx(8.0 if i % 8 == 0 else 0.0, abs=1e-9)
+
+    def test_kernel_file_transforms(self, tmp_path):
+        # the transform reads the written kernel, config line included
+        assert run(["dirichlet", "--m", "2,3^", "--n", 5, "--N", 4, "--out", tmp_path]) == 0
+        src, out = tmp_path / "dirichlet_m2_3c_n5.csv", tmp_path / "fhat.csv"
+        assert run(["transform", "--op", "forward", "--input", src, "--output", out]) == 0
+        with out.open() as fh:
+            coeffs = read_spectral_csv(fh).coeffs
+        m = GeneratorSequence.parse("2,3^")
+        assert np.abs(coeffs - forward(dirichlet_closed(m, 5, 4)).coeffs).max() < 1e-9
 
     def test_config_header_embedded(self, tmp_path):
         run(["dirichlet", "--m", "2^", "--n", 4, "--N", 4, "--out", tmp_path])
@@ -144,6 +155,13 @@ class TestAtomCommand:
         clean = tmp_path / "clean.csv"
         clean.write_text(body)
         assert run(["atom", "--m", "2^", "--p", 0.5, "--rank", 2, "--N", 6, "--validate", clean]) == 0
+        assert "valid p-atom" in capsys.readouterr().out
+
+    def test_validate_reads_the_written_file(self, tmp_path, capsys):
+        # the config line ahead of the grid header is skipped, not refused
+        argv = ["atom", "--m", "2^", "--p", 0.5, "--rank", 2, "--N", 6]
+        assert run([*argv, "--out", tmp_path]) == 0
+        assert run([*argv, "--validate", tmp_path / "atom_p0.5_rank2.csv"]) == 0
         assert "valid p-atom" in capsys.readouterr().out
 
 

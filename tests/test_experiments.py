@@ -1,3 +1,4 @@
+import functools
 import json
 import tracemalloc
 
@@ -18,6 +19,7 @@ from vilenkin.experiments import (
     modulus_convergence_scan,
     partial_sum_rows,
     weighted_series,
+    weighted_series_scan,
     supp_measure_scan,
 )
 from vilenkin.martingale import build_counterexample, default_alphas, random_atom
@@ -320,7 +322,23 @@ class TestKernelScanMemory:
         finally:
             tracemalloc.stop()
 
-    @pytest.mark.parametrize("scan", [supp_measure_scan, dirichlet_floor_scan], ids=lambda f: f.__name__)
+    @pytest.mark.parametrize(
+        "scan",
+        [
+            supp_measure_scan,
+            dirichlet_floor_scan,
+            pytest.param(functools.partial(kernel_average_scan, support_rank=0), id="kernel_average_scan-rank0"),
+            pytest.param(functools.partial(atom_ratio_scan, 0.5, trials=2), id="atom_ratio_scan"),
+            pytest.param(functools.partial(divergence_scan, 0.5, "Mn_plus_1"), id="divergence_scan"),
+            pytest.param(functools.partial(boundedness_scan, 0.5, "Mn", trials=2), id="boundedness_scan"),
+            pytest.param(
+                functools.partial(modulus_convergence_scan, 0.5, "unit_kernel", "default"),
+                id="modulus_convergence_scan",
+            ),
+            pytest.param(functools.partial(weighted_series_scan, 0.5, trials=1), id="weighted_series_scan"),
+        ],
+        ids=lambda f: f.__name__,
+    )
     def test_peak_grows_linearly(self, scan):
         # M_N grows 4x from N=8 to N=10; a quadratic scan would grow 16x
         scan(WALSH, 4)  # module-level caches are not part of the scan's footprint

@@ -447,10 +447,6 @@ class TestShellTable:
 
 
 class TestPartialSums:
-    def test_full_spectrum_identity(self):
-        f = random_grid(WALSH, 6, seed=1)
-        assert np.abs(partial_sum(f, f.size).values - f.values).max() < 1e-10
-
     @pytest.mark.parametrize("m", SEQUENCES, ids=lambda m: m.format())
     def test_coarse_sum_is_coset_average(self, m):
         f = random_grid(m, 4, seed=9)
