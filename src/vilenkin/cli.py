@@ -14,7 +14,6 @@ import functools
 import inspect
 import os
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -76,23 +75,14 @@ from .transform import (
 ENV_OUTDIR = "VILENKIN_OUTDIR"
 
 
-@dataclass
-class RunConfig:
-    """Everything needed to regenerate an artifact."""
-
-    command: str
-    m: str
-    N: int
-    p: float | None = None
-    seed: int = DEFAULT_SEED
-
-    def header(self) -> str:
-        """The first line of every file written under this configuration."""
-        pairs = [f"command={self.command}", f"m={self.m}", f"N={self.N}"]
-        if self.p is not None:
-            pairs.append(f"p={self.p:.12g}")
-        pairs.extend([f"seed={self.seed}", f"version={__version__}"])
-        return f"# vilenkin-config: {' '.join(pairs)}\n"
+def _config_line(args, m: GeneratorSequence) -> str:
+    """The first line of every file a command writes: the flags that regenerate it."""
+    command = f"scan:{args.name}" if args.command == "scan" else args.command
+    pairs = [f"command={command}", f"m={m.format()}", f"N={args.N}"]
+    if "p" in args:  # the commands built with need_p
+        pairs.append(f"p={args.p:.12g}")
+    pairs.extend([f"seed={args.seed}", f"version={__version__}"])
+    return f"# vilenkin-config: {' '.join(pairs)}\n"
 
 
 def _load_config_file(path: str) -> dict[str, str]:
@@ -121,23 +111,17 @@ def _file_tag(m: GeneratorSequence) -> str:
     return m.format().replace(",", "_").replace("^", "c")
 
 
-def _read_function(path: Path):
+def _read_function(path: Path, read_csv, read_binary):
+    """Read ``path`` with ``read_binary`` if it ends in .bin, else ``read_csv``.
+
+    The caller passes the readers of the kind it expects; each one parses the
+    header and refuses a file of the other kind.
+    """
     if path.suffix == ".bin":
         with path.open("rb") as fh:
-            kind = fh.read(5)[4:]  # the kind byte follows the 4-byte magic
-            fh.seek(0)
-            return read_spectral_binary(fh) if kind == b"\x01" else read_grid_binary(fh)
+            return read_binary(fh)
     with path.open() as fh:
-        first = fh.readline()
-        fh.seek(0)
-        if "spectral" in first:
-            return read_spectral_csv(fh)
-        return read_grid_csv(fh)
-
-
-def _parse_common(args) -> tuple[GeneratorSequence, int]:
-    m = GeneratorSequence.parse(args.m)
-    return m, args.N
+        return read_csv(fh)
 
 
 # ---------------------------------------------------------------------------
@@ -147,16 +131,11 @@ def _parse_common(args) -> tuple[GeneratorSequence, int]:
 
 def _cmd_transform(args) -> int:
     src = Path(args.input)
-    obj = _read_function(src)
     if args.op == "forward":
-        if not isinstance(obj, GridFunction):
-            raise ValueError("forward transform expects a grid-function input")
-        result = forward(obj)
+        result = forward(_read_function(src, read_grid_csv, read_grid_binary))
         writer_csv, writer_bin = write_spectral_csv, write_spectral_binary
     else:
-        if isinstance(obj, GridFunction):
-            raise ValueError("inverse transform expects a spectral input")
-        result = inverse(obj)
+        result = inverse(_read_function(src, read_spectral_csv, read_spectral_binary))
         writer_csv, writer_bin = write_grid_csv, write_grid_binary
     out = Path(args.output)
     if out.suffix == ".bin":
@@ -170,8 +149,7 @@ def _cmd_transform(args) -> int:
 
 
 def _cmd_dirichlet(args) -> int:
-    m, resolution = _parse_common(args)
-    config = RunConfig("dirichlet", m.format(), resolution, seed=args.seed)
+    m, resolution = GeneratorSequence.parse(args.m), args.N
     closed = dirichlet_closed(m, args.n, resolution)
     direct = dirichlet_direct(m, args.n, resolution)
     err = float(np.abs(closed.values - direct.values).max())
@@ -187,15 +165,14 @@ def _cmd_dirichlet(args) -> int:
     outdir = _outdir(args)
     path = outdir / f"dirichlet_m{_file_tag(m)}_n{args.n}.csv"
     with path.open("w") as fh:
-        fh.write(config.header())
+        fh.write(_config_line(args, m))
         write_grid_csv(fh, closed)
     print(f"kernel written to {path}")
     return 0 if err <= 1e-9 else 1
 
 
 def _cmd_lebesgue(args) -> int:
-    m, resolution = _parse_common(args)
-    config = RunConfig("lebesgue", m.format(), resolution, seed=args.seed)
+    m, resolution = GeneratorSequence.parse(args.m), args.N
     convention = args.convention
     note = ""
     if convention == "auto":
@@ -207,7 +184,7 @@ def _cmd_lebesgue(args) -> int:
     outdir = _outdir(args)
     path = outdir / f"lebesgue_m{_file_tag(m)}_N{resolution}.csv"
     with path.open("w") as fh:
-        fh.write(config.header() + "n,L_n,lower,upper,v,v_star,convention\n")
+        fh.write(_config_line(args, m) + "n,L_n,lower,upper,v,v_star,convention\n")
         fh.writelines(f"{r.csv_row()}\n" for r in table)
     bad = [r.n for r in table if not r.in_bracket]
     print(f"{len(table)} rows under convention {convention}{note}; bracket violations: {bad or 'none'}")
@@ -216,12 +193,9 @@ def _cmd_lebesgue(args) -> int:
 
 
 def _cmd_atom(args) -> int:
-    m, resolution = _parse_common(args)
-    config = RunConfig("atom", m.format(), resolution, p=args.p, seed=args.seed)
+    m, resolution = GeneratorSequence.parse(args.m), args.N
     if args.validate:
-        f = _read_function(Path(args.validate))
-        if not isinstance(f, GridFunction):
-            raise ValueError("atom validation expects a grid-function file")
+        f = _read_function(Path(args.validate), read_grid_csv, read_grid_binary)
         atom = validate_atom(f, args.p, args.rank, args.base)
         print(f"valid p-atom: support rank {atom.support_rank}, p = {atom.p}")
         return 0
@@ -230,15 +204,14 @@ def _cmd_atom(args) -> int:
     outdir = _outdir(args)
     path = outdir / f"atom_p{args.p:g}_rank{args.rank}.csv"
     with path.open("w") as fh:
-        fh.write(config.header())
+        fh.write(_config_line(args, m))
         write_grid_csv(fh, atom.values)
     print(f"random p-atom written to {path} (validated)")
     return 0
 
 
 def _cmd_counterexample(args) -> int:
-    m, resolution = _parse_common(args)
-    config = RunConfig("counterexample", m.format(), resolution, p=args.p, seed=args.seed)
+    m, resolution = GeneratorSequence.parse(args.m), args.N
     alphas = _parse_list(args.alphas, int) or default_alphas(m, resolution)
     lambdas = _parse_list(args.lambdas, float)
     phi = _parse_phi(args.phi)
@@ -250,7 +223,7 @@ def _cmd_counterexample(args) -> int:
     stem = f"counterexample_p{args.p:g}_N{resolution}"
     (outdir / f"{stem}.json").write_text(spec.to_json() + "\n")
     with (outdir / f"{stem}_coefficients.csv").open("w") as fh:
-        fh.write(config.header() + "j,re,im\n")
+        fh.write(_config_line(args, m) + "j,re,im\n")
         write_csv_rows(fh, profile)
     with (outdir / f"{stem}_realized.bin").open("wb") as fh:
         write_grid_binary(fh, spec.realized)
@@ -286,10 +259,9 @@ SCAN_VARIANTS = {"divergence": "Mn_plus_1", "boundedness": "Mn", "modulus_conver
 
 
 def _cmd_scan(args) -> int:
-    m, resolution = _parse_common(args)
+    m, resolution = GeneratorSequence.parse(args.m), args.N
     if args.name not in SCAN_REGISTRY:
         raise ValueError(f"unknown scan {args.name!r}; available: {', '.join(sorted(SCAN_REGISTRY))}")
-    config = RunConfig(f"scan:{args.name}", m.format(), resolution, p=args.p, seed=args.seed)
     flags = dict(
         vars(args),
         m=m,
@@ -308,7 +280,7 @@ def _cmd_scan(args) -> int:
     stem = f"scan_{args.name}_m{_file_tag(m)}_N{resolution}"
     (outdir / f"{stem}.json").write_text(result.to_json() + "\n")
     with (outdir / f"{stem}.csv").open("w") as fh:
-        fh.write(config.header() + result.to_csv())
+        fh.write(_config_line(args, m) + result.to_csv())
     if args.svg:
         (outdir / f"{stem}.svg").write_text(result.to_svg())
     print(f"scan {args.name}: verdict {result.verdict}; constants {result.constants}")

@@ -138,10 +138,6 @@ class MartingaleSpec:
         return tuple(idx.value for idx in self.indices)
 
     @property
-    def max_radix(self) -> int:
-        return self.generators.max_radix
-
-    @property
     def coefficient_budget(self) -> float:
         """sum |lambda_k|^p over the realized atoms."""
         return float(sum(abs(l) ** self.p for l in self.lambdas))

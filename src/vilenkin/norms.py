@@ -17,6 +17,7 @@ from .transform import (
     coarse_sums,
     conditional_expectation,
     dirichlet_closed,
+    dirichlet_kernel_blocks,
     forward,
     partial_sum,
 )
@@ -109,8 +110,6 @@ def lebesgue_constant(
 
 def _lebesgue_values(m: GeneratorSequence, resolution: int, limit: int | None) -> np.ndarray:
     """Exact L_n for 1 <= n < limit (default M_N), from one blocked kernel pass."""
-    from .transform import dirichlet_kernel_blocks
-
     size = m.size(resolution)
     stop = size if limit is None else limit
     if not 2 <= stop <= size + 1:

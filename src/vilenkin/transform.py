@@ -77,9 +77,6 @@ class GridFunction:
     def integral(self) -> complex:
         return complex(self.values.mean())
 
-    def copy(self) -> "GridFunction":
-        return GridFunction(self.generators, self.resolution, self.values.copy())
-
     def _like(self, values: np.ndarray) -> "GridFunction":
         return GridFunction(self.generators, self.resolution, values)
 
@@ -417,6 +414,8 @@ def cumulative_rows(
         if w.shape != (size,):
             raise ValueError(f"weight vector has length {w.shape}, expected M_N = {size}")
     # The low-digit table holds psi_0 .. psi_{M_b - 1}, M_b closest to sqrt(M_N).
+    # It grows like M_N^1.5, but at the 2^14 scan cap its 32 MiB is still
+    # below the 64 MiB of one 256-row block.
     bases = m.scaled_bases(resolution)
     b = min(range(resolution + 1), key=lambda k: abs(bases[k] - math.sqrt(size)))
     low = bases[b]

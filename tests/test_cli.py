@@ -17,6 +17,7 @@ from vilenkin.transform import (
     dirichlet_closed,
     forward,
     grid_function,
+    inverse,
     read_grid_binary,
     read_grid_csv,
     read_spectral_binary,
@@ -136,6 +137,32 @@ class TestTransformCommand:
         _single_error_line(capsys)
         assert not (tmp_path / "o.csv").exists()
 
+    def test_inverse_reads_a_commented_spectral_csv(self, tmp_path):
+        # the spectral reader skips comment lines ahead of its header, so the
+        # command does too
+        rng = np.random.default_rng(4)
+        buf = io.StringIO()
+        write_spectral_csv(buf, forward(grid_function(WALSH, 4, rng.standard_normal(16))))
+        src, out = tmp_path / "fhat.csv", tmp_path / "back.csv"
+        src.write_text("# a note\n" + buf.getvalue())
+        assert run(["transform", "--op", "inverse", "--input", src, "--output", out]) == 0
+        with src.open() as fh:
+            expected = io.StringIO()
+            write_grid_csv(expected, inverse(read_spectral_csv(fh)))
+        assert out.read_text() == expected.getvalue()
+
+    def test_forward_reads_a_grid_csv_under_a_spectral_comment(self, tmp_path):
+        # a comment that names the other kind does not decide the kind
+        rng = np.random.default_rng(5)
+        buf = io.StringIO()
+        write_grid_csv(buf, grid_function(WALSH, 4, rng.standard_normal(16)))
+        src, out = tmp_path / "f.csv", tmp_path / "fhat.csv"
+        src.write_text("# spectral data follows after the transform\n" + buf.getvalue())
+        assert run(["transform", "--op", "forward", "--input", src, "--output", out]) == 0
+        with src.open() as fh:
+            expected = io.StringIO()
+            write_spectral_csv(expected, forward(read_grid_csv(fh)))
+        assert out.read_text() == expected.getvalue()
 
     @pytest.mark.parametrize("flag", [["--m", "2^"], ["--N", 4], ["--seed", 1]], ids=lambda flag: flag[0])
     def test_grid_flags_refused(self, tmp_path, flag):
@@ -163,6 +190,16 @@ class TestAtomCommand:
         assert run([*argv, "--out", tmp_path]) == 0
         assert run([*argv, "--validate", tmp_path / "atom_p0.5_rank2.csv"]) == 0
         assert "valid p-atom" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("suffix", [".csv", ".bin"])
+    def test_validate_refuses_a_spectral_file(self, tmp_path, capsys, suffix):
+        sv = forward(grid_function(WALSH, 3, [1.0, -1.0, 0, 0, 0, 0, 0, 0]))
+        src = tmp_path / f"fhat{suffix}"
+        with src.open("wb" if suffix == ".bin" else "w") as fh:
+            (write_spectral_binary if suffix == ".bin" else write_spectral_csv)(fh, sv)
+        argv = ["atom", "--m", "2^", "--p", 0.5, "--rank", 0, "--N", 3, "--validate", src]
+        assert run(argv) == 2
+        assert "grid" in _single_error_line(capsys)
 
 
 class TestCounterexampleCommand:

