@@ -65,7 +65,6 @@ from .martingale import (
 )
 from .experiments import (
     ScenarioResult,
-    Thresholds,
     atom_ratio_scan,
     boundedness_scan,
     dirichlet_floor_scan,

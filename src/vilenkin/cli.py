@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import functools
 import inspect
-import os
 import sys
 from pathlib import Path
 
@@ -72,17 +71,17 @@ from .transform import (
     write_spectral_csv,
 )
 
-ENV_OUTDIR = "VILENKIN_OUTDIR"
+# Parsed values that leave a file's bytes alone, or that ``command=`` names.
+_UNRECORDED = {"command", "name", "out", "config", "func"}
 
 
 def _config_line(args, m: GeneratorSequence) -> str:
-    """The first line of every file a command writes: the flags that regenerate it."""
+    """The first line of every file a command writes: each parsed flag not at
+    None as ``dest=value`` in parser order, so it reads back as ``--config``."""
     command = f"scan:{args.name}" if args.command == "scan" else args.command
-    pairs = [f"command={command}", f"m={m.format()}", f"N={args.N}"]
-    if "p" in args:  # the commands built with need_p
-        pairs.append(f"p={args.p:.12g}")
-    pairs.extend([f"seed={args.seed}", f"version={__version__}"])
-    return f"# vilenkin-config: {' '.join(pairs)}\n"
+    flags = [(k, v) for k, v in dict(vars(args), m=m.format()).items() if k not in _UNRECORDED and v is not None]
+    pairs = [f"{k}={str(v).lower() if isinstance(v, bool) else v}" for k, v in flags]
+    return f"# vilenkin-config: {' '.join([f'command={command}', *pairs, f'version={__version__}'])}\n"
 
 
 def _load_config_file(path: str) -> dict[str, str]:
@@ -99,9 +98,8 @@ def _load_config_file(path: str) -> dict[str, str]:
 
 
 def _outdir(args) -> Path:
-    """``--out``, else ``$VILENKIN_OUTDIR``, else the working directory."""
-    out = getattr(args, "out", None) or os.environ.get(ENV_OUTDIR) or "."
-    path = Path(out)
+    """``--out``, else the working directory."""
+    path = Path(args.out or ".")
     path.mkdir(parents=True, exist_ok=True)
     return path
 
@@ -252,8 +250,7 @@ def _parse_phi(text: str | None):
 
 
 # Scan keywords whose flag has another name, and the --variant a scan gets
-# when none is given.  Every other keyword reads the flag of its own name; a
-# keyword with no flag (thresholds, support_ranks) keeps the scan's default.
+# when none is given.  Every other keyword reads the flag of its own name.
 SCAN_FLAGS = {"resolution": "N", "n_rule": "variant", "n_limit": "limit", "support_rank": "rank"}
 SCAN_VARIANTS = {"divergence": "Mn_plus_1", "boundedness": "Mn", "modulus_convergence": "default"}
 
@@ -273,8 +270,7 @@ def _cmd_scan(args) -> int:
     # inspect.signature follows __wrapped__, so a functools.wraps wrapper in
     # the registry still shows the scan's own keywords.
     params = inspect.signature(SCAN_REGISTRY[args.name]).parameters
-    flag_of = {key: SCAN_FLAGS.get(key, key) for key in params}
-    result = SCAN_REGISTRY[args.name](**{key: flags[flag] for key, flag in flag_of.items() if flag in flags})
+    result = SCAN_REGISTRY[args.name](**{key: flags[SCAN_FLAGS.get(key, key)] for key in params})
 
     outdir = _outdir(args)
     stem = f"scan_{args.name}_m{_file_tag(m)}_N{resolution}"
@@ -426,8 +422,7 @@ def _cmd_selftest(args) -> int:
 def _add_common(sub, need_p=False):
     sub.add_argument("--m", default="2^", help="generator sequence, e.g. 2^ or 2,3,4 or 2,3^")
     sub.add_argument("--N", type=int, default=8, help="resolution (grid has M_N cosets)")
-    sub.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    sub.add_argument("--out", default=None, help=f"output directory (default ${ENV_OUTDIR}, else .)")
+    sub.add_argument("--out", default=None, help="output directory (default .)")
     sub.add_argument("--config", default=None, help="key=value config file with flag defaults")
     if need_p:
         sub.add_argument("--p", type=float, default=0.5)
@@ -469,6 +464,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
 
     s = commands["atom"] = subs.add_parser("atom", allow_abbrev=False, help="generate or validate a p-atom")
     _add_common(s, need_p=True)
+    s.add_argument("--seed", type=int, default=DEFAULT_SEED)  # only atom and scan draw random numbers
     s.add_argument("--rank", type=int, default=2, help="support coset rank")
     s.add_argument("--base", type=int, default=0, help="support coset base index")
     s.add_argument("--validate", default=None, help="grid file to validate instead of generating")
@@ -486,6 +482,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
 
     s = commands["scan"] = subs.add_parser("scan", allow_abbrev=False, help="run a scenario scan by name")
     _add_common(s, need_p=True)
+    s.add_argument("--seed", type=int, default=DEFAULT_SEED)
     s.add_argument("--name", required=True, help=", ".join(sorted(SCAN_REGISTRY)))
     s.add_argument("--variant", default=None)
     s.add_argument("--f-rule", dest="f_rule", default="unit_kernel")

@@ -2,9 +2,9 @@
 exact finite-resolution computation.
 
 Every scan is deterministic: given the same seed and parameter grid it
-produces byte-identical results.  Verdicts use configurable desk-scale
-thresholds; a "growing" verdict always ships its full trace and a
-"bounded" verdict ships the ratios it compared.
+produces byte-identical results.  Verdicts use the desk-scale cut-offs
+below; a "growing" verdict always ships its full trace and a "bounded"
+verdict ships the ratios it compared.
 """
 
 from __future__ import annotations
@@ -43,17 +43,14 @@ DEFAULT_SEED = 1729
 # Scans refuse grids above this size by default (seconds-to-minutes budget).
 SCAN_SIZE_CAP = 1 << 14
 
-
-@dataclass(frozen=True)
-class Thresholds:
-    """Desk-scale verdict configuration; these are policy, not math."""
-
-    min_run: int = 4  # consecutive increasing trace points for "growing"
-    min_growth: float = 4.0  # total growth over that run
-    bounded_cap: float = 4.0  # max admissible ratio for "bounded"
-    decay_factor: float = 4.0  # required total decay for a vanishing error trace
-    error_floor: float = 0.05  # weak-error floor certifying non-convergence
-    rate_band: float = 16.0  # max/min band for modulus-rate ratios
+# Desk-scale verdict cut-offs; these are policy, not math.
+MIN_RUN = 4  # consecutive increasing trace points for "growing"
+MIN_GROWTH = 4.0  # total growth over that run
+BOUNDED_CAP = 4.0  # max admissible ratio for "bounded"
+DECAY_FACTOR = 4.0  # required total decay for a vanishing error trace
+ERROR_FLOOR = 0.05  # weak-error floor certifying non-convergence
+RATE_BAND = 16.0  # max/min band for modulus-rate ratios
+SUPPORT_RANKS = (1, 2, 3)  # the coset ranks atom_ratio_scan draws its atoms on
 
 
 @dataclass
@@ -177,9 +174,9 @@ def _increasing_suffix(trace: list[float]) -> tuple[int, float]:
     return run, growth
 
 
-def partial_sum_rows(f: GridFunction, block: int = 256):
+def partial_sum_rows(f: GridFunction):
     """Yield (n0, PS) with PS[i] = S_{n0+i+1} f (see transform.cumulative_rows)."""
-    yield from cumulative_rows(f.generators, f.resolution, f.size, forward(f).coeffs, block)
+    yield from cumulative_rows(f.generators, f.resolution, f.size, forward(f).coeffs)
 
 
 # ---------------------------------------------------------------------------
@@ -193,7 +190,6 @@ def atom_ratio_scan(
     resolution: int,
     trials: int = 200,
     seed: int = DEFAULT_SEED,
-    support_ranks: tuple[int, ...] = (1, 2, 3),
 ) -> ScenarioResult:
     """Normalized partial-sum ratios over random p-atoms.
 
@@ -206,6 +202,8 @@ def atom_ratio_scan(
     """
     if not 0 < p < 1:
         raise ValueError("atom scan needs 0 < p < 1")
+    if trials < 1:
+        raise ValueError(f"atom scan needs at least one trial, not {trials}")
     size = _check_scan_size(m, resolution)
     rng = np.random.default_rng(seed)
     bases = m.scaled_bases(resolution)
@@ -216,7 +214,7 @@ def atom_ratio_scan(
     points = []
     global_max = 0.0
     for trial in range(trials):
-        rank = int(support_ranks[int(rng.integers(0, len(support_ranks)))])
+        rank = SUPPORT_RANKS[int(rng.integers(0, len(SUPPORT_RANKS)))]
         atom = random_atom(m, p, rank, resolution, rng)
         f = atom.values
         levels = np.abs(coarse_sums(f))
@@ -247,7 +245,7 @@ def atom_ratio_scan(
             "N": resolution,
             "trials": trials,
             "seed": seed,
-            "support_ranks": list(support_ranks),
+            "support_ranks": list(SUPPORT_RANKS),
         },
         points=points,
         constants={"max_ratio": global_max},
@@ -283,7 +281,6 @@ def divergence_scan(
     alphas=None,
     rule: str = "balanced",
     lambdas=None,
-    thresholds: Thresholds = Thresholds(),
 ) -> ScenarioResult:
     """Weak-quasi-norm trace of S_{a_k} f / Phi_{a_k} along the subsequence.
 
@@ -338,7 +335,7 @@ def divergence_scan(
             }
         )
     run, growth = _increasing_suffix(trace)
-    verdict = "growing" if run >= thresholds.min_run and growth >= thresholds.min_growth else "bounded"
+    verdict = "growing" if run >= MIN_RUN and growth >= MIN_GROWTH else "bounded"
     return ScenarioResult(
         scenario="divergence",
         params={
@@ -349,8 +346,8 @@ def divergence_scan(
             "rule": rule,
             "phi": list(phi) if phi else None,
             "alphas": list(spec.alphas),
-            "min_run": thresholds.min_run,
-            "min_growth": thresholds.min_growth,
+            "min_run": MIN_RUN,
+            "min_growth": MIN_GROWTH,
         },
         points=points,
         constants={
@@ -385,6 +382,8 @@ def _function_pool(
 ) -> list[tuple[str, GridFunction]]:
     """``trials`` seeded random complex functions, then the balanced
     counterexample martingale: the pool every many-function scan ranges over."""
+    if trials < 0:
+        raise ValueError(f"trial count {trials} is negative")
     size = m.size(resolution)
     rng = np.random.default_rng(seed)
     pool = []
@@ -405,13 +404,12 @@ def boundedness_scan(
     resolution: int,
     trials: int = 50,
     seed: int = DEFAULT_SEED,
-    thresholds: Thresholds = Thresholds(),
 ) -> ScenarioResult:
     """Hardy-norm ratios ||S_{n_k} f||_{H_p} / ||f||_{H_p} along a
     bounded-spread index family, over random functions and the
     counterexample martingale."""
-    if not 0 < p <= 1:
-        raise ValueError("boundedness scan needs 0 < p <= 1")
+    if not 0 < p < 1:
+        raise ValueError("boundedness scan needs 0 < p < 1")
     _check_scan_size(m, resolution)
     indices = _bounded_indices(variant, m, resolution)
     # One spectrum and one H_p norm per function; every S_n f truncates the spectrum.
@@ -436,7 +434,7 @@ def boundedness_scan(
         per_index.append(
             {"n": n, "rho": decompose(n, m).rho, "max_ratio": worst, "martingale_ratio": martingale_ratio}
         )
-    verdict = "bounded" if max_ratio <= thresholds.bounded_cap else "violated"
+    verdict = "bounded" if max_ratio <= BOUNDED_CAP else "violated"
     return ScenarioResult(
         scenario="boundedness",
         params={
@@ -490,10 +488,9 @@ def weighted_series_scan(
     resolution: int,
     trials: int = 50,
     seed: int = DEFAULT_SEED,
-    thresholds: Thresholds = Thresholds(),
 ) -> ScenarioResult:
     """Weighted-series ratios over random functions plus the counterexample
-    martingale; bounded iff no ratio escapes the configured cap times the
+    martingale; bounded iff no ratio escapes BOUNDED_CAP times the
     pool median (the series constant is never pinned, only its stability)."""
     if not 0 < p < 1:
         raise ValueError("the weighted series needs 0 < p < 1")
@@ -504,7 +501,7 @@ def weighted_series_scan(
         points.append({"label": label, "total": report.total, "ratio": report.ratio})
     ratios = [pt["ratio"] for pt in points]
     median = float(np.median(ratios))
-    verdict = "bounded" if max(ratios) <= thresholds.bounded_cap * median else "violated"
+    verdict = "bounded" if max(ratios) <= BOUNDED_CAP * median else "violated"
     return ScenarioResult(
         scenario="weighted_series",
         params={"p": p, "m": m.format(), "N": resolution, "trials": trials, "seed": seed},
@@ -541,7 +538,6 @@ def modulus_convergence_scan(
     n_rule: str,
     m: GeneratorSequence,
     resolution: int,
-    thresholds: Thresholds = Thresholds(),
 ) -> ScenarioResult:
     """Modulus decay versus partial-sum error along the alpha subsequence.
 
@@ -606,11 +602,11 @@ def modulus_convergence_scan(
 
     if f_rule == "fast_decay":
         decaying = all(b < a for a, b in zip(err_hp_trace, err_hp_trace[1:]))
-        enough = err_hp_trace[-1] <= err_hp_trace[0] / thresholds.decay_factor
+        enough = err_hp_trace[-1] <= err_hp_trace[0] / DECAY_FACTOR
         verdict = "bounded" if decaying and enough else "violated"
     else:
-        band_ok = max(rate_ratios) <= thresholds.rate_band * min(rate_ratios)
-        floor_ok = min(err_weak_trace) >= thresholds.error_floor
+        band_ok = max(rate_ratios) <= RATE_BAND * min(rate_ratios)
+        floor_ok = min(err_weak_trace) >= ERROR_FLOOR
         verdict = "growing" if band_ok and floor_ok else "violated"
 
     return ScenarioResult(

@@ -26,6 +26,11 @@ ATOM_MEAN_TOL = 1e-9
 ATOM_BOUND_TOL = 1e-9
 
 
+def _check_atom_exponent(p: float) -> None:
+    if not 0 < p <= 1:
+        raise ValueError(f"atom exponent p = {p} must lie in (0, 1]")
+
+
 class AtomViolationError(ValueError):
     """Raised by the validator; ``failures`` names the broken conditions."""
 
@@ -47,8 +52,7 @@ def validate_atom(
     a: GridFunction, p: float, support_rank: int, base_index: int = 0
 ) -> PAtom:
     """Check the three atom conditions on I = I_rank(x0); raise naming failures."""
-    if not 0 < p <= 1:
-        raise ValueError(f"atom exponent p = {p} must lie in (0, 1]")
+    _check_atom_exponent(p)
     mask = coset_mask(a.generators, a.resolution, support_rank, base_index)
     m_rank = a.generators.base(support_rank)
     failures = []
@@ -84,6 +88,7 @@ def random_atom(
 ) -> PAtom:
     """Uniform values on the support coset's cells, mean-subtracted, then
     scaled to 90% of the sup bound (keeps the validator away from its edge)."""
+    _check_atom_exponent(p)
     if support_rank >= resolution:
         raise ValueError("support rank must be below the resolution")
     mask = coset_mask(m, resolution, support_rank, base_index)
@@ -181,18 +186,20 @@ def default_alphas(m: GeneratorSequence, resolution: int) -> list[int]:
 def phi_value(phi: tuple | None, idx: VIndex) -> float:
     """Evaluate a closed-form Phi tag at index n.
 
-    Tags: ("constant", c), ("log",) -> 1 + ln M_{|n|}, ("power", t) -> M_{|n|}^t.
+    Tags: ("constant", c), ("log",) -> 1 + ln M_{|n|}, ("power", t) -> M_{|n|}^t;
+    a value that is not positive and finite is refused.
     """
     if phi is None:
         return 1.0
     tag = phi[0]
-    if tag == "constant":
-        return float(phi[1])
     if tag == "log":
         return 1.0 + float(np.log(idx.m_top))
-    if tag == "power":
-        return float(idx.m_top ** float(phi[1]))
-    raise ValueError(f"unknown phi tag {phi!r}")
+    if tag not in ("constant", "power"):
+        raise ValueError(f"unknown phi tag {phi!r}")
+    value = float(phi[1]) if tag == "constant" else float(idx.m_top ** float(phi[1]))
+    if not 0 < value < np.inf:
+        raise ValueError(f"Phi {phi!r} is {value} at n = {idx.value}; it must be positive and finite")
+    return value
 
 
 def spread_rate(idx: VIndex, p: float) -> float:
@@ -253,6 +260,7 @@ def build_counterexample(
         lambda_k = lambda * (M_<a_k>/M_|a_k|)^(1/p-1).
       - "explicit": coefficients supplied by the caller.
     """
+    _check_atom_exponent(p)
     stats = [a if isinstance(a, VIndex) else decompose(int(a), m) for a in alphas]
     if any(u.value <= t.value for t, u in zip(stats, stats[1:])):
         raise ValueError("alpha sequence must be strictly increasing")
@@ -282,8 +290,8 @@ def build_counterexample(
             )
         lam_list = [m.max_radix / spread_rate(idx, p) for idx in stats]
     elif rule == "explicit":
-        if lambdas is None or len(lambdas) != len(stats):
-            raise ValueError("explicit rule needs one lambda per alpha")
+        if lambdas is None or len(lambdas) != len(stats) or not np.isfinite(lambdas).all():
+            raise ValueError(f"explicit rule needs one finite lambda per alpha, not {lambdas}")
         lam_list = [float(l) for l in lambdas]
     else:
         raise ValueError(f"unknown lambda rule {rule!r}")

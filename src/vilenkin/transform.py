@@ -447,11 +447,9 @@ def cumulative_rows(
         yield lo, rows
 
 
-def dirichlet_kernel_blocks(
-    m: GeneratorSequence, resolution: int, limit: int, block: int = 256
-):
+def dirichlet_kernel_blocks(m: GeneratorSequence, resolution: int, limit: int):
     """Yield (n0, K) with K[i] = D_{n0+i+1} for n0+i < limit (see cumulative_rows)."""
-    yield from cumulative_rows(m, resolution, limit, block=block)
+    yield from cumulative_rows(m, resolution, limit)
 
 
 def partial_sum(f: GridFunction | SpectralVector, n: int) -> GridFunction:

@@ -12,7 +12,6 @@ import pytest
 from vilenkin.group import GeneratorSequence, WALSH, decompose
 from vilenkin.experiments import (
     DEFAULT_SEED,
-    Thresholds,
     atom_ratio_scan,
     boundedness_scan,
     dirichlet_floor_scan,
@@ -191,7 +190,6 @@ def test_criterion_6_divergence():
         14,
         rule="explicit",
         lambdas=[1.0] * len(alphas),
-        thresholds=Thresholds(min_run=4, min_growth=4.0),
     )
     proof_rule = divergence_scan(0.5, "general", WALSH, 14, rule="balanced")
     run = result.constants["increasing_run"]

@@ -1,4 +1,5 @@
 import contextlib
+import inspect
 import io
 import json
 import struct
@@ -292,6 +293,13 @@ class TestScanCommand:
         (written,) = tmp_path.glob("scan_*.json")
         assert written.read_text() == call().to_json() + "\n"
 
+    def test_every_scan_keyword_reads_a_flag(self):
+        _, commands = cli.build_parser()
+        dests = {action.dest for action in commands["scan"]._actions}
+        for name, scan in experiments.SCAN_REGISTRY.items():
+            for key in inspect.signature(scan).parameters:
+                assert cli.SCAN_FLAGS.get(key, key) in dests, (name, key)
+
 
 class TestConfigPlumbing:
     def test_config_file_defaults(self, tmp_path, capsys):
@@ -363,22 +371,53 @@ class TestConfigPlumbing:
         assert "'svg'" in _single_error_line(capsys)
         assert not list(tmp_path.glob("scan_*"))
 
-    def test_outdir_env_override(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("VILENKIN_OUTDIR", str(tmp_path / "envdir"))
-        assert run(["dirichlet", "--m", "2^", "--n", 2, "--N", 3]) == 0
-        assert (tmp_path / "envdir" / "dirichlet_m2c_n2.csv").exists()
-
-    def test_out_flag_beats_outdir_env(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("VILENKIN_OUTDIR", str(tmp_path / "envdir"))
-        assert run(["scan", "--name", "supp_measure", "--N", 3, "--out", tmp_path / "flagdir"]) == 0
-        assert sorted(p.name for p in (tmp_path / "flagdir").iterdir()) == [
-            "scan_supp_measure_m2c_N3.csv", "scan_supp_measure_m2c_N3.json"]
-        assert not (tmp_path / "envdir").exists()
+    @pytest.mark.parametrize("argv", [["dirichlet", "--n", 3], ["lebesgue"], ["counterexample"]],
+                             ids=lambda argv: argv[0])
+    def test_seed_refused_where_nothing_is_drawn(self, tmp_path, argv):
+        with pytest.raises(SystemExit) as err:
+            run([*argv, "--N", 4, "--seed", 1, "--out", tmp_path])
+        assert err.value.code == 2
+        assert not list(tmp_path.iterdir())
 
     def test_usage_error_exit_code(self):
         with pytest.raises(SystemExit) as err:
             run(["dirichlet", "--m", "2^", "--N", 4])  # missing --n
         assert err.value.code == 2
+
+
+class TestConfigLine:
+    """The config line at the top of a written file, read back as a --config
+    file beside only the required flags, regenerates every file byte for byte."""
+
+    CASES = [
+        pytest.param(["dirichlet", "--n", 37, "--m", "2,3^", "--N", 5], ["dirichlet", "--n", 37], id="dirichlet"),
+        pytest.param(["lebesgue", "--m", "3^", "--N", 4, "--limit", 10, "--convention", "from0"], ["lebesgue"],
+                     id="lebesgue"),
+        pytest.param(["atom", "--m", "2,3,4^", "--N", 5, "--p", 0.6, "--seed", 7, "--base", 1], ["atom"], id="atom"),
+        pytest.param(["counterexample", "--N", 10, "--p", 2 / 3], ["counterexample"], id="counterexample"),
+        pytest.param(["scan", "--name", "modulus_convergence", "--N", 8, "--f-rule", "fast_decay",
+                      "--variant", "Mn_plus_1", "--svg"], ["scan", "--name", "modulus_convergence"], id="scan"),
+    ]
+
+    @pytest.mark.parametrize("argv, required", CASES)
+    def test_round_trip(self, tmp_path, argv, required):
+        first, again = tmp_path / "first", tmp_path / "again"
+        assert run([*argv, "--out", first]) == 0
+        head = min(first.glob("*.csv")).read_text().splitlines()[0]
+        assert head.startswith("# vilenkin-config: ")
+        pairs = dict(pair.split("=", 1) for pair in head.split()[2:])
+        assert pairs.pop("command") == (f"scan:{argv[2]}" if argv[0] == "scan" else argv[0])
+        assert pairs.pop("version") == cli.__version__
+        # every flag given on the command line is recorded
+        given = {str(flag)[2:].replace("-", "_") for flag in argv if str(flag).startswith("--")}
+        assert given - {"name"} <= set(pairs)
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("".join(f"{key}={value}\n" for key, value in pairs.items()))
+        assert run([*required, "--config", cfg, "--out", again]) == 0
+        names = sorted(path.name for path in first.iterdir())
+        assert names == sorted(path.name for path in again.iterdir())
+        for name in names:
+            assert (first / name).read_bytes() == (again / name).read_bytes(), name
 
 
 class TestSelftest:
@@ -471,7 +510,6 @@ class TestInputErrors:
     def test_flag_prefix_is_refused(self, tmp_path, capsys, monkeypatch, argv):
         # --out is not read as --output, nor --lim as --limit
         monkeypatch.chdir(tmp_path)
-        monkeypatch.setenv("VILENKIN_OUTDIR", str(tmp_path))
         (tmp_path / "f.csv").write_text(self.CSV_HEAD + "0,1,0\n1,1,0\n2,1,0\n3,1,0\n")
         with pytest.raises(SystemExit) as err:
             run(argv)
@@ -479,6 +517,27 @@ class TestInputErrors:
         lines = capsys.readouterr().err.strip().splitlines()
         assert len([line for line in lines if "error:" in line]) == 1, lines
         assert sorted(p.name for p in tmp_path.iterdir()) == ["f.csv"]
+
+    # Values each refused where it enters, before any file is written.
+    BAD_VALUES = {
+        "atom-p-zero": (["atom", "--p", 0, "--N", 4], "atom exponent p = 0.0"),
+        "counterexample-p-zero": (["counterexample", "--p", 0, "--N", 6], "atom exponent p = 0.0"),
+        "divergence-phi-zero": (["scan", "--name", "divergence", "--N", 8, "--phi", "constant:0"], "positive"),
+        "counterexample-phi-nan": (["counterexample", "--N", 6, "--phi", "power:nan"], "finite"),
+        "explicit-lambda-nan": (["counterexample", "--N", 6, "--alphas", "3,5", "--rule", "explicit",
+                                 "--lambdas", "nan,1"], "finite lambda per alpha"),
+        "atom-ratio-trials-negative": (["scan", "--name", "atom_ratio", "--trials", -1], "trial"),
+        "atom-ratio-trials-zero": (["scan", "--name", "atom_ratio", "--trials", 0], "trial"),
+        "boundedness-trials-negative": (["scan", "--name", "boundedness", "--trials", -3], "trial"),
+        "boundedness-p-one": (["scan", "--name", "boundedness", "--p", 1, "--N", 3], "0 < p < 1"),
+    }
+
+    @pytest.mark.parametrize("case", sorted(BAD_VALUES))
+    def test_bad_value_is_usage_error(self, tmp_path, capsys, case):
+        argv, reason = self.BAD_VALUES[case]
+        assert run([*argv, "--out", tmp_path]) == 2
+        assert reason in _single_error_line(capsys)
+        assert not list(tmp_path.iterdir())
 
     @pytest.mark.parametrize("extra", [["--rank", 6], ["--rank", -1], ["--limit", 0], ["--limit", 17]],
                              ids=["rank-above-N", "rank-negative", "limit-zero", "limit-above-MN"])

@@ -10,7 +10,8 @@ from hypothesis import strategies as st
 import vilenkin.experiments as experiments
 from vilenkin.group import GeneratorSequence, WALSH
 from vilenkin.experiments import (
-    Thresholds,
+    MIN_GROWTH,
+    MIN_RUN,
     atom_ratio_scan,
     boundedness_scan,
     dirichlet_floor_scan,
@@ -38,12 +39,13 @@ def random_grid(m, resolution, seed=0):
 
 class TestPartialSumRows:
     def test_rows_match_partial_sum(self):
-        f = random_grid(ALTERNATING, 4, seed=5)
+        # 432 rows: the prefix carries over from the first 256-row block
+        f = random_grid(ALTERNATING, 7, seed=5)
         seen = {}
-        for lo, ps in partial_sum_rows(f, block=7):
+        for lo, ps in partial_sum_rows(f):
             for i in range(ps.shape[0]):
                 seen[lo + i + 1] = ps[i]
-        for n in (1, 5, 17, f.size):
+        for n in (1, 5, 17, 256, 257, f.size):
             assert np.abs(seen[n] - partial_sum(f, n).values).max() < 1e-9
 
 
@@ -73,6 +75,8 @@ class TestAtomRatioScan:
     def test_p_range_checked(self):
         with pytest.raises(ValueError):
             atom_ratio_scan(1.0, WALSH, 6)
+        with pytest.raises(ValueError, match="at least one trial"):
+            atom_ratio_scan(0.5, WALSH, 6, trials=0)  # the atoms are its only evidence
 
 
 class TestDivergenceScan:
@@ -426,7 +430,11 @@ class TestResultPlumbing:
         svg = result.to_svg()
         assert svg.startswith("<svg") and "polyline" in svg
 
-    def test_thresholds_are_configuration(self):
-        strict = Thresholds(min_run=20, min_growth=1e6)
-        result = divergence_scan(0.5, "Mn_plus_1", WALSH, 10, thresholds=strict)
-        assert result.verdict == "bounded"  # same trace, stricter policy
+    @pytest.mark.parametrize("variant, resolution", [("Mn_plus_1", 6), ("general", 10), ("Mn_plus_1", 10)],
+                             ids=["growth-short", "run-short", "growing"])
+    def test_divergence_verdict_reads_the_recorded_run(self, variant, resolution):
+        result = divergence_scan(0.5, variant, WALSH, resolution)
+        params, c = result.params, result.constants
+        assert (params["min_run"], params["min_growth"]) == (MIN_RUN, MIN_GROWTH)
+        growing = c["increasing_run"] >= params["min_run"] and c["run_growth"] >= params["min_growth"]
+        assert result.verdict == ("growing" if growing else "bounded")

@@ -67,6 +67,11 @@ class TestValidateAtom:
     def test_p_out_of_range(self):
         with pytest.raises(ValueError):
             validate_atom(constant(WALSH, 3), 1.5, 0)
+        # the atom builders check p on entry, with the validator's message
+        with pytest.raises(ValueError, match=r"p = 0.0 must lie in \(0, 1\]"):
+            random_atom(WALSH, 0.0, 2, 5, np.random.default_rng(0))
+        with pytest.raises(ValueError, match=r"p = 0.0 must lie in \(0, 1\]"):
+            build_counterexample(WALSH, 0.0, [3, 5], resolution=6)
 
     def test_random_atom_respects_base_point(self):
         rng = np.random.default_rng(0)
@@ -156,6 +161,8 @@ class TestBuildCounterexample:
     def test_explicit_needs_matching_lambdas(self):
         with pytest.raises(ValueError):
             build_counterexample(WALSH, 0.5, [3, 5], rule="explicit", lambdas=[1.0], resolution=6)
+        with pytest.raises(ValueError, match="finite"):
+            build_counterexample(WALSH, 0.5, [3, 5], rule="explicit", lambdas=[np.inf, 1.0], resolution=6)
 
     def test_non_increasing_alphas_rejected(self):
         with pytest.raises(ValueError):
@@ -298,3 +305,8 @@ class TestPhi:
     def test_unknown_tag(self):
         with pytest.raises(ValueError):
             phi_value(("mystery",), decompose(3, WALSH))
+
+    @pytest.mark.parametrize("phi", [("constant", -1.0), ("constant", np.inf), ("power", np.nan)])
+    def test_value_must_be_positive_and_finite(self, phi):
+        with pytest.raises(ValueError, match="positive and finite"):
+            phi_value(phi, decompose(5, WALSH))

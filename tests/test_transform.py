@@ -303,11 +303,12 @@ class TestDirichlet:
 
     def test_kernel_blocks_match_direct(self):
         collected = {}
-        for lo, kernels in dirichlet_kernel_blocks(ALTERNATING, 4, 30, block=7):
+        # 300 kernels: the prefix carries over from the first 256-row block
+        for lo, kernels in dirichlet_kernel_blocks(ALTERNATING, 7, 300):
             for i in range(kernels.shape[0]):
                 collected[lo + i + 1] = kernels[i]
-        for n in (1, 2, 7, 19, 30):
-            assert np.abs(collected[n] - dirichlet_direct(ALTERNATING, n, 4).values).max() < 1e-9
+        for n in (1, 2, 7, 19, 30, 256, 257, 300):
+            assert np.abs(collected[n] - dirichlet_direct(ALTERNATING, n, 7).values).max() < 1e-9
 
     def test_out_of_range_rejected(self):
         with pytest.raises(ValueError):
