@@ -25,16 +25,17 @@ from .martingale import (
     random_atom,
     spread_rate,
 )
-from .norms import SUPPORT_THRESHOLD, hardy_norm, modulus_hp, weak_lp
+from .norms import SUPPORT_THRESHOLD, hardy_norm, modulus_hp, running_maxima, weak_lp
 from .transform import (
     GridFunction,
-    coarse_sums,
+    SpectralVector,
     cumulative_rows,
     dirichlet_average,
     dirichlet_closed,
     dirichlet_shells,
     forward,
     grid_function,
+    inverse,
     partial_sum,
 )
 
@@ -204,6 +205,8 @@ def atom_ratio_scan(
         raise ValueError("atom scan needs 0 < p < 1")
     if trials < 1:
         raise ValueError(f"atom scan needs at least one trial, not {trials}")
+    if resolution <= max(SUPPORT_RANKS):
+        raise ValueError(f"atom scan needs N > {max(SUPPORT_RANKS)}, the largest support rank it draws")
     size = _check_scan_size(m, resolution)
     rng = np.random.default_rng(seed)
     bases = m.scaled_bases(resolution)
@@ -217,8 +220,7 @@ def atom_ratio_scan(
         rank = SUPPORT_RANKS[int(rng.integers(0, len(SUPPORT_RANKS)))]
         atom = random_atom(m, p, rank, resolution, rng)
         f = atom.values
-        levels = np.abs(coarse_sums(f))
-        running = np.maximum.accumulate(levels, axis=0)
+        running = np.stack([np.tile(level, size // level.size) for level in running_maxima(f)])
         start = bases[rank]
         best_r, best_n = 0.0, 0
         for lo, ps in partial_sum_rows(f):
@@ -412,24 +414,27 @@ def boundedness_scan(
         raise ValueError("boundedness scan needs 0 < p < 1")
     _check_scan_size(m, resolution)
     indices = _bounded_indices(variant, m, resolution)
-    # One spectrum and one H_p norm per function; every S_n f truncates the spectrum.
-    pool = [
-        (label, forward(f), hardy_norm(f, p))
-        for label, f in _function_pool(p, m, resolution, trials, seed)
-    ]
+    # The pool is one (F, M_N) batch: one H_p norm per row, then for each n
+    # one inverse pass and one norm call over all rows.  A function of norm 0
+    # gives no ratio; the martingale is the pool's last row.
+    pool = [f for _, f in _function_pool(p, m, resolution, trials, seed)]
+    denoms = hardy_norm(GridFunction(m, resolution, np.stack([f.values for f in pool])), p)
+    live = denoms != 0
+    spectra = np.stack([forward(f).coeffs for f, keep in zip(pool, live) if keep])
+    denoms = denoms[live]
+    del pool
+    # Largest n first: truncating the stacked spectra in place keeps every
+    # coefficient a smaller n still needs, so no second buffer is held.
+    ratios = {}
+    for n in sorted(indices, reverse=True):
+        spectra[:, n:] = 0.0
+        ratios[n] = hardy_norm(inverse(SpectralVector(m, resolution, spectra)), p) / denoms
 
     max_ratio = 0.0
     per_index = []
     for n in indices:
-        worst = 0.0
-        martingale_ratio = None
-        for label, spectrum, denom in pool:
-            if denom == 0:
-                continue
-            ratio = hardy_norm(partial_sum(spectrum, n), p) / denom
-            if label == "martingale":
-                martingale_ratio = ratio
-            worst = max(worst, ratio)
+        worst = float(ratios[n].max(initial=0.0))
+        martingale_ratio = float(ratios[n][-1]) if live[-1] else None
         max_ratio = max(max_ratio, worst)
         per_index.append(
             {"n": n, "rho": decompose(n, m).rho, "max_ratio": worst, "martingale_ratio": martingale_ratio}

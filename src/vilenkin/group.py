@@ -348,9 +348,12 @@ def index_sub(i, j, m: GeneratorSequence, resolution: int) -> np.ndarray:
 
 
 def coset_mask(m: GeneratorSequence, resolution: int, rank: int, base_index: int = 0) -> np.ndarray:
-    """Boolean grid mask of I_rank(x0): indices congruent to x0 mod M_rank."""
+    """Boolean grid mask of I_rank(x0): indices congruent to x0 mod M_rank,
+    for a base index 0 <= x0 < M_rank."""
     if not 0 <= rank <= resolution:
         raise ValueError("coset rank out of range")
     m_rank = m.base(rank)
+    if not 0 <= base_index < m_rank:
+        raise ValueError(f"coset base index {base_index} out of range: need 0 <= base < M_{rank} = {m_rank}")
     idx = np.arange(m.size(resolution), dtype=np.int64)
-    return (idx % m_rank) == (base_index % m_rank)
+    return (idx % m_rank) == base_index

@@ -36,10 +36,17 @@ def _check_p(p: float) -> None:
         raise ValueError(f"exponent p = {p} must be positive")
 
 
-def lp_norm(f: GridFunction, p: float) -> float:
-    """((1/M_N) sum |f|^p)^(1/p); a quasi-norm for p < 1."""
+def lp_norm(f: GridFunction, p: float) -> float | np.ndarray:
+    """((1/M_N) sum |f|^p)^(1/p); a quasi-norm for p < 1.
+
+    A float for one function, an array of them for a batch.
+    """
     _check_p(p)
-    return float(np.mean(np.abs(f.values) ** p) ** (1.0 / p))
+    means = np.mean(np.abs(f.values) ** p, axis=-1)
+    # The root is taken on each np.float64 scalar: an array power may round
+    # the last bit differently, and a batched norm must equal the lone one.
+    roots = np.array([mean ** (1.0 / p) for mean in means.ravel()]).reshape(means.shape)
+    return float(roots) if roots.ndim == 0 else roots
 
 
 def weak_lp(f: GridFunction, p: float) -> float:
@@ -150,22 +157,46 @@ def select_variation_convention(
     return "from0", violations
 
 
+def running_maxima(f: GridFunction):
+    """Yield max_{j<=k} |S_{M_j} f| for k = 0..N, each as M_k coset values.
+
+    Level k is broadcast onto the rank-k+1 cosets below it, never tiled to
+    M_N: entry i of level k+1 lies in the rank-k coset i mod M_k.  ``abs``
+    and ``maximum`` are exact, so the last item is f* on the grid.
+    """
+    levels = coarse_sums(f)[::-1]
+    acc = None
+    while levels:
+        mags = np.abs(levels.pop())  # each level is let go once used
+        if acc is not None:
+            *lead, width = mags.shape
+            below = mags.reshape(*lead, width // acc.shape[-1], acc.shape[-1])
+            np.maximum(below, acc[..., None, :], out=below)
+        acc = mags
+        yield acc
+
+
 def maximal_function(f: GridFunction) -> GridFunction:
     """f* = max_k |S_{M_k} f| over the finite martingale levels."""
-    stack = np.abs(coarse_sums(f))
-    return GridFunction(f.generators, f.resolution, stack.max(axis=0).astype(np.complex128))
+    for fstar in running_maxima(f):
+        pass
+    return GridFunction(f.generators, f.resolution, fstar.astype(np.complex128))
 
 
 # An inf in f turns its coset means into nan; that is refused below rather
 # than warned about.  (The decorator form costs a third of a `with` block.)
 @np.errstate(invalid="ignore")
-def hardy_norm(f: GridFunction, p: float) -> float:
-    """||f||_{H_p} = ||f*||_p, exact for the martingale (S_{M_k}f)_{k<=N}."""
+def hardy_norm(f: GridFunction, p: float) -> float | np.ndarray:
+    """||f||_{H_p} = ||f*||_p, exact for the martingale (S_{M_k}f)_{k<=N}.
+
+    A float for one function; for a batch, one norm per row from one pass
+    over the levels of all rows.
+    """
     _check_p(p)
     value = lp_norm(maximal_function(f), p)
     # The top level of f* is |f|, so a nan or inf in f reaches the norm;
-    # testing the one result spares a pass over f on every call.
-    if not np.isfinite(value):
+    # testing the result spares a pass over f on every call.
+    if not np.isfinite(value).all():
         raise ValueError("hardy_norm: f holds a non-finite value or overflows the float range")
     return value
 

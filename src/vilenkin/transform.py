@@ -53,7 +53,11 @@ class GridFunction:
     """Complex function on G_m constant on rank-N cosets.
 
     ``values[i]`` is the value on the coset with little-endian index i;
-    the Haar integral is the plain mean of ``values``.
+    the Haar integral is the plain mean of ``values``.  Leading axes, if
+    any, hold a batch of functions on the same grid, one per row of shape
+    (M_N,): ``forward``, ``inverse``, ``coarse_sums`` and the norms
+    ``lp_norm``, ``maximal_function`` and ``hardy_norm`` treat each row as
+    its own function; every other operation takes a single function.
     """
 
     generators: GeneratorSequence
@@ -65,14 +69,14 @@ class GridFunction:
         if size > SIZE_CAP:
             raise ValueError(f"M_N = {size} exceeds the size cap {SIZE_CAP}")
         self.values = np.asarray(self.values, dtype=np.complex128)
-        if self.values.shape != (size,):
+        if self.values.shape[-1:] != (size,):
             raise ValueError(
                 f"value vector has length {self.values.shape}, expected M_N = {size}"
             )
 
     @property
     def size(self) -> int:
-        return self.values.shape[0]
+        return self.values.shape[-1]
 
     def integral(self) -> complex:
         return complex(self.values.mean())
@@ -101,7 +105,8 @@ class GridFunction:
 
 @dataclass
 class SpectralVector:
-    """Vilenkin-Fourier coefficients f^(0..M_N-1) at resolution N."""
+    """Vilenkin-Fourier coefficients f^(0..M_N-1) at resolution N (leading
+    axes hold a batch of spectra, as for ``GridFunction``)."""
 
     generators: GeneratorSequence
     resolution: int
@@ -110,14 +115,14 @@ class SpectralVector:
     def __post_init__(self) -> None:
         size = self.generators.size(self.resolution)
         self.coeffs = np.asarray(self.coeffs, dtype=np.complex128)
-        if self.coeffs.shape != (size,):
+        if self.coeffs.shape[-1:] != (size,):
             raise ValueError(
                 f"coefficient vector has length {self.coeffs.shape}, expected M_N = {size}"
             )
 
     @property
     def size(self) -> int:
-        return self.coeffs.shape[0]
+        return self.coeffs.shape[-1]
 
 
 def grid_function(m: GeneratorSequence, resolution: int, values) -> GridFunction:
@@ -174,12 +179,15 @@ def character_values(m: GeneratorSequence, n: int, resolution: int) -> np.ndarra
 
 def _digit_passes(values: np.ndarray, m: GeneratorSequence, resolution: int, fft) -> np.ndarray:
     # Pass k reads digit k on the contiguous last axis and writes it to the
-    # front through a transposed view of the other ping-pong buffer.
+    # front of each row (behind any batch axes) through a transposed view of
+    # the other ping-pong buffer.  pocketfft runs each fiber on its own, so
+    # a batched row is bitwise the row transformed alone.
+    *lead, size = values.shape
     bufs = (np.empty_like(values), np.empty_like(values))
     x = values
     for k, mk in enumerate(m.radices(resolution)):
         out = bufs[k % 2]
-        fft(x.reshape(-1, mk), out=out.reshape(mk, -1).T)
+        fft(x.reshape(*lead, size // mk, mk), out=out.reshape(*lead, mk, size // mk).swapaxes(-1, -2))
         x = out
     return x
 
@@ -496,13 +504,19 @@ def conditional_expectation(f: GridFunction, rank: int) -> GridFunction:
     return GridFunction(f.generators, f.resolution, np.tile(means, f.size // m_rank))
 
 
-def coarse_sums(f: GridFunction) -> np.ndarray:
-    """Stack of the martingale levels S_{M_0}f .. S_{M_N}f, shape (N+1, M_N)."""
-    out = np.empty((f.resolution + 1, f.size), dtype=np.complex128)
-    for k, m_k in enumerate(f.generators.scaled_bases(f.resolution)):
-        # level k is conditional_expectation(f, k), written in place
-        out[k].reshape(-1, m_k)[:] = f.values.reshape(-1, m_k).mean(axis=0)
-    return out
+def coarse_sums(f: GridFunction) -> list[np.ndarray]:
+    """The martingale levels S_{M_0}f .. S_{M_N}f, each as its coset means.
+
+    Level k has shape (..., M_k): entry i is the mean of f over the rank-k
+    coset of grid index i, so ``np.tile(level, M_N // M_k)`` is
+    ``conditional_expectation(f, k)`` bitwise.  The reduction is the one
+    ``mean`` runs, without its Python wrapper.
+    """
+    *lead, size = f.values.shape
+    return [
+        np.add.reduce(f.values.reshape(*lead, size // m_k, m_k), axis=-2) / (size // m_k)
+        for m_k in f.generators.scaled_bases(f.resolution)
+    ]
 
 
 def dirichlet_average(m: GeneratorSequence, n: int, rank: int, resolution: int) -> GridFunction:

@@ -530,6 +530,10 @@ class TestInputErrors:
         "atom-ratio-trials-zero": (["scan", "--name", "atom_ratio", "--trials", 0], "trial"),
         "boundedness-trials-negative": (["scan", "--name", "boundedness", "--trials", -3], "trial"),
         "boundedness-p-one": (["scan", "--name", "boundedness", "--p", 1, "--N", 3], "0 < p < 1"),
+        "atom-base-above": (["atom", "--N", 4, "--base", 99], "base index 99"),
+        "atom-base-negative": (["atom", "--N", 4, "--base", -1], "base index -1"),
+        "atom-base-at-M-rank": (["atom", "--N", 4, "--rank", 1, "--base", 2], "M_1 = 2"),
+        "atom-ratio-N-3": (["scan", "--name", "atom_ratio", "--m", "3^", "--N", 3, "--trials", 1], "N > 3"),
     }
 
     @pytest.mark.parametrize("case", sorted(BAD_VALUES))

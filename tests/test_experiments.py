@@ -25,9 +25,10 @@ from vilenkin.experiments import (
 )
 from vilenkin.martingale import build_counterexample, default_alphas, random_atom
 from vilenkin.norms import hardy_norm, lp_norm
-from vilenkin.transform import constant, dirichlet_average, forward, grid_function, partial_sum
+from vilenkin.transform import constant, dirichlet_average, forward, grid_function, inverse, partial_sum
 
 ALTERNATING = GeneratorSequence.parse("2,3^")
+TRIADIC = GeneratorSequence.parse("3^")
 MIXED_CYCLE = GeneratorSequence.parse("2,3,4^")
 
 
@@ -77,6 +78,12 @@ class TestAtomRatioScan:
             atom_ratio_scan(1.0, WALSH, 6)
         with pytest.raises(ValueError, match="at least one trial"):
             atom_ratio_scan(0.5, WALSH, 6, trials=0)  # the atoms are its only evidence
+
+    @pytest.mark.parametrize("seed", range(1, 7))
+    def test_resolution_above_every_support_rank(self, seed):
+        # Support rank 3 needs N > 3; the scan refuses N = 3 whatever it draws.
+        with pytest.raises(ValueError, match="N > 3"):
+            atom_ratio_scan(0.5, TRIADIC, 3, trials=1, seed=seed)
 
 
 class TestDivergenceScan:
@@ -170,6 +177,29 @@ class TestOneSpectrumPerFunction:
     def test_modulus(self, forward_calls, f_rule):
         modulus_convergence_scan(0.5, f_rule, "default", WALSH, 9)
         assert len(forward_calls) == 1
+
+
+class TestBatchedPool:
+    """The boundedness scan transforms its whole pool back in one pass per index."""
+
+    def test_one_inverse_pass_and_norm_call_per_index(self, monkeypatch):
+        passes, norm_calls = [], []
+
+        def counted_inverse(sv):
+            passes.append(sv.coeffs.shape)
+            return inverse(sv)
+
+        def counted_norm(f, p):
+            norm_calls.append(f.values.shape)
+            return hardy_norm(f, p)
+
+        monkeypatch.setattr(experiments, "inverse", counted_inverse)
+        monkeypatch.setattr(experiments, "hardy_norm", counted_norm)
+        result = boundedness_scan(0.5, "Mn_plus_Mn-1", WALSH, 7, trials=4, seed=3)
+        indices = [pt["n"] for pt in result.points]
+        assert len(indices) == 6
+        assert passes == [(5, 128)] * len(indices)
+        assert norm_calls == [(5, 128)] * (len(indices) + 1)  # the denominators, then one per index
 
 
 class TestDivergenceWork:

@@ -80,6 +80,15 @@ class TestValidateAtom:
         assert np.all(atom.values.values[~mask] == 0)
         assert np.abs(atom.values.values[mask]).max() > 0
 
+    @pytest.mark.parametrize("base", [-1, 4, 99])
+    def test_base_outside_the_cosets_refused(self, base):
+        # I_2 has M_2 = 4 cosets: a base past them once wrapped to base % 4.
+        atom = random_atom(WALSH, 0.5, 2, 5, np.random.default_rng(0), base_index=base % 4)
+        with pytest.raises(ValueError, match="need 0 <= base < M_2 = 4"):
+            validate_atom(atom.values, 0.5, 2, base)
+        with pytest.raises(ValueError, match="need 0 <= base < M_2 = 4"):
+            random_atom(WALSH, 0.5, 2, 5, np.random.default_rng(0), base_index=base)
+
 
 class TestCounterexampleAtom:
     @pytest.mark.parametrize("m", [WALSH, TRIADIC, ALTERNATING], ids=lambda m: m.format())

