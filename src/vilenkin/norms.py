@@ -36,13 +36,16 @@ def _check_p(p: float) -> None:
         raise ValueError(f"exponent p = {p} must be positive")
 
 
-def lp_norm(f: GridFunction, p: float) -> float | np.ndarray:
+def lp_norm(f: GridFunction | np.ndarray, p: float) -> float | np.ndarray:
     """((1/M_N) sum |f|^p)^(1/p); a quasi-norm for p < 1.
 
-    A float for one function, an array of them for a batch.
+    ``f`` is a grid function or its plain value array (real or complex,
+    grid on the last axis).  A float for one function, an array of them
+    for a batch.
     """
     _check_p(p)
-    means = np.mean(np.abs(f.values) ** p, axis=-1)
+    values = f.values if isinstance(f, GridFunction) else np.asarray(f)
+    means = np.mean(np.abs(values) ** p, axis=-1)
     # The root is taken on each np.float64 scalar: an array power may round
     # the last bit differently, and a batched norm must equal the lone one.
     roots = np.array([mean ** (1.0 / p) for mean in means.ravel()]).reshape(means.shape)
@@ -176,11 +179,16 @@ def running_maxima(f: GridFunction):
         yield acc
 
 
-def maximal_function(f: GridFunction) -> GridFunction:
-    """f* = max_k |S_{M_k} f| over the finite martingale levels."""
+def _fstar(f: GridFunction) -> np.ndarray:
+    """The real values of f*: the last of the running maxima."""
     for fstar in running_maxima(f):
         pass
-    return GridFunction(f.generators, f.resolution, fstar.astype(np.complex128))
+    return fstar
+
+
+def maximal_function(f: GridFunction) -> GridFunction:
+    """f* = max_k |S_{M_k} f| over the finite martingale levels."""
+    return GridFunction(f.generators, f.resolution, _fstar(f).astype(np.complex128))
 
 
 # An inf in f turns its coset means into nan; that is refused below rather
@@ -193,7 +201,9 @@ def hardy_norm(f: GridFunction, p: float) -> float | np.ndarray:
     over the levels of all rows.
     """
     _check_p(p)
-    value = lp_norm(maximal_function(f), p)
+    # f* stays real: |x + 0j| is |x|, so the norm is bitwise that of
+    # ``maximal_function`` without its complex copy.
+    value = lp_norm(_fstar(f), p)
     # The top level of f* is |f|, so a nan or inf in f reaches the norm;
     # testing the result spares a pass over f on every call.
     if not np.isfinite(value).all():

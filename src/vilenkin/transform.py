@@ -177,17 +177,29 @@ def character_values(m: GeneratorSequence, n: int, resolution: int) -> np.ndarra
     return character_block(m, resolution, np.asarray([n]))[0]
 
 
-def _digit_passes(values: np.ndarray, m: GeneratorSequence, resolution: int, fft) -> np.ndarray:
+def _digit_passes(values: np.ndarray, m: GeneratorSequence, resolution: int, inverse: bool) -> np.ndarray:
     # Pass k reads digit k on the contiguous last axis and writes it to the
     # front of each row (behind any batch axes) through a transposed view of
     # the other ping-pong buffer.  pocketfft runs each fiber on its own, so
-    # a batched row is bitwise the row transformed alone.
+    # a batched row is bitwise the row transformed alone.  A radix-2 digit
+    # is pocketfft's length-2 kernel in numpy: a+b, a-b, and on the inverse
+    # a real 0.5 on each float64 component, as its ifft scales (a complex
+    # multiply would move the sign of zeros and turn inf into nan).  The
+    # buffers are C-ordered so that float64 view exists for any input layout.
     *lead, size = values.shape
-    bufs = (np.empty_like(values), np.empty_like(values))
+    bufs = (np.empty(values.shape, np.complex128), np.empty(values.shape, np.complex128))
     x = values
     for k, mk in enumerate(m.radices(resolution)):
         out = bufs[k % 2]
-        fft(x.reshape(*lead, size // mk, mk), out=out.reshape(*lead, mk, size // mk).swapaxes(-1, -2))
+        cols = x.reshape(*lead, size // mk, mk)
+        rows = out.reshape(*lead, mk, size // mk)
+        if mk == 2:
+            np.add(cols[..., 0], cols[..., 1], out=rows[..., 0, :])
+            np.subtract(cols[..., 0], cols[..., 1], out=rows[..., 1, :])
+            if inverse:
+                out.view(np.float64)[...] *= 0.5
+        else:
+            (np.fft.ifft if inverse else np.fft.fft)(cols, out=rows.swapaxes(-1, -2))
         x = out
     return x
 
@@ -198,24 +210,27 @@ def forward(f: GridFunction) -> SpectralVector:
     One 1-D FFT pass per digit, x_0 first: pass k transforms the last axis
     of ``x.reshape(-1, m_k)`` (digit k) into a transposed buffer view, so
     that digit moves to the front and after N passes the little-endian
-    (Paley) order is back with no transpose copy.  ``np.fft.fftn`` over the
-    C-order cube (m_{N-1}, ..., m_0) takes its axes in this order and runs
-    each fiber through the same pocketfft plan, so the result is bitwise
-    ``fftn(cube) / M_N``.  ``f`` is not modified.
+    (Paley) order is back with no transpose copy.  A radix-2 digit is one
+    add and one subtract pass over the two digit columns, pocketfft's own
+    length-2 kernel; every other radix goes through ``np.fft.fft``.
+    ``np.fft.fftn`` over the C-order cube (m_{N-1}, ..., m_0) takes its axes
+    in this order and runs each fiber through the same pocketfft kernels, so
+    the result is bitwise ``fftn(cube) / M_N``.  ``f`` is not modified.
     """
     if f.resolution == 0:
         return SpectralVector(f.generators, 0, f.values.copy())
-    coeffs = _digit_passes(f.values, f.generators, f.resolution, np.fft.fft)
+    coeffs = _digit_passes(f.values, f.generators, f.resolution, inverse=False)
     coeffs /= f.size
     return SpectralVector(f.generators, f.resolution, coeffs)
 
 
 def inverse(sv: SpectralVector) -> GridFunction:
     """Fast synthesis: f(x) = sum_n f^(n) psi_n(x), by the per-digit passes
-    of ``forward`` with ``ifft``: bitwise ``ifftn(cube) * M_N``."""
+    of ``forward`` run backward (radix 2: add, subtract, halve each float64
+    component; other radices: ``np.fft.ifft``): bitwise ``ifftn(cube) * M_N``."""
     if sv.resolution == 0:
         return GridFunction(sv.generators, 0, sv.coeffs.copy())
-    values = _digit_passes(sv.coeffs, sv.generators, sv.resolution, np.fft.ifft)
+    values = _digit_passes(sv.coeffs, sv.generators, sv.resolution, inverse=True)
     values *= sv.size
     return GridFunction(sv.generators, sv.resolution, values)
 

@@ -129,6 +129,19 @@ class TestHardy:
         assert norms.shape == (batch.values.shape[0],)
         assert np.array_equal(norms.view(np.uint64), np.array(lone).view(np.uint64))
 
+    @settings(max_examples=60, deadline=None)
+    @given(batch=_batch(), p=st.sampled_from([0.3, 0.5, 2 / 3, 1.0, 2.0]), real=st.booleans())
+    def test_lp_norm_of_an_array_is_that_of_its_grid_function(self, batch, p, real):
+        values = np.abs(batch.values) if real else batch.values
+        m, resolution = batch.generators, batch.resolution
+        norms = lp_norm(values, p)
+        assert np.array_equal(norms.view(np.uint64), lp_norm(GridFunction(m, resolution, values), p).view(np.uint64))
+        for row, norm in zip(values, norms):
+            lone = lp_norm(row, p)
+            assert isinstance(lone, float)
+            assert np.float64(lone).view(np.uint64) == norm.view(np.uint64)
+            assert lone == lp_norm(GridFunction(m, resolution, row), p)
+
     def test_random_atoms_have_unit_budget(self):
         # ||a||_{H_p}^p <= 1 for every p-atom: the recorded constant.
         rng = np.random.default_rng(4)

@@ -10,6 +10,7 @@ from vilenkin.group import GeneratorSequence, GroupPoint, WALSH, decompose, digi
 from vilenkin.norms import SUPPORT_THRESHOLD, lebesgue_table
 from vilenkin.transform import (
     _CSV_BLOCK,
+    _digit_passes,
     GridFunction,
     SpectralVector,
     character,
@@ -160,6 +161,90 @@ class TestTransform:
             lone_back = inverse(SpectralVector(m, resolution, row)).values
             assert np.array_equal(fast[i].view(np.uint64), lone_fast.view(np.uint64))
             assert np.array_equal(back[i].view(np.uint64), lone_back.view(np.uint64))
+
+
+# Signed zeros, subnormals, sums that overflow to inf (and then inf - inf),
+# and ordinary normals.
+_EDGE_FLOATS = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2e-308, -1e-310, 1e308, -1e308]),
+    st.floats(-1e6, 1e6, allow_nan=False, allow_subnormal=False),
+)
+
+
+@st.composite
+def _radix2_case(draw):
+    """Values on `2^` at N = 1..6, unbatched or with 1-3 batch rows."""
+    resolution = draw(st.integers(1, 6))
+    shape = (*draw(st.sampled_from([(), (1,), (2,), (3,)])), 1 << resolution)
+    count = 2 * int(np.prod(shape))
+    parts = np.array(draw(st.lists(_EDGE_FLOATS, min_size=count, max_size=count)))
+    values = np.empty(shape, np.complex128)
+    values.real, values.imag = parts[: count // 2].reshape(shape), parts[count // 2 :].reshape(shape)
+    return resolution, values
+
+
+def _pocketfft_radix2_passes(values, resolution, inverse):
+    """The radix-2 digit passes as one np.fft call per digit on the (..., M/2, 2) fibers."""
+    fft = np.fft.ifft if inverse else np.fft.fft
+    *lead, size = values.shape
+    x = values
+    for _ in range(resolution):
+        out = np.empty(values.shape, np.complex128)
+        fft(x.reshape(*lead, size // 2, 2), out=out.reshape(*lead, 2, size // 2).swapaxes(-1, -2))
+        x = out
+    return x
+
+
+def _edge_values(shape, seed):
+    """Normals mixed with signed zeros, subnormals and values whose sums overflow."""
+    rng = np.random.default_rng(seed)
+    special = np.array([0.0, -0.0, 5e-324, -1e-310, 1e308, -1e308, 1.7e308])
+    parts = np.where(rng.random((2, *shape)) < 0.3, rng.choice(special, (2, *shape)), rng.standard_normal((2, *shape)))
+    values = np.empty(shape, np.complex128)
+    values.real, values.imag = parts
+    return values
+
+
+class TestRadix2Pass:
+    @settings(max_examples=150, deadline=None)
+    @given(case=_radix2_case(), inverse=st.booleans())
+    @np.errstate(over="ignore", invalid="ignore")
+    def test_bitwise_equal_to_pocketfft_length2(self, case, inverse):
+        resolution, values = case
+        fast = _digit_passes(values, WALSH, resolution, inverse)
+        expected = _pocketfft_radix2_passes(values, resolution, inverse)
+        assert np.array_equal(fast.view(np.uint64), expected.view(np.uint64))
+
+    @pytest.mark.parametrize("m", [WALSH, TRIADIC, ALTERNATING], ids=lambda m: m.format())
+    @np.errstate(over="ignore", invalid="ignore")
+    def test_layout_does_not_change_the_bits(self, m):
+        resolution = 7 if m.max_radix == 2 else 4
+        size = m.size(resolution)
+        batch = _edge_values((size, 3), seed=size).T  # F-ordered rows
+        strided = np.empty(2 * size, np.complex128)[::2]
+        strided[...] = _edge_values((size,), seed=size + 1)
+        for values in (batch, strided):
+            assert not values.flags.c_contiguous
+            copy = np.ascontiguousarray(values)
+            pairs = [
+                (forward(GridFunction(m, resolution, values)).coeffs, forward(GridFunction(m, resolution, copy)).coeffs),
+                (inverse(SpectralVector(m, resolution, values)).values, inverse(SpectralVector(m, resolution, copy)).values),
+            ]
+            for got, want in pairs:
+                assert np.array_equal(np.ascontiguousarray(got).view(np.uint64), want.view(np.uint64))
+
+    @pytest.mark.parametrize("m, calls", [(WALSH, 0), (ALTERNATING, 3)], ids=["2^", "2,3^"])
+    def test_pocketfft_runs_only_the_other_radices(self, monkeypatch, m, calls):
+        counts = {"fft": 0, "ifft": 0}
+        for name in counts:
+            def counted(*args, _name=name, _fft=getattr(np.fft, name), **kwargs):
+                counts[_name] += 1
+                return _fft(*args, **kwargs)
+
+            monkeypatch.setattr(np.fft, name, counted)
+        f = random_grid(m, 6)
+        inverse(forward(f))
+        assert counts == {"fft": calls, "ifft": calls}
 
 
 @st.composite
