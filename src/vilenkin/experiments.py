@@ -224,18 +224,22 @@ def atom_ratio_scan(
         start = bases[rank]
         best_r, best_n = 0.0, 0
         for lo, ps in partial_sum_rows(f):
-            ns = np.arange(lo + 1, lo + 1 + ps.shape[0])
-            keep = ns > start
-            if not keep.any():
+            # The kept n > M_rank are a suffix of the block, and |n| is
+            # nondecreasing in n: one running maximum per run of equal |n|.
+            first = max(start + 1, lo + 1)
+            ns = np.arange(first, lo + 1 + ps.shape[0])
+            if not ns.size:
                 continue
-            ps_keep = ps[keep]
-            ns_keep = ns[keep]
-            stars = np.maximum(running[stats.top[ns_keep - 1]], np.abs(ps_keep))
-            hardys = np.mean(stars**p, axis=1) ** (1.0 / p)
-            rs = hardys * discount[ns_keep - 1]
+            stars = np.abs(ps[first - lo - 1 :])
+            tops = stats.top[ns - 1]
+            cuts = [0, *(np.flatnonzero(np.diff(tops)) + 1).tolist(), ns.size]
+            for i, j in zip(cuts, cuts[1:]):
+                np.maximum(stars[i:j], running[tops[i]], out=stars[i:j])
+            stars **= p
+            rs = np.mean(stars, axis=1) ** (1.0 / p) * discount[ns - 1]
             i = int(np.argmax(rs))
             if rs[i] > best_r:
-                best_r, best_n = float(rs[i]), int(ns_keep[i])
+                best_r, best_n = float(rs[i]), int(ns[i])
         global_max = max(global_max, best_r)
         points.append({"trial": trial, "support_rank": rank, "max_r": best_r, "argmax_n": best_n})
 
@@ -731,6 +735,7 @@ def dirichlet_floor_scan(
     mins = dirichlet_shells(m, resolution, ns).per_shell(np.minimum)
     floors = mins[np.arange(ns.size), bottom]
     ok = floors >= targets - 1e-6
+    holds = (mins >= targets[:, None] - 1e-6).tolist()
     trace = (floors / targets).tolist()
     violations = ns[~ok].tolist()
     return ScenarioResult(
@@ -741,7 +746,7 @@ def dirichlet_floor_scan(
             bottom=bottom.tolist(),
             floor=floors.tolist(),
             target=targets.tolist(),
-            holds_at_s=[np.flatnonzero(row).tolist() for row in mins >= targets[:, None] - 1e-6],
+            holds_at_s=[[s for s, held in enumerate(row) if held] for row in holds],
             ok=ok.tolist(),
         ),
         constants={

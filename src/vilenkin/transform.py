@@ -417,14 +417,19 @@ def cumulative_rows(
     ``weights`` holds one complex w_n per index below M_N; None means
     w_n = 1, so C[i] = D_{n0+i+1}.  Cumulative sums run inside each block
     of ``block`` rows with a carried prefix, which keeps float error near
-    the pairwise-summation level during exhaustive scans.
+    the pairwise-summation level during exhaustive scans.  Each yielded
+    block is a fresh array.
 
     Rows come from the product form psi_{a M_b + i} = psi_{a M_b} psi_i
-    (i < M_b): each row is gathered from one table of the M_b low-digit
-    rows, then multiplied in place by the root factor of every nonzero
-    high digit k >= b, once per run of rows sharing those digits.  The
-    factors go in the digit order of ``character_block``, so every row is
-    bit-identical to the literal one.
+    (i < M_b), one run of rows sharing the high digits a at a time: the
+    run is the table slice of its M_b low-digit rows times the root factor
+    of the first nonzero high digit k >= b, written straight into the
+    block, then multiplied in place by the factor of every further one (a
+    plain slice copy when a = 0).  The factors go in the digit order of
+    ``character_block``, so every row is bit-identical to the literal one.
+    The prefix sums add each row onto the one before it, row by row: the
+    additions of ``np.cumsum(axis=0)`` in the same order, on contiguous
+    rows rather than down columns of stride M_N.
     """
     size = m.size(resolution)
     if not 1 <= limit <= size:
@@ -453,18 +458,24 @@ def cumulative_rows(
     carry = np.zeros(size, dtype=np.complex128)
     for lo in range(0, limit, block):
         hi = min(lo + block, limit)
-        rows = table[np.arange(lo, hi) % low]
+        rows = np.empty((hi - lo, size), dtype=np.complex128)
         for a in range(lo // low, (hi - 1) // low + 1):
-            run = rows[max(a * low, lo) - lo : min((a + 1) * low, hi) - lo]
+            i0, i1 = max(a * low, lo), min((a + 1) * low, hi)
+            run, src = rows[i0 - lo : i1 - lo], table[i0 - a * low : i1 - a * low]
             k, rest = b, a
             while rest:
                 rest, d = divmod(rest, radices[k])
                 if d:
-                    run *= factors[k][d]
+                    np.multiply(src, factors[k][d], out=run)
+                    src = run
                 k += 1
+            if src is not run:
+                run[...] = src
         if w is not None:
             rows *= w[lo:hi, None]
-        np.cumsum(rows, axis=0, out=rows)
+        sums = list(rows)
+        for prev, row in zip(sums, sums[1:]):
+            np.add(prev, row, out=row)
         rows += carry
         carry = rows[-1].copy()
         yield lo, rows

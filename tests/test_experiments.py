@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import vilenkin.experiments as experiments
-from vilenkin.group import GeneratorSequence, WALSH
+from vilenkin.group import GeneratorSequence, WALSH, index_stats
 from vilenkin.experiments import (
     MIN_GROWTH,
     MIN_RUN,
@@ -24,8 +24,16 @@ from vilenkin.experiments import (
     supp_measure_scan,
 )
 from vilenkin.martingale import build_counterexample, default_alphas, random_atom
-from vilenkin.norms import hardy_norm, lp_norm
-from vilenkin.transform import constant, dirichlet_average, forward, grid_function, inverse, partial_sum
+from vilenkin.norms import hardy_norm, lp_norm, running_maxima
+from vilenkin.transform import (
+    constant,
+    dirichlet_average,
+    dirichlet_shells,
+    forward,
+    grid_function,
+    inverse,
+    partial_sum,
+)
 
 ALTERNATING = GeneratorSequence.parse("2,3^")
 TRIADIC = GeneratorSequence.parse("3^")
@@ -84,6 +92,50 @@ class TestAtomRatioScan:
         # Support rank 3 needs N > 3; the scan refuses N = 3 whatever it draws.
         with pytest.raises(ValueError, match="N > 3"):
             atom_ratio_scan(0.5, TRIADIC, 3, trials=1, seed=seed)
+
+
+def _atom_ratio_literal(p, m, resolution, trials, seed):
+    """(max_r, argmax_n) per trial, from the consumer ``atom_ratio_scan`` had
+    before it took the kept rows as a block suffix: it gathered the kept
+    rows and the (R, M_N) running maxima ``running[top]``, then ``stars**p``."""
+    size = m.size(resolution)
+    rng = np.random.default_rng(seed)
+    bases = m.scaled_bases(resolution)
+    stats = index_stats(np.arange(1, size + 1), m, resolution)
+    discount = (stats.m_bottom / stats.m_top) ** (1.0 / p - 1.0)
+    out = []
+    for _ in range(trials):
+        rank = experiments.SUPPORT_RANKS[int(rng.integers(0, len(experiments.SUPPORT_RANKS)))]
+        f = random_atom(m, p, rank, resolution, rng).values
+        running = np.stack([np.tile(level, size // level.size) for level in running_maxima(f)])
+        best_r, best_n = 0.0, 0
+        for lo, ps in partial_sum_rows(f):
+            ns = np.arange(lo + 1, lo + 1 + ps.shape[0])
+            keep = ns > bases[rank]
+            if not keep.any():
+                continue
+            ns_keep = ns[keep]
+            stars = np.maximum(running[stats.top[ns_keep - 1]], np.abs(ps[keep]))
+            rs = np.mean(stars**p, axis=1) ** (1.0 / p) * discount[ns_keep - 1]
+            i = int(np.argmax(rs))
+            if rs[i] > best_r:
+                best_r, best_n = float(rs[i]), int(ns_keep[i])
+        out.append((best_r, best_n))
+    return out
+
+
+class TestAtomRatioConsumer:
+    @pytest.mark.parametrize("p", [0.3, 0.5, 2.0 / 3.0], ids=["0.3", "0.5", "2/3"])
+    @pytest.mark.parametrize("mtext,resolution", [("2^", 7), ("3^", 5), ("4^", 4), ("2,3,4^", 5)])
+    def test_bit_identical_to_literal_consumer(self, p, mtext, resolution):
+        m = GeneratorSequence.parse(mtext)
+        result = atom_ratio_scan(p, m, resolution, trials=4, seed=resolution)
+        got = [(pt["max_r"], pt["argmax_n"]) for pt in result.points]
+        want = _atom_ratio_literal(p, m, resolution, 4, resolution)
+        assert [n for _, n in got] == [n for _, n in want]
+        bits = lambda pairs: np.array([r for r, _ in pairs]).view(np.uint64).tolist()
+        assert bits(got) == bits(want)
+        assert all(r > 0 for r, _ in got)
 
 
 class TestDivergenceScan:
@@ -344,6 +396,16 @@ class TestDirichletFloorScan:
         result = dirichlet_floor_scan(WALSH, 7)
         for pt in result.points:
             assert pt["bottom"] in pt["holds_at_s"]
+
+    @pytest.mark.parametrize("mtext,resolution", [("2^", 7), ("3^", 5), ("2,3,4^", 5)])
+    def test_holds_at_s_matches_flatnonzero(self, mtext, resolution):
+        m = GeneratorSequence.parse(mtext)
+        result = dirichlet_floor_scan(m, resolution)
+        ns = np.array([pt["n"] for pt in result.points], dtype=np.int64)
+        targets = index_stats(ns, m, resolution).m_bottom.astype(float)
+        mins = dirichlet_shells(m, resolution, ns).per_shell(np.minimum)
+        want = [np.flatnonzero(row).tolist() for row in mins >= targets[:, None] - 1e-6]
+        assert [pt["holds_at_s"] for pt in result.points] == want
 
 
 class TestKernelScanMemory:

@@ -341,6 +341,35 @@ class TestCumulativeRows:
         weights = rng.standard_normal(size) + 1j * rng.standard_normal(size) if weighted else None
         _assert_rows_bit_identical(m, resolution, size, weights, 256)
 
+    def test_weighted_rows_bit_identical_at_4096(self):
+        # 2^12 has 64 low-digit rows and six high digits, so most runs carry
+        # several factors.  Blocks of 40 straddle the runs and keep the two
+        # streams compared block by block under about 20 MB.
+        m = WALSH
+        size = m.size(12)
+        rng = np.random.default_rng(12)
+        weights = rng.standard_normal(size) + 1j * rng.standard_normal(size)
+        fast = cumulative_rows(m, 12, 300, weights, 40)
+        slow = _literal_rows(m, 12, 300, weights, 40)
+        count = 0
+        for (lo, a), (lo_ref, b) in zip(fast, slow):
+            assert lo == lo_ref
+            assert np.array_equal(a.view(np.uint64), b.view(np.uint64)), lo
+            count += a.shape[0]
+        assert count == 300
+
+    @pytest.mark.parametrize("weighted", [False, True], ids=["kernels", "weighted"])
+    def test_each_block_owns_its_memory(self, weighted):
+        m = ALTERNATING
+        size = m.size(6)
+        weights = np.arange(size) + 1j if weighted else None
+        blocks = [rows for _, rows in cumulative_rows(m, 6, size, weights, 50)]
+        assert len(blocks) == 5
+        for i, a in enumerate(blocks):
+            assert a.flags.owndata
+            for b in blocks[i + 1 :]:
+                assert not np.shares_memory(a, b)
+
     def test_bad_arguments_rejected(self):
         for limit in (0, 17):
             with pytest.raises(ValueError):
