@@ -228,9 +228,10 @@ def atom_ratio_scan(
             # nondecreasing in n: one running maximum per run of equal |n|.
             first = max(start + 1, lo + 1)
             ns = np.arange(first, lo + 1 + ps.shape[0])
+            stars = np.abs(ps[first - lo - 1 :])
+            del ps  # hold no block while the generator builds the next
             if not ns.size:
                 continue
-            stars = np.abs(ps[first - lo - 1 :])
             tops = stats.top[ns - 1]
             cuts = [0, *(np.flatnonzero(np.diff(tops)) + 1).tolist(), ns.size]
             for i, j in zip(cuts, cuts[1:]):
@@ -240,6 +241,7 @@ def atom_ratio_scan(
             i = int(np.argmax(rs))
             if rs[i] > best_r:
                 best_r, best_n = float(rs[i]), int(ns[i])
+            del stars
         global_max = max(global_max, best_r)
         points.append({"trial": trial, "support_rank": rank, "max_r": best_r, "argmax_n": best_n})
 

@@ -677,16 +677,40 @@ _WRITER_GRIDS = [
     (TRIADIC, 8),
 ]
 _SPECIAL_CELLS = [-0.0, 5e-324, 1e300, -1e300, np.nan, np.inf, -np.inf]
+# Where %g changes its exponent or its layout: ties and round-ups into the
+# next decade, and 1 ulp either side of each decade bounding the
+# fixed-point range.
+_DECADE_EDGES = [
+    9.999999999995e-5, 99999999999.95, 999999999999.5,
+    9.9999999999997e-5, -99999999999.97, 999999999999.7,
+] + [float(np.nextafter(edge, toward)) for edge in (1e-5, 1e-4, 1e11, 1e12) for toward in (0.0, np.inf)]
+# Every power of ten the writer formats itself, and 1 ulp either side:
+# floor(log10) misses the decade on about a third of them.
+_POWERS = np.array([float(f"1e{k}") for k in range(-290, 309)])
+_POWER_CELLS = np.concatenate([np.nextafter(_POWERS, 0.0), _POWERS, np.nextafter(_POWERS, np.inf)])
 
 
 @st.composite
 def _csv_cells(draw, size):
-    """``size`` complex values with exponents over +-300 and every special
-    cell somewhere among their real and imaginary parts."""
+    """``size`` complex values with exponents over +-300, and about a fifth
+    each of near ties of the 12th digit (13-digit decimals ending in 5),
+    random 64-bit patterns and powers of ten, with every special cell and
+    decade edge somewhere among their real and imaginary parts."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    cells = rng.standard_normal(2 * size) * 10.0 ** rng.integers(-300, 300, 2 * size)
-    spots = draw(st.lists(st.integers(0, 2 * size - 1), min_size=len(_SPECIAL_CELLS), max_size=len(_SPECIAL_CELLS)))
-    cells[spots] = _SPECIAL_CELLS
+    n = 2 * size
+    cells = rng.standard_normal(n) * 10.0 ** rng.integers(-300, 300, n)
+    kind = rng.integers(0, 5, n)
+    ties = np.flatnonzero(kind == 2)
+    digits, exps = rng.integers(10**11, 10**12, len(ties)), rng.integers(-300, 290, len(ties))
+    cells[ties] = [float(f"{d}5e{x}") for d, x in zip(digits.tolist(), exps.tolist())]
+    cells[ties] *= rng.choice([-1.0, 1.0], len(ties))
+    bits = np.flatnonzero(kind == 3)
+    cells[bits] = rng.integers(0, 2**64, len(bits), dtype=np.uint64).view(np.float64)
+    powers = np.flatnonzero(kind == 4)
+    cells[powers] = rng.choice(_POWER_CELLS, len(powers)) * rng.choice([-1.0, 1.0], len(powers))
+    fixed = _SPECIAL_CELLS + _DECADE_EDGES
+    spots = draw(st.lists(st.integers(0, n - 1), min_size=len(fixed), max_size=len(fixed)))
+    cells[spots] = fixed
     return cells.view(np.complex128)
 
 
