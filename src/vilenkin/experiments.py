@@ -25,10 +25,11 @@ from .martingale import (
     random_atom,
     spread_rate,
 )
-from .norms import SUPPORT_THRESHOLD, hardy_norm, modulus_hp, running_maxima, weak_lp
+from .norms import SUPPORT_THRESHOLD, hardy_norm, running_maxima, weak_lp
 from .transform import (
     GridFunction,
     SpectralVector,
+    conditional_expectation,
     cumulative_rows,
     dirichlet_average,
     dirichlet_closed,
@@ -43,6 +44,11 @@ DEFAULT_SEED = 1729
 
 # Scans refuse grids above this size by default (seconds-to-minutes budget).
 SCAN_SIZE_CAP = 1 << 14
+
+# Batched partial sums and H_p norms go in runs of at most this many grid
+# points (one row at least): each complex buffer of a run stays within
+# 512 KiB, so a scan's peak memory does not grow with its number of rows.
+_BATCH_POINTS = 1 << 15
 
 # Desk-scale verdict cut-offs; these are policy, not math.
 MIN_RUN = 4  # consecutive increasing trace points for "growing"
@@ -158,6 +164,13 @@ def _scan_limit(n_limit: int | None, default: int, size: int, what: str) -> int:
     if not 1 <= limit <= size:
         raise ValueError(f"{what} limit out of range")
     return limit
+
+
+def _row_runs(count: int, size: int) -> list[slice]:
+    """Slices cutting ``count`` rows of M_N = ``size`` points into runs of at
+    most max(1, _BATCH_POINTS // size) rows."""
+    step = max(1, _BATCH_POINTS // size)
+    return [slice(lo, lo + step) for lo in range(0, count, step)]
 
 
 def _increasing_suffix(trace: list[float]) -> tuple[int, float]:
@@ -323,13 +336,17 @@ def divergence_scan(
     trace = []
     cross_err = 0.0
     spectrum = forward(spec.realized)
-    for k, idx in enumerate(spec.indices):
-        s_fast = partial_sum(spectrum, idx.value)
+    s_fast = (
+        row
+        for run in _row_runs(len(spec.alphas), spectrum.size)
+        for row in partial_sum(spectrum, spec.alphas[run]).values
+    )
+    for k, (idx, s_k) in enumerate(zip(spec.indices, s_fast)):
         s_closed = closed_partial_sum(spec, idx.value)
-        err = float(np.abs(s_fast.values - s_closed.values).max())
+        err = float(np.abs(s_k - s_closed.values).max())
         cross_err = max(cross_err, err)
         phi_k = phi_value(phi, idx)
-        value = weak_lp(s_fast, p) / phi_k
+        value = weak_lp(GridFunction(m, resolution, s_k), p) / phi_k
         trace.append(value)
         points.append(
             {
@@ -420,21 +437,27 @@ def boundedness_scan(
         raise ValueError("boundedness scan needs 0 < p < 1")
     _check_scan_size(m, resolution)
     indices = _bounded_indices(variant, m, resolution)
-    # The pool is one (F, M_N) batch: one H_p norm per row, then for each n
-    # one inverse pass and one norm call over all rows.  A function of norm 0
-    # gives no ratio; the martingale is the pool's last row.
-    pool = [f for _, f in _function_pool(p, m, resolution, trials, seed)]
-    denoms = hardy_norm(GridFunction(m, resolution, np.stack([f.values for f in pool])), p)
+    # The pool is one (F, M_N) batch, taken in runs of rows (see _row_runs):
+    # one H_p norm per row and one forward pass per run, done in place, then
+    # for each n one inverse pass and one norm call per run.  A function of
+    # norm 0 gives no ratio; the martingale is the pool's last row.
+    spectra = np.stack([f.values for _, f in _function_pool(p, m, resolution, trials, seed)])
+    size = spectra.shape[-1]
+    denoms = [hardy_norm(GridFunction(m, resolution, spectra[run]), p) for run in _row_runs(len(spectra), size)]
+    denoms = np.concatenate(denoms)
     live = denoms != 0
-    spectra = np.stack([forward(f).coeffs for f, keep in zip(pool, live) if keep])
-    denoms = denoms[live]
-    del pool
+    if not live.all():
+        spectra, denoms = spectra[live], denoms[live]
+    runs = _row_runs(len(spectra), size)
+    for run in runs:
+        spectra[run] = forward(GridFunction(m, resolution, spectra[run])).coeffs
     # Largest n first: truncating the stacked spectra in place keeps every
     # coefficient a smaller n still needs, so no second buffer is held.
     ratios = {}
     for n in sorted(indices, reverse=True):
         spectra[:, n:] = 0.0
-        ratios[n] = hardy_norm(inverse(SpectralVector(m, resolution, spectra)), p) / denoms
+        norms = [hardy_norm(inverse(SpectralVector(m, resolution, spectra[run])), p) for run in runs]
+        ratios[n] = np.concatenate(norms) / denoms
 
     max_ratio = 0.0
     per_index = []
@@ -569,20 +592,29 @@ def modulus_convergence_scan(
         raise ValueError(f"unknown n_rule {n_rule!r}")
     spec = _modulus_spec(f_rule, m, p, [decompose(a, m) for a in alphas], resolution)
     f = spec.realized
+    # omega(1/M_t, f) = ||f - S_{M_t} f||_{H_p} for every t, and the errors
+    # S_{n_k} f - f, as row batches with one H_p norm per run of rows; each
+    # norm is bitwise that of the lone function (``modulus_hp`` for omega).
+    omegas = []
+    for run in _row_runs(resolution + 1, f.size):
+        gaps = [f.values - conditional_expectation(f, t).values for t in range(resolution + 1)[run]]
+        omegas += hardy_norm(GridFunction(m, resolution, np.stack(gaps)), p).tolist()
     spectrum = forward(f)
-    omegas = [modulus_hp(f, t, p) for t in range(resolution + 1)]
+    errors = []
+    for run in _row_runs(len(spec.alphas), f.size):
+        diffs = partial_sum(spectrum, spec.alphas[run])
+        diffs.values -= f.values
+        norms = hardy_norm(diffs, p).tolist()
+        errors += [(err, weak_lp(GridFunction(m, resolution, row), p)) for err, row in zip(norms, diffs.values)]
 
     points = []
     err_hp_trace = []
     err_weak_trace = []
     rate_ratios = []
     c_max = 0.0
-    for k, idx in enumerate(spec.indices):
+    for k, (idx, (err_hp, err_weak)) in enumerate(zip(spec.indices, errors)):
         rate = spread_rate(idx, p)
         omega = omegas[idx.top]
-        diff = partial_sum(spectrum, idx.value) - f
-        err_hp = hardy_norm(diff, p)
-        err_weak = weak_lp(diff, p)
         target = 1.0 / rate  # (M_<n>/M_|n|)^(1/p-1)
         ratio = omega / target if target > 0 else math.inf
         c_k = err_hp / (rate * omega) if rate * omega > 0 else 0.0

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -116,12 +117,23 @@ def counterexample_atom(
         raise ValueError(
             f"resolution {resolution} too small for an atom at |alpha| = {idx.top}"
         )
-    diff = (
-        dirichlet_closed(m, m.base(idx.top + 1), resolution).values
-        - dirichlet_closed(m, idx.m_top, resolution).values
-    )
+    lower = _base_kernel(m, idx.top, resolution)
+    diff = _base_kernel(m, idx.top + 1, resolution) - lower
     a = GridFunction(m, resolution, _block_level(m, idx, p, 1.0) * diff)
     return validate_atom(a, p, idx.top)
+
+
+@lru_cache(maxsize=1)
+def _base_kernel(m: GeneratorSequence, rank: int, resolution: int) -> np.ndarray:
+    """D_{M_rank} on the rank-N grid, read-only.
+
+    An atom at top t asks for D_{M_t}, then D_{M_{t+1}}.  The tops of a build
+    increase, so the next atom's first kernel is the kept one exactly when it
+    is shared: one kept kernel computes each distinct D_{M_k} of a build once.
+    """
+    values = dirichlet_closed(m, m.base(rank), resolution).values
+    values.setflags(write=False)
+    return values
 
 
 @dataclass
@@ -306,6 +318,7 @@ def build_counterexample(
         realized = realized + lam_k * atom.values
         kept_indices.append(idx)
         kept_lambdas.append(lam_k)
+    _base_kernel.cache_clear()  # the kept kernel serves one build only
     return MartingaleSpec(
         generators=m,
         p=p,

@@ -62,14 +62,15 @@ def weak_lp(f: GridFunction, p: float) -> float:
     finite = np.isfinite(f.values)
     if not finite.all():  # a nan would drop out of the levels below
         raise ValueError(f"weak_lp: value {int(np.argmin(finite))} is not finite")
-    mags = np.abs(f.values)
-    levels = np.unique(mags)
-    levels = levels[levels > 0]
-    if levels.size == 0:
+    # One sort gives both: each run of equal magnitudes starts at its level,
+    # and mu(|f| >= level) counts the cells from that start on.
+    ordered = np.sort(np.abs(f.values))
+    start = np.flatnonzero(np.concatenate(([True], ordered[1:] != ordered[:-1])) & (ordered > 0))
+    if start.size == 0:
         return 0.0
-    ordered = np.sort(mags)
-    count_ge = mags.size - np.searchsorted(ordered, levels, side="left")
-    candidates = levels * (1.0 - WEAK_LEVEL_OFFSET) * (count_ge / mags.size) ** (1.0 / p)
+    levels = ordered[start]
+    count_ge = ordered.size - start
+    candidates = levels * (1.0 - WEAK_LEVEL_OFFSET) * (count_ge / ordered.size) ** (1.0 / p)
     return float(candidates.max())
 
 

@@ -58,7 +58,9 @@ class GridFunction:
     any, hold a batch of functions on the same grid, one per row of shape
     (M_N,): ``forward``, ``inverse``, ``coarse_sums`` and the norms
     ``lp_norm``, ``maximal_function`` and ``hardy_norm`` treat each row as
-    its own function; every other operation takes a single function.
+    its own function, and ``partial_sum`` of one function at a sequence of
+    orders returns one row per order; every other operation takes a single
+    function.
     """
 
     generators: GeneratorSequence
@@ -488,20 +490,33 @@ def dirichlet_kernel_blocks(m: GeneratorSequence, resolution: int, limit: int):
     yield from cumulative_rows(m, resolution, limit)
 
 
-def partial_sum(f: GridFunction | SpectralVector, n: int) -> GridFunction:
+def partial_sum(f: GridFunction | SpectralVector, n) -> GridFunction:
     """S_n f by spectral truncation (the fast path).
 
     ``f`` is the function or its spectrum ``forward(f)``; a sweep over many n
     for one f transforms it once and truncates that spectrum each time.
+    ``n`` is one order or a 1-D sequence of orders.  For a sequence the
+    result holds one row per order: the spectrum is repeated once, each row
+    truncated in place and all rows go through one batched ``inverse``, so
+    each row is bitwise the lone ``partial_sum(f, n)``, which is the same
+    code on one row.
     """
-    if not 0 <= n <= f.size:
-        raise ValueError(f"partial sum order {n} out of range at resolution {f.resolution}")
-    if n == 0:
-        return zero(f.generators, f.resolution)
+    orders = np.asarray(n)
+    if orders.ndim > 1:
+        raise ValueError(f"partial sum orders must be one order or a 1-D sequence, not shape {orders.shape}")
+    rows = orders.reshape(-1)
+    for order in rows.tolist():
+        if not 0 <= order <= f.size:
+            raise ValueError(f"partial sum order {order} out of range at resolution {f.resolution}")
     sv = f if isinstance(f, SpectralVector) else forward(f)
-    coeffs = sv.coeffs.copy()
-    coeffs[n:] = 0.0
-    return inverse(SpectralVector(f.generators, f.resolution, coeffs))
+    coeffs = np.repeat(sv.coeffs[None], rows.size, axis=0)
+    for row, order in zip(coeffs, rows.tolist()):
+        row[order:] = 0.0
+    sums = inverse(SpectralVector(f.generators, f.resolution, coeffs)).values
+    # S_0 f is the zero function: +0.0 on every cell, whatever sign of zero
+    # the passes leave on a zero row.
+    sums[rows == 0] = 0.0
+    return GridFunction(f.generators, f.resolution, sums.reshape(orders.shape + (f.size,)))
 
 
 def partial_sum_convolution(f: GridFunction, n: int) -> GridFunction:

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import vilenkin.experiments as experiments
-from vilenkin.group import GeneratorSequence, WALSH, index_stats
+from vilenkin.group import GeneratorSequence, WALSH, decompose, index_stats
 from vilenkin.experiments import (
     MIN_GROWTH,
     MIN_RUN,
@@ -24,7 +24,7 @@ from vilenkin.experiments import (
     supp_measure_scan,
 )
 from vilenkin.martingale import build_counterexample, default_alphas, random_atom
-from vilenkin.norms import hardy_norm, lp_norm, running_maxima
+from vilenkin.norms import hardy_norm, lp_norm, modulus_hp, running_maxima, weak_lp
 from vilenkin.transform import (
     constant,
     dirichlet_average,
@@ -218,8 +218,9 @@ class TestOneSpectrumPerFunction:
 
     @pytest.mark.parametrize("trials", [1, 4])
     def test_boundedness(self, forward_calls, trials):
+        # one batched forward pass over the whole pool, one row per function
         boundedness_scan(0.5, "Mn_plus_Mn-1", WALSH, 7, trials=trials, seed=3)
-        assert len(forward_calls) == trials + 1
+        assert [f.values.shape for f in forward_calls] == [(trials + 1, 128)]
 
     def test_divergence(self, forward_calls):
         divergence_scan(0.5, "Mn_plus_1", WALSH, 9)
@@ -232,7 +233,8 @@ class TestOneSpectrumPerFunction:
 
 
 class TestBatchedPool:
-    """The boundedness scan transforms its whole pool back in one pass per index."""
+    """The boundedness scan transforms its whole pool back in one pass per
+    index while the pool fits in one run of rows."""
 
     def test_one_inverse_pass_and_norm_call_per_index(self, monkeypatch):
         passes, norm_calls = [], []
@@ -252,6 +254,72 @@ class TestBatchedPool:
         assert len(indices) == 6
         assert passes == [(5, 128)] * len(indices)
         assert norm_calls == [(5, 128)] * (len(indices) + 1)  # the denominators, then one per index
+
+
+def _hex(values) -> list[str]:
+    return [float(v).hex() for v in values]
+
+
+class TestBatchedScans:
+    """The modulus and divergence scans take their S_n f and H_p norms as row
+    batches; every value is bitwise the one the lone call gives."""
+
+    @pytest.mark.parametrize(
+        "m, resolution", [(WALSH, 13), (WALSH, 8), (TRIADIC, 5), (ALTERNATING, 8), (MIXED_CYCLE, 6)]
+    )
+    @pytest.mark.parametrize("f_rule, n_rule", [("unit_kernel", "default"), ("fast_decay", "Mn_plus_1")])
+    def test_modulus_values_are_lone_norms(self, m, resolution, f_rule, n_rule):
+        p = 0.5
+        result = modulus_convergence_scan(p, f_rule, n_rule, m, resolution)
+        alphas = default_alphas(m, resolution) if n_rule == "default" else experiments._mk_plus_1(m, resolution)
+        spec = experiments._modulus_spec(f_rule, m, p, [decompose(a, m) for a in alphas], resolution)
+        f = spec.realized
+        assert [pt["n"] for pt in result.points] == list(spec.alphas)
+        diffs = [partial_sum(f, idx.value) - f for idx in spec.indices]
+        assert _hex(pt["omega"] for pt in result.points) == _hex(modulus_hp(f, idx.top, p) for idx in spec.indices)
+        assert _hex(pt["err_hardy"] for pt in result.points) == _hex(hardy_norm(d, p) for d in diffs)
+        assert _hex(pt["err_weak"] for pt in result.points) == _hex(weak_lp(d, p) for d in diffs)
+        # every omega(1/M_t) enters the tail constants, not only those at the tops
+        tails = []
+        for t in range(resolution + 1):
+            tail = sum(abs(l) ** p for l, idx in zip(spec.lambdas, spec.indices) if idx.top >= t)
+            if tail > 0:
+                tails.append(modulus_hp(f, t, p) ** p / tail)
+        assert _hex([result.constants["tail_constant_max"]]) == _hex([max(tails)])
+
+    @pytest.mark.parametrize("m, resolution", [(WALSH, 13), (TRIADIC, 5), (MIXED_CYCLE, 6)])
+    def test_divergence_values_are_lone_norms(self, m, resolution):
+        p = 0.5
+        result = divergence_scan(p, "Mn_plus_1", m, resolution)
+        spec = build_counterexample(m, p, result.params["alphas"], rule="balanced", resolution=resolution)
+        lone = [weak_lp(partial_sum(spec.realized, a), p) for a in spec.alphas]
+        assert _hex(pt["weak_norm"] for pt in result.points) == _hex(lone)
+
+    def test_batches_stay_within_the_row_cap(self, monkeypatch):
+        rows = {"partial_sum": [], "hardy_norm": []}
+
+        def counted(name, fn):
+            def wrapper(f, *args):
+                rows[name].append(f.values.shape[0] if name == "hardy_norm" else len(args[0]))
+                return fn(f, *args)
+
+            return wrapper
+
+        for name in rows:
+            monkeypatch.setattr(experiments, name, counted(name, getattr(experiments, name)))
+        resolution = 13
+        cap = max(1, experiments._BATCH_POINTS // 2**resolution)
+        assert cap == 4
+        result = modulus_convergence_scan(0.5, "unit_kernel", "Mn_plus_1", WALSH, resolution)
+        k = len(result.points)
+        assert sum(rows["hardy_norm"]) == resolution + 1 + k  # the gaps f - S_{M_t} f, then the errors
+        divergence_scan(0.5, "Mn_plus_1", WALSH, resolution)
+        assert sum(rows["partial_sum"]) == k + resolution - 1
+        assert max(rows["partial_sum"] + rows["hardy_norm"]) == cap
+        # the boundedness pool of five functions: runs of four rows and one
+        rows["hardy_norm"].clear()
+        result = boundedness_scan(0.5, "Mn", WALSH, resolution, trials=4, seed=3)
+        assert rows["hardy_norm"] == [cap, 1] * (len(result.points) + 1)
 
 
 class TestDivergenceWork:

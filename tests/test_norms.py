@@ -7,6 +7,7 @@ from vilenkin.group import GeneratorSequence, WALSH
 from vilenkin.martingale import random_atom
 from vilenkin.norms import (
     SUPPORT_THRESHOLD,
+    WEAK_LEVEL_OFFSET,
     hardy_norm,
     lebesgue_constant,
     lebesgue_table,
@@ -40,7 +41,38 @@ class TestLp:
             lp_norm(constant(WALSH, 2), 0.0)
 
 
+def _weak_lp_literal(f, p):
+    """weak_lp's formula with np.unique levels and searchsorted counts."""
+    mags = np.abs(f.values)
+    levels = np.unique(mags)
+    levels = levels[levels > 0]
+    if levels.size == 0:
+        return 0.0
+    count_ge = mags.size - np.searchsorted(np.sort(mags), levels, side="left")
+    return float((levels * (1.0 - WEAK_LEVEL_OFFSET) * (count_ge / mags.size) ** (1.0 / p)).max())
+
+
+@st.composite
+def _tied_function(draw):
+    """A function on radices 2, 3, 4 or mixed, with some cells set to zero and
+    some to values of one magnitude at several phases (ties in |f|)."""
+    m = GeneratorSequence.parse(draw(st.sampled_from(["2^", "3^", "4^", "2,3^", "2,3,4^", "4,3,2"])))
+    resolution = draw(st.integers(0, 4))
+    size = m.size(resolution)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    values = (rng.standard_normal(size) + 1j * rng.standard_normal(size)) * 10.0 ** draw(st.integers(-6, 6))
+    tied = rng.random(size) < draw(st.floats(0.0, 1.0))
+    values[tied] = rng.choice(np.array([5.0, -5.0, 5j, 3 + 4j, -4 - 3j, 2.5, 2.5j]), size=int(tied.sum()))
+    values[rng.random(size) < draw(st.floats(0.0, 1.0))] = 0.0
+    return grid_function(m, resolution, values)
+
+
 class TestWeakLp:
+    @settings(max_examples=150, deadline=None)
+    @given(f=_tied_function(), p=st.sampled_from([0.3, 0.5, 2 / 3, 1.0, 2.0]))
+    def test_one_sort_equals_unique_and_searchsorted(self, f, p):
+        assert weak_lp(f, p).hex() == _weak_lp_literal(f, p).hex()
+
     def test_zero(self):
         vals = np.zeros(8)
         assert weak_lp(grid_function(WALSH, 3, vals), 0.5) == 0.0

@@ -410,7 +410,52 @@ class TestPartialSumOfSpectrum:
         sv = forward(random_grid(TRIADIC, 3, seed=4))
         before = sv.coeffs.copy()
         partial_sum(sv, 5)
+        partial_sum(sv, [0, 5, 27])
         assert np.array_equal(sv.coeffs, before)
+
+
+def _assert_rows_are_lone_sums(f, orders):
+    sv = forward(f)
+    for source in (f, sv):
+        rows = partial_sum(source, orders).values
+        assert rows.shape == (len(orders), f.size)
+        for row, n in zip(rows, orders):
+            lone = partial_sum(source, n).values
+            assert np.array_equal(row.view(np.uint64), lone.view(np.uint64)), n
+
+
+class TestPartialSumOrders:
+    """A sequence of orders gives one row per order, each bitwise the lone S_n f."""
+
+    @given(_spectrum_case(), st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_rows_are_lone_sums(self, f, data):
+        orders = data.draw(st.lists(st.integers(0, f.size), min_size=1, max_size=8))
+        _assert_rows_are_lone_sums(f, orders)
+
+    @pytest.mark.parametrize("m", SEQUENCES, ids=lambda m: m.format())
+    def test_every_order(self, m):
+        f = random_grid(m, 4 if m.max_radix > 2 else 6, seed=21)
+        _assert_rows_are_lone_sums(f, list(range(f.size + 1)))
+        _assert_rows_are_lone_sums(f, np.arange(f.size, -1, -1))
+
+    def test_zero_order_row_is_positive_zero(self):
+        f = random_grid(TRIADIC, 3, seed=2)
+        rows = partial_sum(f, [0, 4, 0]).values
+        assert not np.signbit(rows[[0, 2]].view(np.float64)).any()
+        assert not rows[[0, 2]].any()
+
+    @pytest.mark.parametrize("bad", [-1, 33])
+    def test_out_of_range_order_refused(self, bad):
+        f = random_grid(WALSH, 5)
+        for source in (f, forward(f)):
+            with pytest.raises(ValueError, match=f"partial sum order {bad} out of range at resolution 5"):
+                partial_sum(source, [0, 3, bad])
+
+    def test_nested_orders_refused(self):
+        f = random_grid(WALSH, 3)
+        with pytest.raises(ValueError, match="1-D sequence"):
+            partial_sum(f, [[1, 2], [3, 4]])
 
 
 class TestDirichlet:
