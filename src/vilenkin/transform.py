@@ -41,6 +41,23 @@ SIZE_CAP = 1 << 20
 _MAGIC = b"VGF1"
 
 
+def _checked_size(m: GeneratorSequence, resolution: int) -> int:
+    """M_N, refused above ``SIZE_CAP``: every grid array and file header passes here."""
+    size = m.size(resolution)
+    if size > SIZE_CAP:
+        raise ValueError(f"M_N = {size} exceeds the size cap {SIZE_CAP}")
+    return size
+
+
+def _grid_array(m: GeneratorSequence, resolution: int, data, what: str) -> np.ndarray:
+    """``data`` as complex128 with M_N entries on its last axis, leading axes a batch."""
+    size = _checked_size(m, resolution)
+    data = np.asarray(data, dtype=np.complex128)
+    if data.shape[-1:] != (size,):
+        raise ValueError(f"{what} vector has length {data.shape}, expected M_N = {size}")
+    return data
+
+
 @lru_cache(maxsize=64)
 def unit_roots(radix: int) -> np.ndarray:
     """exp(2 pi i u / m) for u = 0..m-1; the only root table in the package."""
@@ -56,11 +73,11 @@ class GridFunction:
     ``values[i]`` is the value on the coset with little-endian index i;
     the Haar integral is the plain mean of ``values``.  Leading axes, if
     any, hold a batch of functions on the same grid, one per row of shape
-    (M_N,): ``forward``, ``inverse``, ``coarse_sums`` and the norms
-    ``lp_norm``, ``maximal_function`` and ``hardy_norm`` treat each row as
-    its own function, and ``partial_sum`` of one function at a sequence of
-    orders returns one row per order; every other operation takes a single
-    function.
+    (M_N,): ``forward``, ``inverse``, ``coarse_sums``, ``conditional_expectation``
+    and the norms ``lp_norm``, ``maximal_function``, ``hardy_norm`` and
+    ``modulus_hp`` treat each row as its own function.  ``partial_sum`` takes
+    one function and returns one row per order for a sequence of orders;
+    every other operation takes a single function.
     """
 
     generators: GeneratorSequence
@@ -68,14 +85,7 @@ class GridFunction:
     values: np.ndarray
 
     def __post_init__(self) -> None:
-        size = self.generators.size(self.resolution)
-        if size > SIZE_CAP:
-            raise ValueError(f"M_N = {size} exceeds the size cap {SIZE_CAP}")
-        self.values = np.asarray(self.values, dtype=np.complex128)
-        if self.values.shape[-1:] != (size,):
-            raise ValueError(
-                f"value vector has length {self.values.shape}, expected M_N = {size}"
-            )
+        self.values = _grid_array(self.generators, self.resolution, self.values, "value")
 
     @property
     def size(self) -> int:
@@ -116,12 +126,7 @@ class SpectralVector:
     coeffs: np.ndarray
 
     def __post_init__(self) -> None:
-        size = self.generators.size(self.resolution)
-        self.coeffs = np.asarray(self.coeffs, dtype=np.complex128)
-        if self.coeffs.shape[-1:] != (size,):
-            raise ValueError(
-                f"coefficient vector has length {self.coeffs.shape}, expected M_N = {size}"
-            )
+        self.coeffs = _grid_array(self.generators, self.resolution, self.coeffs, "coefficient")
 
     @property
     def size(self) -> int:
@@ -267,9 +272,7 @@ def inverse_naive(sv: SpectralVector, block: int = 512) -> GridFunction:
 
 
 def _check_kernel_args(m: GeneratorSequence, n: int, resolution: int) -> int:
-    size = m.size(resolution)
-    if size > SIZE_CAP:
-        raise ValueError(f"M_N = {size} exceeds the size cap {SIZE_CAP}")
+    size = _checked_size(m, resolution)
     if not 1 <= n <= size:
         raise ValueError(f"Dirichlet kernel D_{n} is not resolvable at resolution {resolution}")
     return size
@@ -499,8 +502,10 @@ def partial_sum(f: GridFunction | SpectralVector, n) -> GridFunction:
     result holds one row per order: the spectrum is repeated once, each row
     truncated in place and all rows go through one batched ``inverse``, so
     each row is bitwise the lone ``partial_sum(f, n)``, which is the same
-    code on one row.
+    code on one row.  A batch of functions is refused.
     """
+    if (f.coeffs if isinstance(f, SpectralVector) else f.values).ndim > 1:
+        raise ValueError("partial sums take one function, not a batch")
     orders = np.asarray(n)
     if orders.ndim > 1:
         raise ValueError(f"partial sum orders must be one order or a 1-D sequence, not shape {orders.shape}")
@@ -538,13 +543,19 @@ def partial_sum_convolution(f: GridFunction, n: int) -> GridFunction:
     return GridFunction(f.generators, f.resolution, values)
 
 
+def _coset_means(values: np.ndarray, m_k: int) -> np.ndarray:
+    """(..., M_k) means of each row over its rank-k cosets: the reduction
+    ``mean`` runs, without its Python wrapper."""
+    *lead, size = values.shape
+    return np.add.reduce(values.reshape(*lead, size // m_k, m_k), axis=-2) / (size // m_k)
+
+
 def conditional_expectation(f: GridFunction, rank: int) -> GridFunction:
-    """S_{M_k} f: the average of f over each rank-k coset."""
+    """S_{M_k} f: the average of f over each rank-k coset, row by row."""
     if not 0 <= rank <= f.resolution:
         raise ValueError("conditional expectation rank out of range")
     m_rank = f.generators.base(rank)
-    means = f.values.reshape(-1, m_rank).mean(axis=0)
-    return GridFunction(f.generators, f.resolution, np.tile(means, f.size // m_rank))
+    return f._like(np.tile(_coset_means(f.values, m_rank), f.size // m_rank))
 
 
 def coarse_sums(f: GridFunction) -> list[np.ndarray]:
@@ -552,14 +563,9 @@ def coarse_sums(f: GridFunction) -> list[np.ndarray]:
 
     Level k has shape (..., M_k): entry i is the mean of f over the rank-k
     coset of grid index i, so ``np.tile(level, M_N // M_k)`` is
-    ``conditional_expectation(f, k)`` bitwise.  The reduction is the one
-    ``mean`` runs, without its Python wrapper.
+    ``conditional_expectation(f, k)`` bitwise.
     """
-    *lead, size = f.values.shape
-    return [
-        np.add.reduce(f.values.reshape(*lead, size // m_k, m_k), axis=-2) / (size // m_k)
-        for m_k in f.generators.scaled_bases(f.resolution)
-    ]
+    return [_coset_means(f.values, m_k) for m_k in f.generators.scaled_bases(f.resolution)]
 
 
 def dirichlet_average(m: GeneratorSequence, n: int, rank: int, resolution: int) -> GridFunction:
@@ -583,8 +589,6 @@ def dirichlet_average(m: GeneratorSequence, n: int, rank: int, resolution: int) 
 
 _CSV_ROW = "%d,%.12g,%.12g\n"
 _CSV_BLOCK = 4096
-# ``_format_rows`` writes the row index as two 4-digit groups.
-_CSV_INDEX_LIMIT = 10**8
 # Decimal exponents of float64 lie in [-324, 308]; the tables span +-330.
 _E_OFF = 330
 
@@ -749,18 +753,15 @@ def write_csv_rows(out: io.TextIOBase, data: np.ndarray) -> None:
     per-row ``f"{i},{z.real:.12g},{z.imag:.12g}"``), and no whole-body
     string is held.  Numpy passes format the cells of every block
     (``_format_cells``), and ``%`` writes only the cells they cannot
-    decide; a block past row 10^8 is one ``_CSV_ROW * k % cells``.  The
-    passes cost about 0.1 ms a block before any row, so ``%`` alone would
-    be faster only under about 128 rows.  At 2^17 rows of standard normals
-    on 2 vCPUs they took the writer from about 130 ms to 40 ms.
+    decide.  The passes cost about 0.1 ms a block before any row, so ``%``
+    alone would be faster only under about 128 rows.  At 2^17 rows of
+    standard normals on 2 vCPUs they took the writer from about 130 ms to
+    40 ms.  More than ``SIZE_CAP`` rows are refused.
     """
+    if len(data) > SIZE_CAP:
+        raise ValueError(f"{len(data)} CSV rows exceed the size cap {SIZE_CAP}")
     for lo in range(0, len(data), _CSV_BLOCK):
-        z = data[lo : lo + _CSV_BLOCK]
-        if lo + len(z) <= _CSV_INDEX_LIMIT:
-            out.write(_format_rows(lo, z))
-            continue
-        cells = np.column_stack((np.arange(lo, lo + len(z)), z.real, z.imag))
-        out.write(_CSV_ROW * len(z) % tuple(cells.ravel().tolist()))
+        out.write(_format_rows(lo, data[lo : lo + _CSV_BLOCK]))
 
 
 def _write_rows(out: io.TextIOBase, m: GeneratorSequence, resolution: int, kind: str, data: np.ndarray) -> None:
@@ -786,7 +787,7 @@ def _read_rows(src: io.TextIOBase) -> tuple[GeneratorSequence, int, str, np.ndar
     kind = header.split()[2]
     m = GeneratorSequence.parse(src.readline().strip().removeprefix("# m="))
     resolution = int(src.readline().strip().removeprefix("# N="))
-    size = m.size(resolution)
+    size = _checked_size(m, resolution)
     src.readline()  # column header
     # Parse every row at once, then check the whole table at once.
     with warnings.catch_warnings():
@@ -853,12 +854,11 @@ def _read_binary(src: io.BufferedIOBase) -> tuple[GeneratorSequence, int, int, n
     if len(mraw) != mlen:
         raise ValueError("binary header is truncated")
     m = GeneratorSequence.parse(mraw.decode())
-    payload = src.read()
-    expected = 16 * m.size(resolution)
+    expected = 16 * _checked_size(m, resolution)
+    payload = src.read(expected + 1)  # one byte past the payload tells a long file
     if len(payload) != expected:
-        raise ValueError(
-            f"binary payload has {len(payload)} bytes, the header needs {expected}"
-        )
+        have = f"more than {expected}" if len(payload) > expected else len(payload)
+        raise ValueError(f"binary payload has {have} bytes, the header needs {expected}")
     data = np.frombuffer(payload, dtype="<c16").astype(np.complex128)
     if not np.isfinite(data).all():
         raise ValueError(f"binary payload entry {int(np.argmin(np.isfinite(data)))} is not finite")

@@ -1,4 +1,5 @@
 import io
+import struct
 import tracemalloc
 
 import numpy as np
@@ -7,9 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from vilenkin.group import GeneratorSequence, GroupPoint, WALSH, decompose, digit_table
-from vilenkin.norms import SUPPORT_THRESHOLD, lebesgue_table
+from vilenkin.norms import SUPPORT_THRESHOLD, lebesgue_table, modulus_hp
 from vilenkin.transform import (
     _CSV_BLOCK,
+    SIZE_CAP,
     _digit_passes,
     GridFunction,
     SpectralVector,
@@ -33,8 +35,10 @@ from vilenkin.transform import (
     partial_sum_convolution,
     read_grid_binary,
     read_grid_csv,
+    read_spectral_binary,
     read_spectral_csv,
     unit_roots,
+    write_csv_rows,
     write_grid_binary,
     write_grid_csv,
     write_spectral_csv,
@@ -138,6 +142,11 @@ class TestTransform:
     def test_size_cap(self):
         with pytest.raises(ValueError):
             zero(WALSH, 21)
+
+    @pytest.mark.parametrize("cls", [GridFunction, SpectralVector])
+    def test_size_cap_message_is_shared(self, cls):
+        with pytest.raises(ValueError, match=r"^M_N = 2097152 exceeds the size cap 1048576$"):
+            cls(WALSH, 21, np.zeros(1))
 
     @settings(max_examples=80, deadline=None)
     @given(case=_fft_case())
@@ -457,6 +466,15 @@ class TestPartialSumOrders:
         with pytest.raises(ValueError, match="1-D sequence"):
             partial_sum(f, [[1, 2], [3, 4]])
 
+    @pytest.mark.parametrize("rows", [1, 2])
+    def test_batch_of_functions_refused(self, rows):
+        # a batch would be truncated along its batch axis, not its spectrum
+        values = np.stack([random_grid(WALSH, 4, seed=s).values for s in range(rows)])
+        f = GridFunction(WALSH, 4, values)
+        for source in (f, forward(f)):
+            with pytest.raises(ValueError, match="one function, not a batch"):
+                partial_sum(source, 3)
+
 
 class TestDirichlet:
     @pytest.mark.parametrize("m", SEQUENCES, ids=lambda m: m.format())
@@ -682,6 +700,20 @@ class TestPartialSums:
                 assert np.array_equal(level[i].view(np.uint64), lone.view(np.uint64))
 
 
+@pytest.mark.parametrize("m", [WALSH, TRIADIC, ALTERNATING], ids=lambda m: m.format())
+def test_coset_levels_act_row_by_row(m):
+    resolution = 4
+    rows = np.stack([random_grid(m, resolution, seed=s).values for s in (31, 32)])
+    batch = GridFunction(m, resolution, rows)
+    for rank in range(resolution + 1):
+        both = conditional_expectation(batch, rank).values
+        omegas = modulus_hp(batch, rank, 0.5)
+        for i, row in enumerate(rows):
+            lone = GridFunction(m, resolution, row)
+            assert np.array_equal(both[i].view(np.uint64), conditional_expectation(lone, rank).values.view(np.uint64))
+            assert np.float64(omegas[i]).view(np.uint64) == np.float64(modulus_hp(lone, rank, 0.5)).view(np.uint64)
+
+
 class TestKernelAverage:
     def test_point_mass_average(self):
         # Averaging over I_N (a single grid cell) is |D_n| / M_N.
@@ -810,6 +842,37 @@ class TestSerialization:
         buf.seek(0)
         with pytest.raises(ValueError):
             read_spectral_csv(buf)
+
+    @pytest.mark.parametrize("kind", ["grid", "spectral"])
+    def test_header_past_the_cap_is_refused_before_rows(self, kind):
+        header = f"# vilenkin {kind} v1\n# m=2^\n# N=21\nindex,re,im\n"
+        reader = read_grid_csv if kind == "grid" else read_spectral_csv
+        with pytest.raises(ValueError, match="exceeds the size cap"):
+            reader(io.StringIO(header))
+        mstr = WALSH.format().encode()
+        blob = b"VGF1" + struct.pack("<BIH", kind == "spectral", 21, len(mstr)) + mstr
+        reader = read_grid_binary if kind == "grid" else read_spectral_binary
+        with pytest.raises(ValueError, match="exceeds the size cap"):
+            reader(io.BytesIO(blob))
+
+    @pytest.mark.parametrize(
+        "entries, message",
+        [(3, "binary payload has 48 bytes, the header needs 64"), (5, "binary payload has more than 64 bytes, the header needs 64")],
+        ids=["short", "long"],
+    )
+    def test_binary_payload_length(self, entries, message):
+        buf = io.BytesIO()
+        write_grid_binary(buf, random_grid(WALSH, 2, seed=24))
+        blob = buf.getvalue()
+        blob = blob[: len(blob) - 16] if entries < 4 else blob + bytes(16)
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            read_grid_binary(io.BytesIO(blob))
+
+    def test_csv_writer_refuses_rows_past_the_cap(self):
+        buf = io.StringIO()
+        with pytest.raises(ValueError, match="exceed the size cap"):
+            write_csv_rows(buf, np.zeros(SIZE_CAP + 1, dtype=np.complex128))
+        assert buf.getvalue() == ""
 
     def test_garbage_rejected(self):
         with pytest.raises(ValueError):
