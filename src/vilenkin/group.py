@@ -296,16 +296,23 @@ def index_to_point(i: int, m: GeneratorSequence, resolution: int) -> GroupPoint:
 @lru_cache(maxsize=16)
 def _digit_table(pattern: tuple[int, ...], cyclic: bool, resolution: int) -> np.ndarray:
     m = GeneratorSequence(pattern, cyclic)
-    table = digits_of(np.arange(m.size(resolution), dtype=np.int64), m, resolution)
-    table.setflags(write=False)
-    return table
+    bases = _scaled_bases(pattern, cyclic, resolution)
+    columns = np.empty((resolution, bases[-1]), dtype=np.min_scalar_type(m.max_radix - 1))
+    for k, mk in enumerate(m.radices(resolution)):
+        # digit k of x is (x // M_k) % m_k: runs of M_k equal digits cycling 0..m_k-1
+        columns[k].reshape(-1, mk, bases[k])[...] = np.arange(mk, dtype=columns.dtype)[:, None]
+    columns.setflags(write=False)
+    return columns.T
 
 
 def digit_table(m: GeneratorSequence, resolution: int) -> np.ndarray:
-    """(M_N, N) int64 array; row i holds the digits of i, x_0 first.
+    """Read-only (M_N, N) array; row i holds the digits of i, x_0 first.
 
-    This single table backs coset enumeration for transforms, kernels and
-    I/O, so every component sees the same ordering.
+    The dtype is the narrowest unsigned type that holds every digit (uint8
+    up to radix 256), and each digit column ``[:, k]`` is contiguous: the
+    table is the transpose of one (N, M_N) array.  Take products of digits
+    in a wider type.  This single table backs coset enumeration for
+    transforms, kernels and I/O, so every component sees the same ordering.
     """
     return _digit_table(m.pattern, m.cyclic, resolution)
 

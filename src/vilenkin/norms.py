@@ -57,8 +57,11 @@ def weak_lp(f: GridFunction, p: float) -> float:
 
     On a discrete grid the supremum is attained just below an achieved
     value, so each candidate level is backed off by a relative offset.
+    One function only: a batch is refused.
     """
     _check_p(p)
+    if f.values.ndim > 1:
+        raise ValueError("weak_lp takes one function, not a batch")
     finite = np.isfinite(f.values)
     if not finite.all():  # a nan would drop out of the levels below
         raise ValueError(f"weak_lp: value {int(np.argmin(finite))} is not finite")

@@ -66,6 +66,21 @@ def unit_roots(radix: int) -> np.ndarray:
     return roots
 
 
+def _root_products(radix: int, digits) -> np.ndarray:
+    """Rows P[d] of the root-power table P[d, v] = r^(d v) = ``unit_roots(radix)[(d v) % radix]``,
+    one per d in ``digits`` (one row for a scalar d), for v = 0..radix-1.
+
+    A character factor r_k^(n_k x_k) is then a gather ``P[n_k][x_k]`` by the
+    narrow digit column x_k, with no product or modulo per grid point.  The
+    product d v is taken here in int64, so it never wraps.  Only the rows
+    asked for are built, radix entries each, so a single radix as large as
+    ``SIZE_CAP`` needs no radix x radix table.
+    """
+    powers = np.multiply.outer(np.asarray(digits, dtype=np.int64), np.arange(radix))
+    powers %= radix
+    return unit_roots(radix)[powers]
+
+
 @dataclass
 class GridFunction:
     """Complex function on G_m constant on rank-N cosets.
@@ -77,7 +92,8 @@ class GridFunction:
     and the norms ``lp_norm``, ``maximal_function``, ``hardy_norm`` and
     ``modulus_hp`` treat each row as its own function.  ``partial_sum`` takes
     one function and returns one row per order for a sequence of orders;
-    every other operation takes a single function.
+    every other operation takes a single function, and ``partial_sum``,
+    ``integral`` and ``weak_lp`` refuse a batch.
     """
 
     generators: GeneratorSequence
@@ -92,6 +108,8 @@ class GridFunction:
         return self.values.shape[-1]
 
     def integral(self) -> complex:
+        if self.values.ndim > 1:
+            raise ValueError("the integral takes one function, not a batch")
         return complex(self.values.mean())
 
     def _like(self, values: np.ndarray) -> "GridFunction":
@@ -175,8 +193,7 @@ def character_block(m: GeneratorSequence, resolution: int, indices) -> np.ndarra
         col = ndig[:, k]
         if not col.any():
             continue
-        mk = m.radix(k)
-        out *= unit_roots(mk)[(col[:, None] * xdig[None, :, k]) % mk]
+        out *= np.take(_root_products(m.radix(k), col), xdig[:, k], axis=1)
     return out
 
 
@@ -319,12 +336,12 @@ def dirichlet_closed(m: GeneratorSequence, n: int, resolution: int) -> GridFunct
         if nj == 0:
             continue
         mj = m.radix(j)
-        roots = unit_roots(mj)
-        xj = xdig[:: bases[j], j]
-        geo = np.zeros(xj.size, dtype=np.complex128)
+        # geo[v] adds P[u][v] for u = m_j - n_j .. m_j - 1 in that order, once
+        # per coordinate v; read at x_j, each point gets the same additions
+        geo = np.zeros(mj, dtype=np.complex128)
         for u in range(mj - nj, mj):
-            geo += roots[(u * xj) % mj]
-        acc[:: bases[j]] += bases[j] * geo
+            geo += _root_products(mj, u)
+        acc[:: bases[j]] += bases[j] * geo[xdig[:: bases[j], j]]
     return GridFunction(m, resolution, character_values(m, n, resolution) * acc)
 
 
@@ -332,11 +349,9 @@ def dirichlet_closed(m: GeneratorSequence, n: int, resolution: int) -> GridFunct
 def _geometric_root_sums(radix: int) -> np.ndarray:
     """G[d, v] = sum_{u=m-d}^{m-1} r^(u v) with r = exp(2 pi i / m): the
     factor one digit d contributes to D_n at a coordinate v (G[0] = 0)."""
-    roots = unit_roots(radix)
     table = np.zeros((radix, radix), dtype=np.complex128)
-    v = np.arange(radix)
     for d in range(1, radix):
-        table[d] = table[d - 1] + roots[((radix - d) * v) % radix]
+        table[d] = table[d - 1] + _root_products(radix, radix - d)
     table.setflags(write=False)
     return table
 
@@ -372,7 +387,7 @@ class ShellTable:
         m, resolution = self.generators, self.resolution
         grid = np.arange(1, m.size(resolution), dtype=np.int64)
         s = index_stats(grid, m, resolution).bottom
-        v = digits_of(grid, m, resolution)[np.arange(grid.size), s]
+        v = digit_table(m, resolution)[grid, s]
         first = np.flatnonzero(self.coord == 1)  # the column of (s, 1)
         out = np.empty((self.indices.size, grid.size + 1))
         out[:, 0] = self.indices
@@ -458,7 +473,7 @@ def cumulative_rows(
     radices = m.radices(resolution)
     # factors[k][d] = r_k^(d x_k): the root factor of digit d at high position k
     factors = {
-        k: unit_roots(radices[k])[np.outer(np.arange(radices[k]), xdig[:, k]) % radices[k]]
+        k: np.take(_root_products(radices[k], range(radices[k])), xdig[:, k], axis=1)
         for k in range(b, resolution)
     }
     carry = np.zeros(size, dtype=np.complex128)

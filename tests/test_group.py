@@ -169,11 +169,6 @@ class TestVariation:
 
 
 class TestGroupLaw:
-    def test_componentwise_mod(self):
-        m = GeneratorSequence((3, 2))
-        x = GroupPoint((2, 1), m)
-        assert group_add(x, x).coords == (1, 0)
-
     @pytest.mark.parametrize("m", [WALSH, TRIADIC, MIXED], ids=lambda m: m.format())
     def test_sub_is_inverse(self, m):
         rng = np.random.default_rng(5)
@@ -303,6 +298,21 @@ class TestTables:
             idx = decompose(i, m)
             row = tuple(table[i][: idx.top + 1])
             assert row == idx.digits
+
+    @pytest.mark.parametrize(
+        "spec,resolution,dtype",
+        [("2^", 9, np.uint8), ("3^", 6, np.uint8), ("2,3^", 7, np.uint8), ("2,3,4^", 5, np.uint8), ("2,300", 2, np.uint16)],
+        ids=["2^", "3^", "2,3^", "2,3,4^", "2,300"],
+    )
+    def test_digit_table_is_narrow_digit_columns(self, spec, resolution, dtype):
+        m = GeneratorSequence.parse(spec)
+        table = digit_table(m, resolution)
+        assert np.array_equal(table, digits_of(np.arange(m.size(resolution)), m, resolution))
+        assert table.shape == (m.size(resolution), resolution)
+        assert table.dtype == dtype
+        assert not table.flags.writeable
+        assert all(table[:, k].flags.c_contiguous for k in range(resolution))
+        assert digit_table(m, resolution) is table
 
     def test_coset_mask(self):
         mask = coset_mask(WALSH, 4, 2)

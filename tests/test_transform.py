@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from vilenkin.group import GeneratorSequence, GroupPoint, WALSH, decompose, digit_table
+from vilenkin.group import GeneratorSequence, GroupPoint, WALSH, decompose, digit_table, digits_of
 from vilenkin.norms import SUPPORT_THRESHOLD, lebesgue_table, modulus_hp
 from vilenkin.transform import (
     _CSV_BLOCK,
@@ -292,12 +292,12 @@ class TestTransformProperties:
         assert np.abs(twice.values - once.values).max() <= 1e-9 * max(np.abs(f.values).max(), 1.0)
 
 
-def _literal_rows(m, resolution, limit, weights, block):
+def _literal_rows(m, resolution, limit, weights, block, rows_of=character_block):
     """The blocked loop over literal character rows that cumulative_rows replaces."""
     carry = np.zeros(m.size(resolution), dtype=np.complex128)
     for lo in range(0, limit, block):
         hi = min(lo + block, limit)
-        rows = character_block(m, resolution, np.arange(lo, hi))
+        rows = rows_of(m, resolution, np.arange(lo, hi))
         if weights is not None:
             rows = rows * weights[lo:hi, None]
         sums = carry + np.cumsum(rows, axis=0)
@@ -398,6 +398,57 @@ def _spectrum_case(draw):
         top += 1
     resolution = draw(st.integers(0, top))
     return random_grid(m, resolution, seed=draw(st.integers(0, 1 << 30)))
+
+
+def _int64_character_block(m, resolution, indices):
+    """Character rows with each factor r_k^(n_k x_k) read as unit_roots(m_k)[(n_k * x_k) % m_k]
+    from int64 digits, over every digit k that some row has nonzero, x_0 first."""
+    grid = digits_of(np.arange(m.size(resolution)), m, resolution)
+    ndig = digits_of(np.asarray(indices, dtype=np.int64), m, resolution)
+    out = np.ones((ndig.shape[0], grid.shape[0]), dtype=np.complex128)
+    for k in range(resolution):
+        if ndig[:, k].any():
+            mk = m.radix(k)
+            out *= unit_roots(mk)[(ndig[:, k, None] * grid[None, :, k]) % mk]
+    return out
+
+
+@st.composite
+def _wide_radix_case(draw):
+    """Radices 2, 3, 4, 17 and 300, alone or mixed: n_k x_k reaches 16 * 16 = 256
+    and 299 * 299, past uint8 and uint16, the digit table's dtypes."""
+    pattern = tuple(draw(st.lists(st.sampled_from([2, 3, 4, 17, 300]), min_size=1, max_size=3)))
+    m = GeneratorSequence(pattern, cyclic=draw(st.booleans()))
+    top = 0
+    while m.size(top + 1) <= 1200:
+        top += 1
+    resolution = draw(st.integers(0, top))
+    size = m.size(resolution)
+    rng = np.random.default_rng(draw(st.integers(0, 1 << 30)))
+    indices = rng.integers(0, size, draw(st.integers(1, 8)))
+    weights = rng.standard_normal(size) + 1j * rng.standard_normal(size) if draw(st.booleans()) else None
+    return m, resolution, indices, weights, draw(st.integers(1, size)), draw(st.integers(1, 300))
+
+
+class TestRowsEqualInt64Digits:
+    """Character rows, closed-form kernels and cumulative rows gather root powers
+    by narrow digits; each must be bitwise the literal int64 product form (for
+    the kernels, the masked product formula, whose psi_n is a row checked first)."""
+
+    @given(_wide_radix_case())
+    @settings(max_examples=60, deadline=None)
+    def test_rows_bitwise_equal(self, case):
+        m, resolution, indices, weights, limit, block = case
+        fast = character_block(m, resolution, indices)
+        assert np.array_equal(fast.view(np.uint64), _int64_character_block(m, resolution, indices).view(np.uint64))
+        for n in (indices + 1).tolist():
+            fast = dirichlet_closed(m, n, resolution).values
+            assert np.array_equal(fast.view(np.uint64), _dirichlet_closed_masked(m, n, resolution).view(np.uint64)), n
+        fast = cumulative_rows(m, resolution, limit, weights, block)
+        slow = _literal_rows(m, resolution, limit, weights, block, rows_of=_int64_character_block)
+        for (lo, a), (lo_ref, b) in zip(fast, slow, strict=True):
+            assert lo == lo_ref
+            assert np.array_equal(a.view(np.uint64), b.view(np.uint64)), lo
 
 
 class TestPartialSumOfSpectrum:
@@ -563,7 +614,7 @@ def _dirichlet_closed_masked(m, n, resolution):
         roots = unit_roots(mj)
         geo = np.zeros(size, dtype=np.complex128)
         for u in range(mj - nj, mj):
-            geo += roots[(u * xdig[:, j]) % mj]
+            geo += roots[(u * xdig[:, j].astype(np.int64)) % mj]
         mask = (grid % bases[j]) == 0
         acc[mask] += bases[j] * geo[mask]
     return character_values(m, n, resolution) * acc
@@ -891,6 +942,13 @@ class TestGridFunctionAlgebra:
     def test_integral_is_mean(self):
         f = grid_function(WALSH, 2, [1, 2, 3, 4])
         assert f.integral() == pytest.approx(2.5)
+
+    @pytest.mark.parametrize("rows", [1, 2])
+    def test_integral_of_batch_refused(self, rows):
+        # the mean would run over every row at once, not one per function
+        values = np.stack([random_grid(WALSH, 4, seed=s).values for s in range(rows)])
+        with pytest.raises(ValueError, match="one function, not a batch"):
+            GridFunction(WALSH, 4, values).integral()
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, np.inf)], ids=["nan", "inf", "imag-inf"])
     def test_non_finite_rejected(self, bad):
