@@ -687,21 +687,23 @@ def _closed_form_residual(m: GeneratorSequence, resolution: int, limit: int, ran
     with a ``rank`` R it is | shell table / M_R - ``dirichlet_average`` | off
     I_R, where t in I_R leaves the shell of x - t unchanged.  The sample
     {1, M_N - 1} and M_k +- 1 (1 <= k < N), cut at ``limit``, is fixed, so
-    the residual is a deterministic health number of the scan.
+    the residual is a deterministic health number of the scan.  The kernel
+    path takes the sample in runs of rows (see _row_runs), one call per run.
     """
     if rank == 0:
         return 0.0  # every grid point lies in I_0, so nothing is compared
     bases = m.scaled_bases(resolution)
     sample = {1, bases[-1] - 1} | {bases[k] + e for k in range(1, resolution) for e in (-1, 1)}
-    ns = sorted(n for n in sample if 1 <= n <= limit)
+    ns = np.asarray(sorted(n for n in sample if 1 <= n <= limit), dtype=np.int64)
     grid = dirichlet_shells(m, resolution, ns).expand()
+    runs = _row_runs(ns.size, bases[-1])
     if rank is None:
-        refs = (np.abs(dirichlet_closed(m, n, resolution).values) for n in ns)
+        refs = (np.abs(dirichlet_closed(m, ns[run], resolution).values) for run in runs)
     else:
         off = np.arange(bases[-1]) % bases[rank] != 0
         grid = grid[:, off] / bases[rank]
-        refs = (dirichlet_average(m, n, rank, resolution).values[off] for n in ns)
-    return max(float(np.abs(row - ref).max(initial=0.0)) for row, ref in zip(grid, refs))
+        refs = (dirichlet_average(m, ns[run], rank, resolution).values[:, off] for run in runs)
+    return max(float(np.abs(grid[run] - ref).max(initial=0.0)) for run, ref in zip(runs, refs))
 
 
 def supp_measure_scan(

@@ -27,7 +27,6 @@ from .group import (
     GeneratorSequence,
     GroupPoint,
     VIndex,
-    decompose,
     digit_table,
     digits_of,
     index_stats,
@@ -91,7 +90,8 @@ class GridFunction:
     (M_N,): ``forward``, ``inverse``, ``coarse_sums``, ``conditional_expectation``
     and the norms ``lp_norm``, ``maximal_function``, ``hardy_norm`` and
     ``modulus_hp`` treat each row as its own function.  ``partial_sum`` takes
-    one function and returns one row per order for a sequence of orders;
+    one function and returns one row per order for a sequence of orders, as
+    ``dirichlet_closed`` and ``dirichlet_average`` do for their kernels;
     every other operation takes a single function, and ``partial_sum``,
     ``integral`` and ``weak_lp`` refuse a batch.
     """
@@ -180,21 +180,36 @@ def character(n: VIndex, x: GroupPoint) -> complex:
     return out
 
 
+def _widen(rows: np.ndarray, period: int) -> np.ndarray:
+    """(K, p) rows repeated along their last axis to (K, period), p dividing period;
+    the rows themselves when p = period."""
+    count, p = rows.shape
+    return rows if p == period else rows[:, None, :].repeat(period // p, axis=1).reshape(count, period)
+
+
 def character_block(m: GeneratorSequence, resolution: int, indices) -> np.ndarray:
-    """Rows psi_n(x) over the full grid for each n in ``indices``."""
+    """Rows psi_n(x) over the full grid for each n in ``indices``.
+
+    psi_n(x) is the running product of the factors r_k^(n_k x_k), x_0's
+    first, over every digit k that some row has nonzero.  The product over
+    the digits below k depends on x mod M_k alone, so it is kept on one
+    period: at each such k the period is repeated to M_k and multiplied by
+    the m_k factors r_k^(n_k v) into the period M_{k+1}, the same products
+    in the same order as on the full grid, and the last period is repeated
+    to M_N.
+    """
     idx = np.asarray(indices, dtype=np.int64)
     size = m.size(resolution)
-    if idx.size and int(idx.max()) >= size:
+    if idx.size and not (idx.min() >= 0 and idx.max() < size):
         raise ValueError("character index not resolvable at this resolution")
-    xdig = digit_table(m, resolution)
     ndig = digits_of(idx, m, resolution)
-    out = np.ones((idx.shape[0], size), dtype=np.complex128)
-    for k in range(resolution):
-        col = ndig[:, k]
-        if not col.any():
-            continue
-        out *= np.take(_root_products(m.radix(k), col), xdig[:, k], axis=1)
-    return out
+    bases = m.scaled_bases(resolution)
+    count = idx.shape[0]
+    out = np.ones((count, 1), dtype=np.complex128)
+    for k in np.flatnonzero(ndig.any(axis=0)).tolist():
+        factors = _root_products(m.radix(k), ndig[:, k])
+        out = (_widen(out, bases[k])[:, None, :] * factors[:, :, None]).reshape(count, bases[k + 1])
+    return _widen(out, size)
 
 
 def character_values(m: GeneratorSequence, n: int, resolution: int) -> np.ndarray:
@@ -288,11 +303,17 @@ def inverse_naive(sv: SpectralVector, block: int = 512) -> GridFunction:
     return GridFunction(sv.generators, sv.resolution, out)
 
 
-def _check_kernel_args(m: GeneratorSequence, n: int, resolution: int) -> int:
+def _kernel_orders(m: GeneratorSequence, n, resolution: int) -> np.ndarray:
+    """``n``, one order or a 1-D sequence of orders, as an array of that shape;
+    each order is refused unless 1 <= n <= M_N."""
     size = _checked_size(m, resolution)
-    if not 1 <= n <= size:
-        raise ValueError(f"Dirichlet kernel D_{n} is not resolvable at resolution {resolution}")
-    return size
+    orders = np.asarray(n)
+    if orders.ndim > 1:
+        raise ValueError(f"Dirichlet kernel orders must be one order or a 1-D sequence, not shape {orders.shape}")
+    for order in orders.reshape(-1).tolist():
+        if not 1 <= order <= size:
+            raise ValueError(f"Dirichlet kernel D_{order} is not resolvable at resolution {resolution}")
+    return orders
 
 
 def dirichlet_direct(m: GeneratorSequence, n: int, resolution: int) -> GridFunction:
@@ -303,7 +324,8 @@ def dirichlet_direct(m: GeneratorSequence, n: int, resolution: int) -> GridFunct
     summed in blocks of at most 2^22 entries (64 MiB), so memory stays
     linear in M_N up to ``SIZE_CAP``.
     """
-    size = _check_kernel_args(m, n, resolution)
+    _kernel_orders(m, n, resolution)
+    size = m.size(resolution)
     block = max(1, min(512, (1 << 22) // size))
     acc = np.zeros(size, dtype=np.complex128)
     for lo in range(0, n, block):
@@ -313,36 +335,55 @@ def dirichlet_direct(m: GeneratorSequence, n: int, resolution: int) -> GridFunct
     return GridFunction(m, resolution, acc)
 
 
-def dirichlet_closed(m: GeneratorSequence, n: int, resolution: int) -> GridFunction:
+@lru_cache(maxsize=64)
+def _geometric_row(radix: int, digit: int) -> np.ndarray:
+    """g[v] = sum_{u=m-d}^{m-1} r^(u v) for a digit d >= 1, u ascending: the
+    factor d contributes to ``dirichlet_closed`` at a coordinate v.
+
+    The sum starts at its first row, as 0 + P[u] = P[u] (no root has a -0
+    part).  ``_geometric_root_sums`` adds the same terms in the opposite
+    order, so the two may differ in the last bit.
+    """
+    geo = _root_products(radix, radix - digit)
+    for u in range(radix - digit + 1, radix):
+        geo += _root_products(radix, u)
+    geo.setflags(write=False)
+    return geo
+
+
+def dirichlet_closed(m: GeneratorSequence, n, resolution: int) -> GridFunction:
     """D_n from the product formula
 
         D_n = psi_n * sum_j D_{M_j} sum_{u=m_j-n_j}^{m_j-1} r_j^u
 
     where D_{M_j} = M_j on I_j and 0 elsewhere, so each nonzero digit
     contributes one geometric block on the coset slice ``[::M_j]`` (I_j).
+
+    ``n`` is one order or a 1-D sequence of orders; a sequence gives one row
+    per order.  The psi_n rows come from one ``character_block`` call, and
+    each distinct nonzero digit n_j = d builds its geometric row once and
+    adds it to the rows with that digit, so every row is bitwise the lone
+    ``dirichlet_closed(m, n, N)``, which is the same code on one row.
     """
-    size = _check_kernel_args(m, n, resolution)
-    if n == size:
-        # Single digit at position N; on rank-N coset representatives the
-        # formula collapses to M_N on I_N, 0 elsewhere.
-        values = np.zeros(size, dtype=np.complex128)
-        values[0] = size
-        return GridFunction(m, resolution, values)
-    idx = decompose(n, m)
+    orders = _kernel_orders(m, n, resolution)
+    rows = orders.reshape(-1)
+    size = m.size(resolution)
     bases = m.scaled_bases(resolution)
     xdig = digit_table(m, resolution)
-    acc = np.zeros(size, dtype=np.complex128)
-    for j, nj in enumerate(idx.digits):
-        if nj == 0:
-            continue
-        mj = m.radix(j)
-        # geo[v] adds P[u][v] for u = m_j - n_j .. m_j - 1 in that order, once
-        # per coordinate v; read at x_j, each point gets the same additions
-        geo = np.zeros(mj, dtype=np.complex128)
-        for u in range(mj - nj, mj):
-            geo += _root_products(mj, u)
-        acc[:: bases[j]] += bases[j] * geo[xdig[:: bases[j], j]]
-    return GridFunction(m, resolution, character_values(m, n, resolution) * acc)
+    # n = M_N is the one digit n_N = 1: its block M_N on I_N is the index 0
+    # alone, and psi_{M_N} = psi_0 = 1 on rank-N coset representatives.
+    below = rows % size
+    acc = np.zeros((rows.size, size), dtype=np.complex128)
+    acc[rows == size, 0] = size
+    digits = digits_of(below, m, resolution)
+    for j, (mj, col) in enumerate(zip(m.radices(resolution), digits.T.tolist())):
+        for nj in set(col) - {0}:
+            block = acc[:, :: bases[j]]
+            geo = bases[j] * _geometric_row(mj, nj)
+            np.add(block, geo[xdig[:: bases[j], j]], out=block, where=digits[:, j, None] == nj)
+    values = character_block(m, resolution, below)
+    values *= acc
+    return GridFunction(m, resolution, values.reshape(orders.shape + (size,)))
 
 
 @lru_cache(maxsize=64)
@@ -583,18 +624,27 @@ def coarse_sums(f: GridFunction) -> list[np.ndarray]:
     return [_coset_means(f.values, m_k) for m_k in f.generators.scaled_bases(f.resolution)]
 
 
-def dirichlet_average(m: GeneratorSequence, n: int, rank: int, resolution: int) -> GridFunction:
-    """x -> int_{I_rank} |D_n(x - t)| dmu(t) on the rank-N grid."""
-    size = _check_kernel_args(m, n, resolution)
+def dirichlet_average(m: GeneratorSequence, n, rank: int, resolution: int) -> GridFunction:
+    """x -> int_{I_rank} |D_n(x - t)| dmu(t) on the rank-N grid.
+
+    ``n`` is one order or a 1-D sequence of orders, as for ``dirichlet_closed``:
+    the (M_N, M_N / M_rank) ``index_sub`` table is built once per call and
+    each |D_n| row is gathered through it, so every row is bitwise the lone
+    call.
+    """
+    orders = _kernel_orders(m, n, resolution)
     if not 0 <= rank <= resolution:
         raise ValueError("averaging rank out of range")
-    kernel = np.abs(dirichlet_closed(m, n, resolution).values)
+    size = m.size(resolution)
+    kernels = np.abs(dirichlet_closed(m, orders.reshape(-1), resolution).values)
     m_rank = m.base(rank)
     t_idx = np.arange(size // m_rank, dtype=np.int64) * m_rank
     grid = np.arange(size, dtype=np.int64)
     diff = index_sub(grid[:, None], t_idx[None, :], m, resolution)
-    values = kernel[diff].mean(axis=1) / m_rank
-    return GridFunction(m, resolution, values.astype(np.complex128))
+    values = np.empty(kernels.shape, dtype=np.complex128)
+    for row, kernel in zip(values, kernels):
+        row[...] = kernel[diff].mean(axis=1) / m_rank
+    return GridFunction(m, resolution, values.reshape(orders.shape + (size,)))
 
 
 # ---------------------------------------------------------------------------

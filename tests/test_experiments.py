@@ -28,6 +28,7 @@ from vilenkin.norms import hardy_norm, lp_norm, modulus_hp, running_maxima, weak
 from vilenkin.transform import (
     constant,
     dirichlet_average,
+    dirichlet_closed,
     dirichlet_shells,
     forward,
     grid_function,
@@ -513,6 +514,22 @@ class TestKernelScanMemory:
         result = supp_measure_scan(MIXED_CYCLE, 4)
         assert result.constants["closed_form_max_err"] <= 1e-9
 
+    @pytest.mark.parametrize("resolution, calls_made", [(8, 1), (13, 6)])
+    def test_residual_calls_the_kernel_once_per_run(self, monkeypatch, resolution, calls_made):
+        # the sample {1, M_N - 1} u {2^k +- 1}: 14 orders at N = 8 fit one run of
+        # 128 rows, 24 at N = 13 go in six runs of four rows (2^15 points each)
+        calls = []
+        monkeypatch.setattr(
+            experiments,
+            "dirichlet_closed",
+            lambda m, n, N: calls.append(np.asarray(n).tolist()) or dirichlet_closed(m, n, N),
+        )
+        supp_measure_scan(WALSH, resolution)
+        size = 2**resolution
+        sample = {1, size - 1} | {2**k + e for k in range(1, resolution) for e in (-1, 1)}
+        assert len(calls) == calls_made
+        assert sum(calls, []) == sorted(sample)
+
 
 @st.composite
 def _average_case(draw):
@@ -561,13 +578,16 @@ class TestKernelAverageScan:
         assert result.constants["closed_form_max_err"] <= 1e-9
 
     def test_averages_only_the_residual_sample(self, monkeypatch):
-        # limit 4 M_3 = 32 cuts the sample {1, 255} u {2^k +- 1} to 1, 3, 5, 7, 9, 15, 17, 31
+        # limit 4 M_3 = 32 cuts the sample {1, 255} u {2^k +- 1} to 1, 3, 5, 7, 9, 15, 17, 31,
+        # eight rows of 256 points: one run, so one call
         calls = []
         monkeypatch.setattr(
-            experiments, "dirichlet_average", lambda m, n, *a: calls.append(n) or dirichlet_average(m, n, *a)
+            experiments,
+            "dirichlet_average",
+            lambda m, n, *a: calls.append(np.asarray(n).tolist()) or dirichlet_average(m, n, *a),
         )
         kernel_average_scan(WALSH, 8, 3)
-        assert calls == [1, 3, 5, 7, 9, 15, 17, 31]
+        assert calls == [[1, 3, 5, 7, 9, 15, 17, 31]]
 
 
 class TestResultPlumbing:

@@ -68,6 +68,14 @@ class TestCharacters:
             vals = character_values(m, 7, 4)
             assert np.abs(np.abs(vals) - 1.0).max() < 1e-12
 
+    @pytest.mark.parametrize("bad", [-1, -8, 8])
+    def test_unresolvable_index_refused(self, bad):
+        # digits are taken mod m_k, so -1 would silently give the row of 7
+        with pytest.raises(ValueError, match="character index not resolvable at this resolution"):
+            character_block(WALSH, 3, [0, bad])
+        with pytest.raises(ValueError, match="character index not resolvable at this resolution"):
+            character_values(WALSH, bad, 3)
+
 
 @st.composite
 def _fft_case(draw):
@@ -525,6 +533,61 @@ class TestPartialSumOrders:
         for source in (f, forward(f)):
             with pytest.raises(ValueError, match="one function, not a batch"):
                 partial_sum(source, 3)
+
+
+@st.composite
+def _kernel_orders_case(draw):
+    """Radices 2, 3, 4, 17 and 300, alone or mixed, with orders that hold M_N,
+    a repeat and no particular order, and an averaging rank."""
+    pattern = tuple(draw(st.lists(st.sampled_from([2, 3, 4, 17, 300]), min_size=1, max_size=3)))
+    m = GeneratorSequence(pattern, cyclic=draw(st.booleans()))
+    top = 0
+    while m.size(top + 1) <= 1200:
+        top += 1
+    resolution = draw(st.integers(0, top))
+    size = m.size(resolution)
+    drawn = draw(st.lists(st.integers(1, size), min_size=1, max_size=6))
+    orders = draw(st.permutations(drawn + [size, drawn[0]]))
+    return m, resolution, orders, draw(st.integers(0, resolution))
+
+
+class TestKernelOrders:
+    """A sequence of orders gives one kernel row per order, each bitwise the lone call."""
+
+    @given(_kernel_orders_case())
+    @settings(max_examples=60, deadline=None)
+    def test_rows_are_lone_kernels(self, case):
+        m, resolution, orders, rank = case
+        closed = dirichlet_closed(m, orders, resolution).values
+        average = dirichlet_average(m, orders, rank, resolution).values
+        assert closed.shape == average.shape == (len(orders), m.size(resolution))
+        for n, row, avg in zip(orders, closed, average):
+            lone = dirichlet_closed(m, n, resolution).values
+            assert np.array_equal(row.view(np.uint64), lone.view(np.uint64)), n
+            lone = dirichlet_average(m, n, rank, resolution).values
+            assert np.array_equal(avg.view(np.uint64), lone.view(np.uint64)), n
+
+    def test_top_order_row_is_the_point_mass(self):
+        # D_{M_N} is M_N at the origin and +0.0 on every other cell, in a batch as alone
+        rows = dirichlet_closed(TRIADIC, [27, 5, 27], 3).values
+        for row in rows[[0, 2]]:
+            assert row[0] == 27
+            assert not row[1:].any()
+            assert not np.signbit(row.view(np.float64)).any()
+
+    def test_nested_orders_refused(self):
+        with pytest.raises(ValueError, match="1-D sequence"):
+            dirichlet_closed(WALSH, [[1, 2], [3, 4]], 3)
+        with pytest.raises(ValueError, match="1-D sequence"):
+            dirichlet_average(WALSH, [[1, 2], [3, 4]], 1, 3)
+
+    @pytest.mark.parametrize("bad", [-1, 0, 9])
+    def test_out_of_range_order_refused(self, bad):
+        message = f"Dirichlet kernel D_{bad} is not resolvable at resolution 3"
+        with pytest.raises(ValueError, match=message):
+            dirichlet_closed(WALSH, [1, 8, bad], 3)
+        with pytest.raises(ValueError, match=message):
+            dirichlet_average(WALSH, [1, 8, bad], 1, 3)
 
 
 class TestDirichlet:
