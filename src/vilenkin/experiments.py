@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .group import GeneratorSequence, VIndex, decompose, index_stats
+from .group import GeneratorSequence, VIndex, _integers, decompose, index_stats
 from .martingale import (
     MartingaleSpec,
     build_counterexample,
@@ -160,10 +160,7 @@ def _check_scan_size(m: GeneratorSequence, resolution: int, cap: int = SCAN_SIZE
 
 def _scan_limit(n_limit: int | None, default: int, size: int, what: str) -> int:
     """The last n of an exhaustive kernel scan: ``n_limit``, else ``default``."""
-    limit = default if n_limit is None else n_limit
-    if not 1 <= limit <= size:
-        raise ValueError(f"{what} limit out of range")
-    return limit
+    return default if n_limit is None else int(_integers(n_limit, f"{what} limit", 1, size))
 
 
 def _row_runs(count: int, size: int) -> list[slice]:
@@ -289,7 +286,7 @@ def _divergence_alphas(variant: str, m: GeneratorSequence, resolution: int, alph
     if variant == "Mn_plus_1":
         return _mk_plus_1(m, resolution)
     if variant == "general":
-        return [int(a) for a in alphas] if alphas is not None else default_alphas(m, resolution)
+        return list(alphas) if alphas is not None else default_alphas(m, resolution)
     raise ValueError(f"unknown divergence variant {variant!r}")
 
 
@@ -409,6 +406,10 @@ def _function_pool(
     counterexample martingale: the pool every many-function scan ranges over."""
     if trials < 0:
         raise ValueError(f"trial count {trials} is negative")
+    if resolution < 2:
+        raise ValueError(
+            f"the function pool needs N >= 2 for the counterexample martingale's first atom, not N = {resolution}"
+        )
     size = m.size(resolution)
     rng = np.random.default_rng(seed)
     pool = []
@@ -815,8 +816,7 @@ def kernel_average_scan(
     s < R the average is |D_n(x)| / M_R and c(n) is the largest per-shell
     maximum of the shell table over M_s."""
     size = _check_scan_size(m, resolution, cap=1 << 12)
-    if not 0 <= support_rank <= resolution:
-        raise ValueError(f"support rank {support_rank} out of range 0..{resolution}")
+    support_rank = int(_integers(support_rank, "support rank", 0, resolution))
     limit = _scan_limit(n_limit, min(size, 4 * m.base(support_rank)), size, "kernel average")
     ns = np.arange(1, limit + 1, dtype=np.int64)
     maxima = dirichlet_shells(m, resolution, ns).per_shell(np.maximum)[:, :support_rank]

@@ -9,6 +9,7 @@ are pure and safe to call concurrently.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple
@@ -22,6 +23,33 @@ _INT64_MAX = 2**63 - 1
 
 class BaseOverflowError(OverflowError):
     """A scaled base M_k left the 64-bit integer range."""
+
+
+def _integers(values, what: str, low: int | None = None, high: int | None = None, ndim: int | None = 0) -> np.ndarray:
+    """``values`` as int64 if it holds integers in ``low``..``high`` (None:
+    unbounded) with at most ``ndim`` axes (None: any).  The one place that
+    refuses an index, order, rank, limit or digit: a float, even 2.0, or a
+    bool is refused, never truncated, by one ``ValueError`` naming the first
+    bad entry or the shape.  Past int64 with no ``high``: ``BaseOverflowError``."""
+    lo, hi = -math.inf if low is None else low, math.inf if high is None else high
+    if type(values) is int or isinstance(values, np.integer):
+        if lo <= values <= hi and -_INT64_MAX - 1 <= values <= _INT64_MAX:
+            return np.array(values, dtype=np.int64)  # one integer, the common case: no reductions
+    arr = np.asarray(values)
+    kind = arr.dtype.kind
+    if ndim is not None and arr.ndim > ndim:
+        got = f"of shape {arr.shape}"
+    elif arr.size and not (kind in "iu" or (kind == "O" and all(type(v) is int for v in arr.ravel().tolist()))):
+        got = repr(arr.ravel()[:1].tolist()[0])
+    elif arr.size and ((low is not None and arr.min() < low) or (high is not None and arr.max() > high)):
+        got = str(arr[(arr < lo) | (arr > hi)][0])
+    elif kind in "uO" and arr.size and not -_INT64_MAX - 1 <= arr.min() <= arr.max() <= _INT64_MAX:
+        raise BaseOverflowError(f"{what} exceeds the 64-bit integer width")
+    else:
+        return arr.astype(np.int64, copy=False)
+    bounds = f" in {low}..{high}" if high is not None else f" >= {low}" if low is not None else ""
+    shapes = {0: "", 1: " or a 1-D sequence of them", None: " or an array of them"}[ndim]
+    raise ValueError(f"{what} {got} is not an integer{bounds}{shapes}")
 
 
 @dataclass(frozen=True)
@@ -151,10 +179,7 @@ def decompose(n: int, m: GeneratorSequence) -> VIndex:
     n = 0 has no highest/lowest nonzero digit, so it is rejected; callers
     treat S_0 f = 0 as a separate trivial case.
     """
-    if n < 1:
-        raise ValueError("digit statistics are undefined for n = 0")
-    if n > _INT64_MAX:
-        raise BaseOverflowError("index exceeds the 64-bit integer width")
+    n = int(_integers(n, "index", 1))
     digits: list[int] = []
     rest = n
     k = 0
@@ -179,15 +204,13 @@ class IndexStats(NamedTuple):
 
 
 def index_stats(indices, m: GeneratorSequence, resolution: int) -> IndexStats:
-    """Vectorized ``decompose`` statistics for an int64 array of 1 <= n <= M_N.
+    """Vectorized ``decompose`` statistics for one index or a 1-D array of 1 <= n <= M_N.
 
     M_|n| is the largest scaled base not above n, and M_<n> the largest one
     dividing n; n = M_N itself has top = bottom = N.
     """
-    idx = np.asarray(indices, dtype=np.int64)
     bases, _ = _digit_arrays(m.pattern, m.cyclic, resolution)
-    if idx.size and not (idx.min() >= 1 and idx.max() <= bases[-1]):
-        raise ValueError(f"digit statistics need 1 <= n <= M_N = {int(bases[-1])}")
+    idx = _integers(indices, "index", 1, int(bases[-1]), ndim=1)
     top = np.searchsorted(bases, idx, side="right") - 1
     bottom = np.count_nonzero(idx[..., None] % bases[1:] == 0, axis=-1)
     return IndexStats(top, bottom, bases[top], bases[bottom])
@@ -196,17 +219,14 @@ def index_stats(indices, m: GeneratorSequence, resolution: int) -> IndexStats:
 def compose(digits: tuple[int, ...] | list[int], m: GeneratorSequence) -> int:
     """Reconstruct n = sum_j n_j M_j from little-endian digits."""
     bases = m.scaled_bases(len(digits))
-    for j, d in enumerate(digits):
-        if not 0 <= d < m.radix(j):
-            raise ValueError(f"digit {d} out of range for radix m_{j} = {m.radix(j)}")
-    return sum(d * bases[j] for j, d in enumerate(digits))
+    return sum(int(_integers(d, f"digit n_{j}", 0, m.radix(j) - 1)) * bases[j] for j, d in enumerate(digits))
 
 
 def variation_counts(
     indices, m: GeneratorSequence, resolution: int, convention: str = "from1"
 ) -> tuple[np.ndarray, np.ndarray]:
     """Variation counts (v, v*) controlling the Lebesgue constant bracket,
-    for an int64 array of 1 <= n <= M_N.
+    for one index or a 1-D array of 1 <= n <= M_N.
 
     With delta_j = sign(n_j) and delta*_j = |(-n_j mod m_j) - 1| * delta_j:
 
@@ -222,10 +242,8 @@ def variation_counts(
     if convention not in ("from0", "from1"):
         raise ValueError(f"unknown variation convention {convention!r}")
     start = 0 if convention == "from0" else 1
-    idx = np.asarray(indices, dtype=np.int64)
     bases, radices = _digit_arrays(m.pattern, m.cyclic, resolution)
-    if idx.size and not (idx.min() >= 1 and idx.max() <= bases[-1]):
-        raise ValueError(f"variation counts need 1 <= n <= M_N = {int(bases[-1])}")
+    idx = _integers(indices, "index", 1, int(bases[-1]), ndim=1)
     digits = np.concatenate([digits_of(idx, m, resolution), idx[..., None] // bases[-1]], axis=-1)
     radices = np.append(radices, m.radix(resolution))
     delta = digits != 0
@@ -251,10 +269,7 @@ class GroupPoint:
 
     def __post_init__(self) -> None:
         for k, xk in enumerate(self.coords):
-            if not 0 <= xk < self.generators.radix(k):
-                raise ValueError(
-                    f"coordinate x_{k} = {xk} out of range for radix {self.generators.radix(k)}"
-                )
+            _integers(xk, f"coordinate x_{k}", 0, self.generators.radix(k) - 1)
 
     @property
     def resolution(self) -> int:
@@ -288,8 +303,7 @@ def point_to_index(x: GroupPoint) -> int:
 
 
 def index_to_point(i: int, m: GeneratorSequence, resolution: int) -> GroupPoint:
-    if not 0 <= i < m.size(resolution):
-        raise ValueError(f"coset index {i} out of range at resolution {resolution}")
+    i = _integers(i, "coset index", 0, m.size(resolution) - 1)
     return GroupPoint(tuple(int(d) for d in digits_of(i, m, resolution)), m)
 
 
@@ -328,8 +342,9 @@ def _digit_arrays(pattern: tuple[int, ...], cyclic: bool, resolution: int) -> tu
 
 
 def digits_of(indices: np.ndarray, m: GeneratorSequence, resolution: int) -> np.ndarray:
-    """Vectorized digit expansion (no statistics) for an int64 index array."""
-    idx = np.asarray(indices, dtype=np.int64)
+    """Vectorized digit expansion (no statistics) for an integer index array:
+    the N digits of each index mod M_N."""
+    idx = _integers(indices, "coset index", ndim=None)
     bases, radices = _digit_arrays(m.pattern, m.cyclic, resolution)
     return (idx[..., None] // bases[:-1]) % radices
 
@@ -345,8 +360,8 @@ def index_sub(i, j, m: GeneratorSequence, resolution: int) -> np.ndarray:
     Built one digit at a time, so no (..., N) digit tensor is materialized;
     the integers equal ``((digits_of(i) - digits_of(j)) % radices) @ bases[:-1]``.
     """
-    i = np.asarray(i, dtype=np.int64)
-    j = np.asarray(j, dtype=np.int64)
+    i = _integers(i, "coset index", ndim=None)
+    j = _integers(j, "coset index", ndim=None)
     bases, radices = _digit_arrays(m.pattern, m.cyclic, resolution)
     out = np.zeros(np.broadcast_shapes(i.shape, j.shape), dtype=np.int64)
     for base, mk in zip(bases.tolist(), radices.tolist()):
@@ -357,10 +372,7 @@ def index_sub(i, j, m: GeneratorSequence, resolution: int) -> np.ndarray:
 def coset_mask(m: GeneratorSequence, resolution: int, rank: int, base_index: int = 0) -> np.ndarray:
     """Boolean grid mask of I_rank(x0): indices congruent to x0 mod M_rank,
     for a base index 0 <= x0 < M_rank."""
-    if not 0 <= rank <= resolution:
-        raise ValueError("coset rank out of range")
-    m_rank = m.base(rank)
-    if not 0 <= base_index < m_rank:
-        raise ValueError(f"coset base index {base_index} out of range: need 0 <= base < M_{rank} = {m_rank}")
+    m_rank = m.base(int(_integers(rank, "coset rank", 0, resolution)))
+    base_index = _integers(base_index, "coset base index", 0, m_rank - 1)
     idx = np.arange(m.size(resolution), dtype=np.int64)
     return (idx % m_rank) == base_index

@@ -18,8 +18,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .group import GeneratorSequence, VIndex, coset_mask, decompose
-from .transform import GridFunction, character_values, dirichlet_closed, zero
+from .group import GeneratorSequence, VIndex, _integers, coset_mask, decompose
+from .transform import GridFunction, _lone, character_values, dirichlet_closed, zero
 
 # Validator tolerances: the mean condition is absolute, the sup bound is
 # relative to mu(I)^{-1/p}; support must vanish exactly.
@@ -30,6 +30,14 @@ ATOM_BOUND_TOL = 1e-9
 def _check_atom_exponent(p: float) -> None:
     if not 0 < p <= 1:
         raise ValueError(f"atom exponent p = {p} must lie in (0, 1]")
+
+
+def _float_power(base: int, exponent: float, what: str) -> float:
+    """``base ** exponent``; past the float range one ``OverflowError`` names ``what``."""
+    try:
+        return base ** exponent
+    except OverflowError:
+        raise OverflowError(f"{what} = {base}^{exponent:g} overflows the float range") from None
 
 
 class AtomViolationError(ValueError):
@@ -54,23 +62,24 @@ def validate_atom(
 ) -> PAtom:
     """Check the three atom conditions on I = I_rank(x0); raise naming failures."""
     _check_atom_exponent(p)
+    values = _lone(a.values, "validate_atom")
     mask = coset_mask(a.generators, a.resolution, support_rank, base_index)
     m_rank = a.generators.base(support_rank)
     failures = []
     details = []
 
-    mean = a.values[mask].mean()  # = M_rank * int_I a dmu
+    mean = values[mask].mean()  # = M_rank * int_I a dmu
     if abs(mean) / m_rank > ATOM_MEAN_TOL:
         failures.append("mean")
         details.append(f"int_I a = {mean / m_rank:.3e}")
 
-    bound = m_rank ** (1.0 / p)
-    sup = np.abs(a.values).max() if a.size else 0.0
+    bound = _float_power(m_rank, 1.0 / p, "the atom bound M_rank^(1/p)")
+    sup = np.abs(values).max() if a.size else 0.0
     if sup > bound * (1.0 + ATOM_BOUND_TOL):
         failures.append("bound")
         details.append(f"sup |a| = {sup:.6g} > mu(I)^(-1/p) = {bound:.6g}")
 
-    if np.any(a.values[~mask] != 0):
+    if np.any(values[~mask] != 0):
         failures.append("support")
         details.append("nonzero values off the support coset")
 
@@ -90,22 +99,21 @@ def random_atom(
     """Uniform values on the support coset's cells, mean-subtracted, then
     scaled to 90% of the sup bound (keeps the validator away from its edge)."""
     _check_atom_exponent(p)
-    if support_rank >= resolution:
-        raise ValueError("support rank must be below the resolution")
+    support_rank = int(_integers(support_rank, "support rank", 0, resolution - 1))
     mask = coset_mask(m, resolution, support_rank, base_index)
     values = np.zeros(m.size(resolution), dtype=np.complex128)
     raw = rng.uniform(-1.0, 1.0, size=int(mask.sum()))
     raw -= raw.mean()
     peak = np.abs(raw).max()
     if peak > 0:
-        raw *= 0.9 * m.base(support_rank) ** (1.0 / p) / peak
+        raw *= 0.9 * _float_power(m.base(support_rank), 1.0 / p, "the atom bound M_rank^(1/p)") / peak
     values[mask] = raw
     return validate_atom(GridFunction(m, resolution, values), p, support_rank, base_index)
 
 
 def _block_level(m: GeneratorSequence, idx: VIndex, p: float, lam_k: float) -> float:
     """lambda_k M_{|a_k|}^{1/p-1} / lambda: the spectral level of block k."""
-    return lam_k * idx.m_top ** (1.0 / p - 1.0) / m.max_radix
+    return lam_k * _float_power(idx.m_top, 1.0 / p - 1.0, "the block level M_|a_k|^(1/p-1)") / m.max_radix
 
 
 def counterexample_atom(
@@ -216,7 +224,7 @@ def phi_value(phi: tuple | None, idx: VIndex) -> float:
 
 def spread_rate(idx: VIndex, p: float) -> float:
     """(M_|n| / M_<n>)^(1/p-1), the block-spread growth rate."""
-    return (idx.m_top / idx.m_bottom) ** (1.0 / p - 1.0)
+    return _float_power(idx.m_top / idx.m_bottom, 1.0 / p - 1.0, "the spread rate (M_|n|/M_<n>)^(1/p-1)")
 
 
 def select_gap_subsequence(indices, p: float) -> list[VIndex]:
@@ -273,7 +281,7 @@ def build_counterexample(
       - "explicit": coefficients supplied by the caller.
     """
     _check_atom_exponent(p)
-    stats = [a if isinstance(a, VIndex) else decompose(int(a), m) for a in alphas]
+    stats = [a if isinstance(a, VIndex) else decompose(a, m) for a in alphas]
     if any(u.value <= t.value for t, u in zip(stats, stats[1:])):
         raise ValueError("alpha sequence must be strictly increasing")
     if any(t.top >= u.top for t, u in zip(stats, stats[1:])):
@@ -352,8 +360,7 @@ def closed_partial_sum(spec: MartingaleSpec, j: int) -> GridFunction:
     """
     m, resolution = spec.generators, spec.truncation
     size = m.size(resolution)
-    if not 0 <= j <= size:
-        raise ValueError(f"partial sum order {j} out of range")
+    j = int(_integers(j, "partial sum order", 0, size))
     acc = np.zeros(size, dtype=np.complex128)
     for idx, lam_k in zip(spec.indices, spec.lambdas):
         level = _block_level(m, idx, spec.p, lam_k)

@@ -11,9 +11,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .group import GeneratorSequence, decompose, variation, variation_counts
+from .group import GeneratorSequence, _integers, decompose, variation, variation_counts
 from .transform import (
     GridFunction,
+    _lone,
     coarse_sums,
     conditional_expectation,
     dirichlet_closed,
@@ -60,14 +61,13 @@ def weak_lp(f: GridFunction, p: float) -> float:
     One function only: a batch is refused.
     """
     _check_p(p)
-    if f.values.ndim > 1:
-        raise ValueError("weak_lp takes one function, not a batch")
-    finite = np.isfinite(f.values)
+    values = _lone(f.values, "weak_lp")
+    finite = np.isfinite(values)
     if not finite.all():  # a nan would drop out of the levels below
         raise ValueError(f"weak_lp: value {int(np.argmin(finite))} is not finite")
     # One sort gives both: each run of equal magnitudes starts at its level,
     # and mu(|f| >= level) counts the cells from that start on.
-    ordered = np.sort(np.abs(f.values))
+    ordered = np.sort(np.abs(values))
     start = np.flatnonzero(np.concatenate(([True], ordered[1:] != ordered[:-1])) & (ordered > 0))
     if start.size == 0:
         return 0.0
@@ -115,6 +115,7 @@ def lebesgue_constant(
     m: GeneratorSequence, n: int, resolution: int, convention: str = "from1"
 ) -> LebesgueReport:
     """L_n = ||D_n||_1 with the two-sided variation bounds."""
+    n = int(_integers(n, "Dirichlet kernel order", 1, m.size(resolution)))
     kernel = dirichlet_closed(m, n, resolution)
     value = lp_norm(kernel, 1.0)
     v, v_star = variation(decompose(n, m), m, convention)
@@ -125,9 +126,7 @@ def lebesgue_constant(
 def _lebesgue_values(m: GeneratorSequence, resolution: int, limit: int | None) -> np.ndarray:
     """Exact L_n for 1 <= n < limit (default M_N), from one blocked kernel pass."""
     size = m.size(resolution)
-    stop = size if limit is None else limit
-    if not 2 <= stop <= size + 1:
-        raise ValueError("table limit out of range")
+    stop = size if limit is None else int(_integers(limit, "Lebesgue table limit", 2, size + 1))
     blocks = dirichlet_kernel_blocks(m, resolution, stop - 1)
     return np.concatenate([np.mean(np.abs(kernels), axis=1) for _, kernels in blocks])
 
@@ -217,7 +216,7 @@ def hardy_norm(f: GridFunction, p: float) -> float | np.ndarray:
 
 def restricted_maximal(f: GridFunction, indices) -> GridFunction:
     """Pointwise max of |S_n f| over a supplied index set."""
-    index_list = list(indices)
+    index_list = _integers(indices, "partial sum order", 0, f.size, ndim=1).reshape(-1).tolist()
     if not index_list:
         raise ValueError("restricted maximal operator needs a nonempty index set")
     spectrum = forward(f)
@@ -230,6 +229,4 @@ def restricted_maximal(f: GridFunction, indices) -> GridFunction:
 def modulus_hp(f: GridFunction, n: int, p: float) -> float:
     """omega(1/M_n, f)_{H_p} = ||f - S_{M_n} f||_{H_p}."""
     _check_p(p)
-    if not 0 <= n <= f.resolution:
-        raise ValueError(f"modulus rank {n} out of range at resolution {f.resolution}")
     return hardy_norm(f - conditional_expectation(f, n), p)

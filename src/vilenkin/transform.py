@@ -27,9 +27,9 @@ from .group import (
     GeneratorSequence,
     GroupPoint,
     VIndex,
+    _integers,
     digit_table,
     digits_of,
-    index_stats,
     index_sub,
 )
 
@@ -55,6 +55,13 @@ def _grid_array(m: GeneratorSequence, resolution: int, data, what: str) -> np.nd
     if data.shape[-1:] != (size,):
         raise ValueError(f"{what} vector has length {data.shape}, expected M_N = {size}")
     return data
+
+
+def _lone(values: np.ndarray, what: str) -> np.ndarray:
+    """``values``, refused if it holds a batch: every ``lone_only`` operation passes here."""
+    if values.ndim > 1:
+        raise ValueError(f"{what} takes one function, not a batch")
+    return values
 
 
 @lru_cache(maxsize=64)
@@ -87,13 +94,15 @@ class GridFunction:
     ``values[i]`` is the value on the coset with little-endian index i;
     the Haar integral is the plain mean of ``values``.  Leading axes, if
     any, hold a batch of functions on the same grid, one per row of shape
-    (M_N,): ``forward``, ``inverse``, ``coarse_sums``, ``conditional_expectation``
-    and the norms ``lp_norm``, ``maximal_function``, ``hardy_norm`` and
-    ``modulus_hp`` treat each row as its own function.  ``partial_sum`` takes
-    one function and returns one row per order for a sequence of orders, as
-    ``dirichlet_closed`` and ``dirichlet_average`` do for their kernels;
-    every other operation takes a single function, and ``partial_sum``,
-    ``integral`` and ``weak_lp`` refuse a batch.
+    (M_N,).  ``forward``, ``inverse``, ``coarse_sums``, ``conditional_expectation``,
+    ``+``, ``-``, scalar ``*`` and the norms ``lp_norm``, ``maximal_function``,
+    ``running_maxima``, ``hardy_norm`` and ``modulus_hp`` are ``per_row``: each
+    row is bitwise its lone function.  The rest are ``lone_only`` and refuse a
+    batch: ``integral``, ``partial_sum`` (one row per order for a sequence of
+    orders, as ``dirichlet_closed`` and ``dirichlet_average`` give kernels),
+    ``partial_sum_convolution``, ``forward_naive``, ``inverse_naive``, the
+    writers, ``weak_lp``, ``restricted_maximal`` and ``validate_atom``.  The
+    table in ``tests/test_contract.py`` lists both kinds.
     """
 
     generators: GeneratorSequence
@@ -108,9 +117,7 @@ class GridFunction:
         return self.values.shape[-1]
 
     def integral(self) -> complex:
-        if self.values.ndim > 1:
-            raise ValueError("the integral takes one function, not a batch")
-        return complex(self.values.mean())
+        return complex(_lone(self.values, "the integral").mean())
 
     def _like(self, values: np.ndarray) -> "GridFunction":
         return GridFunction(self.generators, self.resolution, values)
@@ -188,7 +195,8 @@ def _widen(rows: np.ndarray, period: int) -> np.ndarray:
 
 
 def character_block(m: GeneratorSequence, resolution: int, indices) -> np.ndarray:
-    """Rows psi_n(x) over the full grid for each n in ``indices``.
+    """Rows psi_n(x) over the full grid for each n in ``indices``, one index
+    or a 1-D sequence of them (one row per index, as for ``dirichlet_closed``).
 
     psi_n(x) is the running product of the factors r_k^(n_k x_k), x_0's
     first, over every digit k that some row has nonzero.  The product over
@@ -198,23 +206,21 @@ def character_block(m: GeneratorSequence, resolution: int, indices) -> np.ndarra
     in the same order as on the full grid, and the last period is repeated
     to M_N.
     """
-    idx = np.asarray(indices, dtype=np.int64)
     size = m.size(resolution)
-    if idx.size and not (idx.min() >= 0 and idx.max() < size):
-        raise ValueError("character index not resolvable at this resolution")
-    ndig = digits_of(idx, m, resolution)
+    idx = _integers(indices, "character index", 0, size - 1, ndim=1)
+    ndig = digits_of(idx.reshape(-1), m, resolution)
     bases = m.scaled_bases(resolution)
-    count = idx.shape[0]
+    count = ndig.shape[0]
     out = np.ones((count, 1), dtype=np.complex128)
     for k in np.flatnonzero(ndig.any(axis=0)).tolist():
         factors = _root_products(m.radix(k), ndig[:, k])
         out = (_widen(out, bases[k])[:, None, :] * factors[:, :, None]).reshape(count, bases[k + 1])
-    return _widen(out, size)
+    return _widen(out, size).reshape(idx.shape + (size,))
 
 
 def character_values(m: GeneratorSequence, n: int, resolution: int) -> np.ndarray:
     """psi_n on the whole grid."""
-    return character_block(m, resolution, np.asarray([n]))[0]
+    return character_block(m, resolution, [_integers(n, "character index", 0, m.size(resolution) - 1)])[0]
 
 
 def _digit_passes(values: np.ndarray, m: GeneratorSequence, resolution: int, inverse: bool) -> np.ndarray:
@@ -281,11 +287,12 @@ def forward_naive(f: GridFunction, block: int = 512) -> SpectralVector:
     It stays on literal ``character_block`` rows, not on cumulative_rows,
     so that it remains an independent check on the fast paths.
     """
+    values = _lone(f.values, "forward_naive")
     out = np.empty(f.size, dtype=np.complex128)
     for lo in range(0, f.size, block):
         hi = min(lo + block, f.size)
         rows = character_block(f.generators, f.resolution, np.arange(lo, hi))
-        out[lo:hi] = rows.conj() @ f.values / f.size
+        out[lo:hi] = rows.conj() @ values / f.size
     return SpectralVector(f.generators, f.resolution, out)
 
 
@@ -295,25 +302,13 @@ def inverse_naive(sv: SpectralVector, block: int = 512) -> GridFunction:
     It stays on literal ``character_block`` rows, not on cumulative_rows,
     so that it remains an independent check on the fast paths.
     """
+    coeffs = _lone(sv.coeffs, "inverse_naive")
     out = np.zeros(sv.size, dtype=np.complex128)
     for lo in range(0, sv.size, block):
         hi = min(lo + block, sv.size)
         rows = character_block(sv.generators, sv.resolution, np.arange(lo, hi))
-        out += sv.coeffs[lo:hi] @ rows
+        out += coeffs[lo:hi] @ rows
     return GridFunction(sv.generators, sv.resolution, out)
-
-
-def _kernel_orders(m: GeneratorSequence, n, resolution: int) -> np.ndarray:
-    """``n``, one order or a 1-D sequence of orders, as an array of that shape;
-    each order is refused unless 1 <= n <= M_N."""
-    size = _checked_size(m, resolution)
-    orders = np.asarray(n)
-    if orders.ndim > 1:
-        raise ValueError(f"Dirichlet kernel orders must be one order or a 1-D sequence, not shape {orders.shape}")
-    for order in orders.reshape(-1).tolist():
-        if not 1 <= order <= size:
-            raise ValueError(f"Dirichlet kernel D_{order} is not resolvable at resolution {resolution}")
-    return orders
 
 
 def dirichlet_direct(m: GeneratorSequence, n: int, resolution: int) -> GridFunction:
@@ -324,8 +319,8 @@ def dirichlet_direct(m: GeneratorSequence, n: int, resolution: int) -> GridFunct
     summed in blocks of at most 2^22 entries (64 MiB), so memory stays
     linear in M_N up to ``SIZE_CAP``.
     """
-    _kernel_orders(m, n, resolution)
-    size = m.size(resolution)
+    size = _checked_size(m, resolution)
+    n = int(_integers(n, "Dirichlet kernel order", 1, size))
     block = max(1, min(512, (1 << 22) // size))
     acc = np.zeros(size, dtype=np.complex128)
     for lo in range(0, n, block):
@@ -365,9 +360,9 @@ def dirichlet_closed(m: GeneratorSequence, n, resolution: int) -> GridFunction:
     adds it to the rows with that digit, so every row is bitwise the lone
     ``dirichlet_closed(m, n, N)``, which is the same code on one row.
     """
-    orders = _kernel_orders(m, n, resolution)
+    size = _checked_size(m, resolution)
+    orders = _integers(n, "Dirichlet kernel order", 1, size, ndim=1)
     rows = orders.reshape(-1)
-    size = m.size(resolution)
     bases = m.scaled_bases(resolution)
     xdig = digit_table(m, resolution)
     # n = M_N is the one digit n_N = 1: its block M_N on I_N is the index 0
@@ -424,15 +419,18 @@ class ShellTable:
         return op.reduceat(self.values, np.flatnonzero(self.coord == 1), axis=1)
 
     def expand(self) -> np.ndarray:
-        """(K, M_N) |D_n| on the whole grid in coset order."""
-        m, resolution = self.generators, self.resolution
-        grid = np.arange(1, m.size(resolution), dtype=np.int64)
-        s = index_stats(grid, m, resolution).bottom
-        v = digit_table(m, resolution)[grid, s]
+        """(K, M_N) |D_n| on the whole grid in coset order.  A point x != 0
+        lies in the cell (s, x_s) of its lowest nonzero digit s: each point of
+        I_s takes the column of (s, x_s), those of I_{s+1} written over at s + 1."""
+        bases = self.generators.scaled_bases(self.resolution)
+        xdig = digit_table(self.generators, self.resolution)
         first = np.flatnonzero(self.coord == 1)  # the column of (s, 1)
-        out = np.empty((self.indices.size, grid.size + 1))
+        cell = np.zeros(bases[-1], dtype=np.int64)
+        for s in range(self.resolution):
+            cell[:: bases[s]] = first[s] - 1 + xdig[:: bases[s], s]
+        out = np.empty((self.indices.size, bases[-1]))
         out[:, 0] = self.indices
-        out[:, 1:] = self.values[:, first[s] + v - 1]
+        out[:, 1:] = self.values[:, cell[1:]]
         return out
 
 
@@ -448,10 +446,7 @@ def dirichlet_shells(m: GeneratorSequence, resolution: int, indices) -> ShellTab
     with G from ``_geometric_root_sums``: the kernel takes at most
     N (lambda - 1) + 1 values, and no M_N-length row is built.
     """
-    idx = np.asarray(indices, dtype=np.int64).reshape(-1)
-    size = m.size(resolution)
-    if idx.size and not (idx.min() >= 1 and idx.max() <= size):
-        raise ValueError(f"shell table needs 1 <= n <= M_N = {size}")
+    idx = _integers(indices, "Dirichlet kernel order", 1, m.size(resolution), ndim=1).reshape(-1)
     bases = m.scaled_bases(resolution)
     digits = digits_of(idx, m, resolution)
     blocks, shell, coord = [np.empty((idx.size, 0))], [], []
@@ -494,10 +489,8 @@ def cumulative_rows(
     rows rather than down columns of stride M_N.
     """
     size = m.size(resolution)
-    if not 1 <= limit <= size:
-        raise ValueError("row scan limit out of range")
-    if block < 1:
-        raise ValueError("row block size must be positive")
+    limit = int(_integers(limit, "row scan limit", 1, size))
+    block = int(_integers(block, "row block size", 1))
     w = None
     if weights is not None:
         w = np.asarray(weights, dtype=np.complex128)
@@ -560,15 +553,9 @@ def partial_sum(f: GridFunction | SpectralVector, n) -> GridFunction:
     each row is bitwise the lone ``partial_sum(f, n)``, which is the same
     code on one row.  A batch of functions is refused.
     """
-    if (f.coeffs if isinstance(f, SpectralVector) else f.values).ndim > 1:
-        raise ValueError("partial sums take one function, not a batch")
-    orders = np.asarray(n)
-    if orders.ndim > 1:
-        raise ValueError(f"partial sum orders must be one order or a 1-D sequence, not shape {orders.shape}")
+    _lone(f.coeffs if isinstance(f, SpectralVector) else f.values, "partial_sum")
+    orders = _integers(n, "partial sum order", 0, f.size, ndim=1)
     rows = orders.reshape(-1)
-    for order in rows.tolist():
-        if not 0 <= order <= f.size:
-            raise ValueError(f"partial sum order {order} out of range at resolution {f.resolution}")
     sv = f if isinstance(f, SpectralVector) else forward(f)
     coeffs = np.repeat(sv.coeffs[None], rows.size, axis=0)
     for row, order in zip(coeffs, rows.tolist()):
@@ -586,8 +573,8 @@ def partial_sum_convolution(f: GridFunction, n: int) -> GridFunction:
     Quadratic in M_N; it exists as the independent check on the spectral
     path, not as a production route.
     """
-    if not 0 <= n <= f.size:
-        raise ValueError(f"partial sum order {n} out of range at resolution {f.resolution}")
+    values = _lone(f.values, "partial_sum_convolution")
+    n = int(_integers(n, "partial sum order", 0, f.size))
     if n == 0:
         return zero(f.generators, f.resolution)
     if f.size > 4096:
@@ -595,8 +582,7 @@ def partial_sum_convolution(f: GridFunction, n: int) -> GridFunction:
     kernel = dirichlet_closed(f.generators, n, f.resolution).values
     grid = np.arange(f.size, dtype=np.int64)
     diff = index_sub(grid[:, None], grid[None, :], f.generators, f.resolution)
-    values = (kernel[diff] @ f.values) / f.size
-    return GridFunction(f.generators, f.resolution, values)
+    return GridFunction(f.generators, f.resolution, (kernel[diff] @ values) / f.size)
 
 
 def _coset_means(values: np.ndarray, m_k: int) -> np.ndarray:
@@ -608,9 +594,7 @@ def _coset_means(values: np.ndarray, m_k: int) -> np.ndarray:
 
 def conditional_expectation(f: GridFunction, rank: int) -> GridFunction:
     """S_{M_k} f: the average of f over each rank-k coset, row by row."""
-    if not 0 <= rank <= f.resolution:
-        raise ValueError("conditional expectation rank out of range")
-    m_rank = f.generators.base(rank)
+    m_rank = f.generators.base(int(_integers(rank, "coset rank", 0, f.resolution)))
     return f._like(np.tile(_coset_means(f.values, m_rank), f.size // m_rank))
 
 
@@ -632,12 +616,10 @@ def dirichlet_average(m: GeneratorSequence, n, rank: int, resolution: int) -> Gr
     each |D_n| row is gathered through it, so every row is bitwise the lone
     call.
     """
-    orders = _kernel_orders(m, n, resolution)
-    if not 0 <= rank <= resolution:
-        raise ValueError("averaging rank out of range")
-    size = m.size(resolution)
+    size = _checked_size(m, resolution)
+    orders = _integers(n, "Dirichlet kernel order", 1, size, ndim=1)
+    m_rank = m.base(int(_integers(rank, "coset rank", 0, resolution)))
     kernels = np.abs(dirichlet_closed(m, orders.reshape(-1), resolution).values)
-    m_rank = m.base(rank)
     t_idx = np.arange(size // m_rank, dtype=np.int64) * m_rank
     grid = np.arange(size, dtype=np.int64)
     diff = index_sub(grid[:, None], t_idx[None, :], m, resolution)
@@ -830,6 +812,7 @@ def write_csv_rows(out: io.TextIOBase, data: np.ndarray) -> None:
 
 
 def _write_rows(out: io.TextIOBase, m: GeneratorSequence, resolution: int, kind: str, data: np.ndarray) -> None:
+    _lone(data, f"a {kind} CSV file")
     out.write(f"# vilenkin {kind} v1\n# m={m.format()}\n# N={resolution}\nindex,re,im\n")
     write_csv_rows(out, data)
 
@@ -901,6 +884,7 @@ def read_spectral_csv(src: io.TextIOBase) -> SpectralVector:
 
 
 def _write_binary(out: io.BufferedIOBase, m: GeneratorSequence, resolution: int, kind: int, data: np.ndarray) -> None:
+    _lone(data, "a binary file")
     mstr = m.format().encode()
     out.write(_MAGIC)
     out.write(struct.pack("<BIH", kind, resolution, len(mstr)))

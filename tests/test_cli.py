@@ -532,8 +532,20 @@ class TestInputErrors:
         "boundedness-p-one": (["scan", "--name", "boundedness", "--p", 1, "--N", 3], "0 < p < 1"),
         "atom-base-above": (["atom", "--N", 4, "--base", 99], "base index 99"),
         "atom-base-negative": (["atom", "--N", 4, "--base", -1], "base index -1"),
-        "atom-base-at-M-rank": (["atom", "--N", 4, "--rank", 1, "--base", 2], "M_1 = 2"),
+        "atom-base-at-M-rank": (["atom", "--N", 4, "--rank", 1, "--base", 2], "base index 2 is not an integer in 0..1"),
         "atom-ratio-N-3": (["scan", "--name", "atom_ratio", "--m", "3^", "--N", 3, "--trials", 1], "N > 3"),
+        # a float power past the float range is named, not errno 34's "Numerical result out of range"
+        "atom-p-overflow": (["atom", "--p", 1e-300, "--N", 4], "the atom bound M_rank^(1/p) = 4^1e+300 overflows"),
+        "counterexample-p-overflow": (["counterexample", "--p", 1e-3, "--N", 6],
+                                      "the block level M_|a_k|^(1/p-1) = 4^999 overflows"),
+        "atom-ratio-p-overflow": (["scan", "--name", "atom_ratio", "--p", 1e-300, "--N", 5, "--trials", 1],
+                                  "the atom bound M_rank^(1/p)"),
+        "boundedness-p-overflow": (["scan", "--name", "boundedness", "--p", 1e-3, "--N", 6, "--trials", 1],
+                                   "the block level M_|a_k|^(1/p-1)"),
+        "divergence-p-overflow": (["scan", "--name", "divergence", "--p", 1e-3, "--N", 8], "the spread rate"),
+        # the pool's counterexample martingale has its first atom at M_1 + 1, so N >= 2
+        "boundedness-N-1": (["scan", "--name", "boundedness", "--N", 1], "function pool needs N >= 2"),
+        "weighted-series-N-0": (["scan", "--name", "weighted_series", "--N", 0], "function pool needs N >= 2"),
     }
 
     @pytest.mark.parametrize("case", sorted(BAD_VALUES))

@@ -164,7 +164,7 @@ class TestVariation:
 
     @pytest.mark.parametrize("n", [0, 9])
     def test_counts_refuse_out_of_range(self, n):
-        with pytest.raises(ValueError, match="1 <= n <= M_N = 8"):
+        with pytest.raises(ValueError, match=f"index {n} is not an integer in 1..8"):
             variation_counts(np.array([1, n]), WALSH, 3)
 
 

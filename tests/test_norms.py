@@ -88,12 +88,6 @@ class TestWeakLp:
         with pytest.raises(ValueError):
             weak_lp(constant(WALSH, 2), -1.0)
 
-    @pytest.mark.parametrize("rows", [1, 2])
-    def test_batch_refused(self, rows):
-        values = np.stack([random_grid(WALSH, 4, seed=s).values for s in range(rows)])
-        with pytest.raises(ValueError, match="one function, not a batch"):
-            weak_lp(GridFunction(WALSH, 4, values), 0.5)
-
 
 class TestLebesgue:
     def test_walsh_l3(self):

@@ -71,9 +71,9 @@ class TestCharacters:
     @pytest.mark.parametrize("bad", [-1, -8, 8])
     def test_unresolvable_index_refused(self, bad):
         # digits are taken mod m_k, so -1 would silently give the row of 7
-        with pytest.raises(ValueError, match="character index not resolvable at this resolution"):
+        with pytest.raises(ValueError, match=rf"character index {bad} is not an integer in 0\.\.7"):
             character_block(WALSH, 3, [0, bad])
-        with pytest.raises(ValueError, match="character index not resolvable at this resolution"):
+        with pytest.raises(ValueError, match=rf"character index {bad} is not an integer in 0\.\.7"):
             character_values(WALSH, bad, 3)
 
 
@@ -517,7 +517,7 @@ class TestPartialSumOrders:
     def test_out_of_range_order_refused(self, bad):
         f = random_grid(WALSH, 5)
         for source in (f, forward(f)):
-            with pytest.raises(ValueError, match=f"partial sum order {bad} out of range at resolution 5"):
+            with pytest.raises(ValueError, match=rf"partial sum order {bad} is not an integer in 0\.\.32"):
                 partial_sum(source, [0, 3, bad])
 
     def test_nested_orders_refused(self):
@@ -583,7 +583,7 @@ class TestKernelOrders:
 
     @pytest.mark.parametrize("bad", [-1, 0, 9])
     def test_out_of_range_order_refused(self, bad):
-        message = f"Dirichlet kernel D_{bad} is not resolvable at resolution 3"
+        message = rf"Dirichlet kernel order {bad} is not an integer in 1\.\.8"
         with pytest.raises(ValueError, match=message):
             dirichlet_closed(WALSH, [1, 8, bad], 3)
         with pytest.raises(ValueError, match=message):
@@ -1005,13 +1005,6 @@ class TestGridFunctionAlgebra:
     def test_integral_is_mean(self):
         f = grid_function(WALSH, 2, [1, 2, 3, 4])
         assert f.integral() == pytest.approx(2.5)
-
-    @pytest.mark.parametrize("rows", [1, 2])
-    def test_integral_of_batch_refused(self, rows):
-        # the mean would run over every row at once, not one per function
-        values = np.stack([random_grid(WALSH, 4, seed=s).values for s in range(rows)])
-        with pytest.raises(ValueError, match="one function, not a batch"):
-            GridFunction(WALSH, 4, values).integral()
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, np.inf)], ids=["nan", "inf", "imag-inf"])
     def test_non_finite_rejected(self, bad):
