@@ -36,11 +36,14 @@ def _integers(values, what: str, low: int | None = None, high: int | None = None
         if lo <= values <= hi and -_INT64_MAX - 1 <= values <= _INT64_MAX:
             return np.array(values, dtype=np.int64)  # one integer, the common case: no reductions
     arr = np.asarray(values)
+    if arr.dtype.kind == "f" and not isinstance(values, (np.ndarray, np.generic)):
+        arr = np.asarray(values, dtype=object)  # numpy reads [1, 2**63] and [1, 2.5] as float64
     kind = arr.dtype.kind
     if ndim is not None and arr.ndim > ndim:
         got = f"of shape {arr.shape}"
     elif arr.size and not (kind in "iu" or (kind == "O" and all(type(v) is int for v in arr.ravel().tolist()))):
-        got = repr(arr.ravel()[:1].tolist()[0])
+        bad = next(v for v in arr.ravel().tolist() if type(v) is not int)
+        got = repr(np.asarray(bad).tolist())
     elif arr.size and ((low is not None and arr.min() < low) or (high is not None and arr.max() > high)):
         got = str(arr[(arr < lo) | (arr > hi)][0])
     elif kind in "uO" and arr.size and not -_INT64_MAX - 1 <= arr.min() <= arr.max() <= _INT64_MAX:
@@ -244,7 +247,7 @@ def variation_counts(
     start = 0 if convention == "from0" else 1
     bases, radices = _digit_arrays(m.pattern, m.cyclic, resolution)
     idx = _integers(indices, "index", 1, int(bases[-1]), ndim=1)
-    digits = np.concatenate([digits_of(idx, m, resolution), idx[..., None] // bases[-1]], axis=-1)
+    digits = np.concatenate([_digits(idx, m, resolution), idx[..., None] // bases[-1]], axis=-1)
     radices = np.append(radices, m.radix(resolution))
     delta = digits != 0
     # a boolean diff is |delta_{j+1} - delta_j|; delta_{N+1} = 0 because n <= M_N
@@ -304,7 +307,7 @@ def point_to_index(x: GroupPoint) -> int:
 
 def index_to_point(i: int, m: GeneratorSequence, resolution: int) -> GroupPoint:
     i = _integers(i, "coset index", 0, m.size(resolution) - 1)
-    return GroupPoint(tuple(int(d) for d in digits_of(i, m, resolution)), m)
+    return GroupPoint(tuple(int(d) for d in _digits(i, m, resolution)), m)
 
 
 @lru_cache(maxsize=16)
@@ -341,12 +344,16 @@ def _digit_arrays(pattern: tuple[int, ...], cyclic: bool, resolution: int) -> tu
     return bases, radices
 
 
+def _digits(idx: np.ndarray, m: GeneratorSequence, resolution: int) -> np.ndarray:
+    """``digits_of`` for an int64 array that its caller has already checked."""
+    bases, radices = _digit_arrays(m.pattern, m.cyclic, resolution)
+    return (idx[..., None] // bases[:-1]) % radices
+
+
 def digits_of(indices: np.ndarray, m: GeneratorSequence, resolution: int) -> np.ndarray:
     """Vectorized digit expansion (no statistics) for an integer index array:
     the N digits of each index mod M_N."""
-    idx = _integers(indices, "coset index", ndim=None)
-    bases, radices = _digit_arrays(m.pattern, m.cyclic, resolution)
-    return (idx[..., None] // bases[:-1]) % radices
+    return _digits(_integers(indices, "coset index", ndim=None), m, resolution)
 
 
 def index_add(i, j, m: GeneratorSequence, resolution: int) -> np.ndarray:

@@ -14,7 +14,9 @@ from one cached table so repeated runs are bit-identical.
 from __future__ import annotations
 
 import io
+import itertools
 import math
+import operator
 import struct
 import warnings
 from dataclasses import dataclass
@@ -27,9 +29,9 @@ from .group import (
     GeneratorSequence,
     GroupPoint,
     VIndex,
+    _digits,
     _integers,
     digit_table,
-    digits_of,
     index_sub,
 )
 
@@ -206,9 +208,14 @@ def character_block(m: GeneratorSequence, resolution: int, indices) -> np.ndarra
     in the same order as on the full grid, and the last period is repeated
     to M_N.
     """
+    idx = _integers(indices, "character index", 0, m.size(resolution) - 1, ndim=1)
+    return _character_rows(m, resolution, idx)
+
+
+def _character_rows(m: GeneratorSequence, resolution: int, idx: np.ndarray) -> np.ndarray:
+    """``character_block`` for int64 indices in 0..M_N - 1 that the caller has checked."""
     size = m.size(resolution)
-    idx = _integers(indices, "character index", 0, size - 1, ndim=1)
-    ndig = digits_of(idx.reshape(-1), m, resolution)
+    ndig = _digits(idx.reshape(-1), m, resolution)
     bases = m.scaled_bases(resolution)
     count = ndig.shape[0]
     out = np.ones((count, 1), dtype=np.complex128)
@@ -223,31 +230,164 @@ def character_values(m: GeneratorSequence, n: int, resolution: int) -> np.ndarra
     return character_block(m, resolution, [_integers(n, "character index", 0, m.size(resolution) - 1)])[0]
 
 
-def _digit_passes(values: np.ndarray, m: GeneratorSequence, resolution: int, inverse: bool) -> np.ndarray:
-    # Pass k reads digit k on the contiguous last axis and writes it to the
-    # front of each row (behind any batch axes) through a transposed view of
-    # the other ping-pong buffer.  pocketfft runs each fiber on its own, so
-    # a batched row is bitwise the row transformed alone.  A radix-2 digit
-    # is pocketfft's length-2 kernel in numpy: a+b, a-b, and on the inverse
-    # a real 0.5 on each float64 component, as its ifft scales (a complex
-    # multiply would move the sign of zeros and turn inf into nan).  The
-    # buffers are C-ordered so that float64 view exists for any input layout.
-    *lead, size = values.shape
-    bufs = (np.empty(values.shape, np.complex128), np.empty(values.shape, np.complex128))
-    x = values
-    for k, mk in enumerate(m.radices(resolution)):
-        out = bufs[k % 2]
-        cols = x.reshape(*lead, size // mk, mk)
-        rows = out.reshape(*lead, mk, size // mk)
-        if mk == 2:
-            np.add(cols[..., 0], cols[..., 1], out=rows[..., 0, :])
-            np.subtract(cols[..., 0], cols[..., 1], out=rows[..., 1, :])
-            if inverse:
-                out.view(np.float64)[...] *= 0.5
+# A digit pass costs a few numpy calls whatever its size, about the time it
+# takes to write this many values (see _prefix_stop).
+_PASS_VALUES = 1 << 12
+
+
+@lru_cache(maxsize=64)
+def _zero_fibers_stay_zero(radix: int) -> bool:
+    """Whether ``np.fft.ifft`` turns a fiber of +0.0 into +0.0 bits at this
+    radix.  pocketfft's Bluestein lengths (89, 101, 103, ...) leave some
+    -0.0, so a grid with one of them keeps its full inverse passes."""
+    return not np.fft.ifft(np.zeros(radix, np.complex128)).view(np.int64).any()
+
+
+def _live_columns(values: np.ndarray) -> int:
+    """One past the last column of ``values`` (..., M) with a nonzero bit in
+    any row, -0.0 included; 0 when every entry is +0.0.  Blocks of 1, 8, 64,
+    ... columns are counted from the end until one holds a nonzero bit, and
+    that block is then halved down to its last live column, so a spectrum
+    whose last column is live costs one column and no temporary is built."""
+    size = values.shape[-1]
+    if values.strides[-1] != values.itemsize:
+        values = np.ascontiguousarray(values)
+    bits = values.view(np.int64).reshape(-1, 2 * size)
+    hi, width = size, 1
+    while not np.count_nonzero(bits[:, 2 * max(0, hi - width) : 2 * hi]):
+        hi, width = max(0, hi - width), 8 * width
+        if not hi:
+            return 0
+    lo = max(0, hi - width)  # columns from hi on are +0.0, and [lo, hi) is not
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if np.count_nonzero(bits[:, 2 * mid : 2 * hi]):
+            lo = mid
         else:
-            (np.fft.ifft if inverse else np.fft.fft)(cols, out=rows.swapaxes(-1, -2))
-        x = out
-    return x
+            hi = mid
+    return hi
+
+
+def _prefix_stop(values: np.ndarray, m: GeneratorSequence, resolution: int) -> int:
+    """How far the inverse passes read a spectrum: one past its last live
+    column, or M_N when that would not pay.  A pass over the prefix writes
+    fewer values than the M_N of a full pass, but a radix-2 pass writes them
+    through strided or transposed views at about twice the cost per value,
+    while a pocketfft pass costs about four times a radix-2 value either
+    way.  In those units the prefix is taken when it saves ``_PASS_VALUES``
+    per pass."""
+    size = values.shape[-1]
+    radices = m.radices(resolution)
+
+    def pays(stop: int) -> bool:
+        saved = sum(
+            size - 2 * p.radix * p.low * p.pad if p.radix == 2 else 4 * (size - p.radix * p.low * p.pad)
+            for p in _passes(radices, stop)
+        )
+        return values.size // size * saved >= resolution * _PASS_VALUES
+
+    # a full spectrum pays one column for this
+    if (
+        np.count_nonzero(values[..., -1:].view(np.int64))
+        or not pays(1)
+        or not all(mk == 2 or _zero_fibers_stay_zero(mk) for mk in radices)
+    ):
+        return size
+    stop = max(1, _live_columns(values))
+    return stop if pays(stop) else size
+
+
+class _Pass(NamedTuple):
+    radix: int  # m_k
+    low: int  # M_k
+    width: int  # columns of the layout read
+    live: int  # live columns written, ceil(stop / M_{k+1})
+    pad: int  # columns of the layout written: the width of the next pass (1 after the last)
+    flipped: bool  # written as (pad, m_k, M_k) rather than (m_k, M_k, pad)
+
+
+@lru_cache(maxsize=256)
+def _passes(radices: tuple[int, ...], stop: int) -> tuple[_Pass, ...]:
+    """The digit passes of ``_digit_passes`` over a spectrum live below
+    ``stop``.  Pass k reads live[k] columns, padded with +0.0 to a whole
+    number m_k live[k+1] of them for pocketfft; a radix-2 pass reads its
+    last half fiber as it is and adds and subtracts +0.0 for the other half.
+    The first pass reads the input, whose zero columns are there already."""
+    bases = list(itertools.accumulate(radices, operator.mul, initial=1))
+    live = [-(-stop // base) for base in bases]
+    width = [q if mk == 2 else mk * nxt for mk, q, nxt in zip(radices, live, live[1:])] + [1]
+    width[0] = radices[0] * live[1]
+    return tuple(
+        _Pass(mk, bases[k], width[k], live[k + 1], width[k + 1], stop < bases[-1] and bases[k + 1] > live[k + 1])
+        for k, mk in enumerate(radices)
+    )
+
+
+def _digit_passes(values: np.ndarray, m: GeneratorSequence, resolution: int, inverse: bool) -> np.ndarray:
+    # Before pass k each row is (M_k, Q) in C order: digits 0..k-1 done, then
+    # the untransformed q = n // M_k.  Pass k transforms digit k, the last
+    # axis of (M_k, Q / m_k, m_k), into a transposed view (m_k, M_k, Q / m_k)
+    # of the other ping-pong buffer, so the digit moves to the front and the
+    # Paley order is back after N passes with no transpose copy.  pocketfft
+    # runs each fiber on its own, so a batched row is bitwise the row
+    # transformed alone.  A radix-2 digit is pocketfft's length-2 kernel in
+    # numpy: a+b, a-b, and on the inverse a real 0.5 on each float64
+    # component, as its ifft scales (a complex multiply would move the sign
+    # of zeros and turn inf into nan).
+    #
+    # A spectrum that is +0.0 from column ``stop`` on (a partial sum) is live
+    # before pass k only at q < live[k] = ceil(stop / M_k): every fiber above
+    # is +0.0, which the full passes keep +0.0.  So pass k reads only the
+    # prefix (M_k, width) and writes the live[k+1] columns of the next one
+    # (see _passes for the padding).  Once M_{k+1} outgrows live[k+1] the
+    # prefix is written transposed, (pad, M_{k+1}), so each add, subtract or
+    # pad runs along M_{k+1} and not along a few columns; the last layout,
+    # (M_N, 1), is the same either way.  A full spectrum is the prefix
+    # stop = M_N: no padding, nothing transposed.
+    *lead, size = values.shape
+    rows = math.prod(lead)
+    plan = _passes(m.radices(resolution), _prefix_stop(values, m, resolution) if inverse else size)
+    axes, n = tuple(range(len(lead))), len(lead)
+    bufs = (np.empty(rows * size, np.complex128), np.empty(rows * size, np.complex128))
+    x, x_flipped = values, False
+    for k, (mk, low, width, q, pad, flipped) in enumerate(plan):
+        out = bufs[k % 2][: rows * mk * low * pad]
+        whole = width // mk  # whole fibers; a radix-2 prefix may end in half of one
+        if not flipped and pad == q == whole:  # the fibers on one axis, as on the full grid
+            cols = x[..., : low * width].reshape(*lead, low * q, mk)
+            dest = out.reshape(*lead, mk, low * q).swapaxes(-1, -2)
+        else:  # cols and dest: the whole fibers of x, (..., M_k, whole, m_k), and where they go
+            if x_flipped:
+                src = x.reshape(*lead, width, low)
+                cols = src[..., : whole * mk, :].reshape(*lead, whole, mk, low).transpose(*axes, n + 2, n, n + 1)
+                half = src[..., -1, :]
+            else:
+                src = x[..., : low * width].reshape(*lead, low, width)
+                cols = src[..., : whole * mk].reshape(*lead, low, whole, mk)
+                half = src[..., -1]
+            if flipped:  # (pad, m_k, M_k)
+                grid = out.reshape(*lead, pad, mk, low)
+                grid[..., q:, :, :] = 0.0
+                written = grid[..., :q, :, :].transpose(*axes, n + 2, n, n + 1)
+            else:  # (m_k, M_k, pad)
+                grid = out.reshape(*lead, mk, low, pad)
+                grid[..., q:] = 0.0
+                written = grid[..., :q].transpose(*axes, n + 1, n + 2, n)
+            dest, rest = written[..., :whole, :], written[..., whole:, :]
+        if mk == 2:
+            a, b = cols[..., 0], cols[..., 1]
+            np.add(a, b, out=dest[..., 0])
+            np.subtract(a, b, out=dest[..., 1])
+            if whole < q:  # the half fiber (a, +0.0)
+                np.add(half, 0.0, out=rest[..., 0, 0])
+                np.subtract(half, 0.0, out=rest[..., 0, 1])
+            if inverse:
+                halves = out.view(np.float64)
+                np.multiply(halves, 0.5, out=halves)
+        else:
+            (np.fft.ifft if inverse else np.fft.fft)(cols, out=dest)
+        x, x_flipped = out.reshape(*lead, mk * low * pad), flipped
+    return x.reshape(*lead, size)
 
 
 def forward(f: GridFunction) -> SpectralVector:
@@ -273,7 +413,14 @@ def forward(f: GridFunction) -> SpectralVector:
 def inverse(sv: SpectralVector) -> GridFunction:
     """Fast synthesis: f(x) = sum_n f^(n) psi_n(x), by the per-digit passes
     of ``forward`` run backward (radix 2: add, subtract, halve each float64
-    component; other radices: ``np.fft.ifft``): bitwise ``ifftn(cube) * M_N``."""
+    component; other radices: ``np.fft.ifft``): bitwise ``ifftn(cube) * M_N``.
+
+    A spectrum that is +0.0 from some column on, such as a partial sum, is
+    synthesized over its nonzero prefix: each pass skips the fibers that are
+    +0.0 throughout, which the full passes would turn into +0.0, so the bits
+    are the same.  A -0.0 counts as nonzero, and a grid with a radix that
+    pocketfft runs by Bluestein (89, 101, ...) keeps the full passes.
+    """
     if sv.resolution == 0:
         return GridFunction(sv.generators, 0, sv.coeffs.copy())
     values = _digit_passes(sv.coeffs, sv.generators, sv.resolution, inverse=True)
@@ -355,7 +502,7 @@ def dirichlet_closed(m: GeneratorSequence, n, resolution: int) -> GridFunction:
     contributes one geometric block on the coset slice ``[::M_j]`` (I_j).
 
     ``n`` is one order or a 1-D sequence of orders; a sequence gives one row
-    per order.  The psi_n rows come from one ``character_block`` call, and
+    per order.  The psi_n rows come from one ``_character_rows`` call, and
     each distinct nonzero digit n_j = d builds its geometric row once and
     adds it to the rows with that digit, so every row is bitwise the lone
     ``dirichlet_closed(m, n, N)``, which is the same code on one row.
@@ -370,13 +517,13 @@ def dirichlet_closed(m: GeneratorSequence, n, resolution: int) -> GridFunction:
     below = rows % size
     acc = np.zeros((rows.size, size), dtype=np.complex128)
     acc[rows == size, 0] = size
-    digits = digits_of(below, m, resolution)
+    digits = _digits(below, m, resolution)
     for j, (mj, col) in enumerate(zip(m.radices(resolution), digits.T.tolist())):
         for nj in set(col) - {0}:
             block = acc[:, :: bases[j]]
             geo = bases[j] * _geometric_row(mj, nj)
             np.add(block, geo[xdig[:: bases[j], j]], out=block, where=digits[:, j, None] == nj)
-    values = character_block(m, resolution, below)
+    values = _character_rows(m, resolution, below)
     values *= acc
     return GridFunction(m, resolution, values.reshape(orders.shape + (size,)))
 
@@ -448,7 +595,7 @@ def dirichlet_shells(m: GeneratorSequence, resolution: int, indices) -> ShellTab
     """
     idx = _integers(indices, "Dirichlet kernel order", 1, m.size(resolution), ndim=1).reshape(-1)
     bases = m.scaled_bases(resolution)
-    digits = digits_of(idx, m, resolution)
+    digits = _digits(idx, m, resolution)
     blocks, shell, coord = [np.empty((idx.size, 0))], [], []
     for s in range(resolution):
         ms = m.radix(s)
@@ -502,6 +649,7 @@ def cumulative_rows(
     bases = m.scaled_bases(resolution)
     b = min(range(resolution + 1), key=lambda k: abs(bases[k] - math.sqrt(size)))
     low = bases[b]
+    # the public, checked name: bench/workloads.py COVERAGE reaches it through here
     table = character_block(m, resolution, np.arange(min(low, limit)))
     xdig = digit_table(m, resolution)
     radices = m.radices(resolution)
@@ -551,7 +699,9 @@ def partial_sum(f: GridFunction | SpectralVector, n) -> GridFunction:
     result holds one row per order: the spectrum is repeated once, each row
     truncated in place and all rows go through one batched ``inverse``, so
     each row is bitwise the lone ``partial_sum(f, n)``, which is the same
-    code on one row.  A batch of functions is refused.
+    code on one row.  That ``inverse`` reads the rows only up to the largest
+    order, where it pays (see ``_prefix_stop``).  A batch of functions is
+    refused.
     """
     _lone(f.coeffs if isinstance(f, SpectralVector) else f.values, "partial_sum")
     orders = _integers(n, "partial sum order", 0, f.size, ndim=1)

@@ -151,8 +151,14 @@ def test_non_integer_refused(row):
     base = row.low if row.low is not None else 0
     for value in (base + 0.5, np.float64(base), True):
         assert f" {np.asarray(value).tolist()!r} is not an integer" in _refusal(row, value)
-    if row.shape == SEQ:
-        _refusal(row, [row.low, base + 0.5])
+    if row.shape == SEQ:  # the fraction is named, not the valid entry before it
+        assert f" {base + 0.5!r} is not an integer" in _refusal(row, [row.low, base + 0.5])
+
+
+@pytest.mark.parametrize("row", [r for r in INTEGERS if r.shape == SEQ], ids=_int_id)
+def test_entry_past_int64_is_named(row):
+    # numpy reads [low, 2**63] as float64; the refusal names 2**63, not low as a float
+    assert f" {2**63} is not an integer" in _refusal(row, [row.low, 2**63])
 
 
 @pytest.mark.parametrize("row", [r for r in INTEGERS if r.shape != ANY], ids=_int_id)

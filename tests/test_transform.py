@@ -9,10 +9,13 @@ from hypothesis import strategies as st
 
 from vilenkin.group import GeneratorSequence, GroupPoint, WALSH, decompose, digit_table, digits_of
 from vilenkin.norms import SUPPORT_THRESHOLD, lebesgue_table, modulus_hp
+from vilenkin import transform
 from vilenkin.transform import (
     _CSV_BLOCK,
     SIZE_CAP,
     _digit_passes,
+    _live_columns,
+    _prefix_stop,
     GridFunction,
     SpectralVector,
     character,
@@ -262,6 +265,88 @@ class TestRadix2Pass:
         f = random_grid(m, 6)
         inverse(forward(f))
         assert counts == {"fft": calls, "ifft": calls}
+
+
+def _truncated(m, resolution, rows, stop, seed):
+    """Random spectra that are +0.0 from column ``stop`` on, with exact zeros
+    of both signs inside the prefix."""
+    rng = np.random.default_rng(seed)
+    shape = (*rows, m.size(resolution))
+    coeffs = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    coeffs[rng.random(shape) < 0.2] = 0.0
+    coeffs[rng.random(shape) < 0.1] = complex(-0.0, -0.0)
+    coeffs[..., stop:] = 0.0
+    return coeffs
+
+
+def _column_view(coeffs):
+    """The same values as a view whose last axis has a stride of two entries."""
+    wide = np.empty((*coeffs.shape, 2), np.complex128)
+    wide[..., 1] = coeffs
+    return wide[..., 1]
+
+
+class TestPrefixSynthesis:
+    # 89 is a Bluestein length of pocketfft: its zero fibers come out with
+    # -0.0 entries, so that grid must take the full passes.
+    GRIDS = [(WALSH, 12), (TRIADIC, 7), (ALTERNATING, 9), (MIXED_CYCLE, 8), (GeneratorSequence.parse("89,2"), 7)]
+
+    @pytest.mark.parametrize("m, resolution", GRIDS, ids=lambda v: getattr(v, "format", lambda: str(v))())
+    @pytest.mark.parametrize("rows", [(), (3,)], ids=["lone", "batch"])
+    @pytest.mark.parametrize("view", [False, True], ids=["c-order", "column-view"])
+    def test_truncated_spectrum_is_bitwise_fftn(self, monkeypatch, m, resolution, rows, view):
+        # With no per-pass minimum the prefix passes run on these small grids too.
+        monkeypatch.setattr(transform, "_PASS_VALUES", 1)
+        size = m.size(resolution)
+        stops = sorted({0, 1, size} | {b + d for b in m.scaled_bases(resolution)[1:-1] for d in (-1, 0, 1)})
+        rng = np.random.default_rng(size)
+        pruned = 0
+        for stop in stops:
+            coeffs = _truncated(m, resolution, rows, stop, seed=stop)
+            cases = [coeffs]
+            if stop < size:  # a -0.0 in the tail is a live column
+                signed = coeffs.copy()
+                signed.reshape(-1, size)[rng.integers(signed.size // size), rng.integers(stop, size)] = -0.0
+                cases.append(signed)
+            for values in cases:
+                want = np.stack([_fftn_reference(row, m, resolution, True) for row in values.reshape(-1, size)])
+                if view:
+                    values = _column_view(values)
+                got = inverse(SpectralVector(m, resolution, values)).values
+                assert np.array_equal(got.reshape(-1, size).view(np.uint64), want.view(np.uint64)), stop
+                pruned += _prefix_stop(values, m, resolution) < size
+        assert (pruned > 0) == (89 not in m.pattern)
+
+    @pytest.mark.parametrize("rows", [(), (3,)], ids=["lone", "batch"])
+    def test_live_columns_is_one_past_the_last_nonzero_bit(self, rows):
+        rng = np.random.default_rng(len(rows))
+        last = [complex(1.5, 0.0), complex(-0.0, 0.0), complex(0.0, -0.0), 5e-324]
+        for stop in range(0, 301):
+            values = np.zeros((*rows, 300), np.complex128)
+            values[..., : max(0, stop - 1)] = rng.standard_normal((*rows, max(0, stop - 1)))
+            if stop:
+                values.reshape(-1, 300)[rng.integers(values.size // 300), stop - 1] = last[stop % len(last)]
+            assert _live_columns(values) == stop
+            assert _live_columns(_column_view(values)) == stop
+
+    def test_zero_tail_is_not_transformed(self, monkeypatch):
+        m, resolution, orders = TRIADIC, 8, [100, 50, 7, 1]
+        size = m.size(resolution)
+        spectrum = forward(random_grid(m, resolution))
+        points = []
+
+        def counted(a, *args, _ifft=np.fft.ifft, **kwargs):
+            points.append(np.size(a))
+            return _ifft(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.fft, "ifft", counted)
+        sums = partial_sum(spectrum, orders).values
+        # about N stop + 2 M_N values per row, where the full passes take N M_N
+        assert sum(points) <= len(orders) * (resolution * max(orders) + 2 * size)
+        for row, n in zip(sums, orders):
+            truncated = spectrum.coeffs.copy()
+            truncated[n:] = 0.0
+            assert np.array_equal(row.view(np.uint64), _fftn_reference(truncated, m, resolution, True).view(np.uint64))
 
 
 @st.composite
