@@ -174,8 +174,9 @@ def _cmd_lebesgue(args) -> int:
     convention = args.convention
     note = ""
     if convention == "auto":
+        # n < min(M_N, 512): the default range, so N = 0 is refused by name
         convention, violations = select_variation_convention(
-            m, resolution, min(m.size(resolution), 512)
+            m, resolution, 512 if m.size(resolution) > 512 else None
         )
         note = f" (oracle pick; bracket violations {dict((k, len(v)) for k, v in violations.items())})"
     table = lebesgue_table(m, resolution, args.limit, convention)

@@ -453,10 +453,13 @@ def boundedness_scan(
     for run in runs:
         spectra[run] = forward(GridFunction(m, resolution, spectra[run])).coeffs
     # Largest n first: truncating the stacked spectra in place keeps every
-    # coefficient a smaller n still needs, so no second buffer is held.
+    # coefficient a smaller n still needs, so no second buffer is held, and
+    # only the columns from n up to the last n need zeroing.
     ratios = {}
+    top = size
     for n in sorted(indices, reverse=True):
-        spectra[:, n:] = 0.0
+        spectra[:, n:top] = 0.0
+        top = n
         norms = [hardy_norm(inverse(SpectralVector(m, resolution, spectra[run])), p) for run in runs]
         ratios[n] = np.concatenate(norms) / denoms
 
@@ -585,6 +588,8 @@ def modulus_convergence_scan(
     if not 0 < p < 1:
         raise ValueError("modulus scan needs 0 < p < 1")
     _check_scan_size(m, resolution)
+    if resolution < 2:
+        raise ValueError(f"the modulus scan needs N >= 2 for its first alpha, M_1 + 1, not N = {resolution}")
     if n_rule == "default":
         alphas = default_alphas(m, resolution)
     elif n_rule == "Mn_plus_1":

@@ -195,6 +195,8 @@ class MartingaleSpec:
 
 def default_alphas(m: GeneratorSequence, resolution: int) -> list[int]:
     """alpha_k = M_{2^k} + 1 while the atom fits: maximal rho growth."""
+    if resolution < 2:
+        raise ValueError(f"the default alphas need N >= 2 for their first, M_1 + 1, not N = {resolution}")
     alphas = []
     k = 0
     while 2**k + 1 <= resolution:

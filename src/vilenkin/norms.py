@@ -126,6 +126,8 @@ def lebesgue_constant(
 def _lebesgue_values(m: GeneratorSequence, resolution: int, limit: int | None) -> np.ndarray:
     """Exact L_n for 1 <= n < limit (default M_N), from one blocked kernel pass."""
     size = m.size(resolution)
+    if limit is None and size < 2:
+        raise ValueError(f"the Lebesgue table 1 <= n < M_N needs N >= 1, not N = {resolution}")
     stop = size if limit is None else int(_integers(limit, "Lebesgue table limit", 2, size + 1))
     blocks = dirichlet_kernel_blocks(m, resolution, stop - 1)
     return np.concatenate([np.mean(np.abs(kernels), axis=1) for _, kernels in blocks])
@@ -144,9 +146,10 @@ def lebesgue_table(
 
 
 def select_variation_convention(
-    m: GeneratorSequence, resolution: int, limit: int
+    m: GeneratorSequence, resolution: int, limit: int | None = None
 ) -> tuple[str, dict[str, list[int]]]:
-    """Decide the digit-sum convention empirically against exact L_n.
+    """Decide the digit-sum convention empirically against exact L_n for
+    1 <= n < limit (default M_N).
 
     Returns the winning convention and, per convention, the indices where
     the bracket failed.  Ties go to "from1" (the printed form).  The

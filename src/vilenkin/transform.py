@@ -735,11 +735,39 @@ def partial_sum_convolution(f: GridFunction, n: int) -> GridFunction:
     return GridFunction(f.generators, f.resolution, (kernel[diff] @ values) / f.size)
 
 
+# A level of at most this many lanes (M_k) sums each lane down its cosets
+# in one inner loop; a wider one adds whole coset rows (see _coset_means).
+_LANE_RUN = 16
+
+
 def _coset_means(values: np.ndarray, m_k: int) -> np.ndarray:
-    """(..., M_k) means of each row over its rank-k cosets: the reduction
-    ``mean`` runs, without its Python wrapper."""
+    """(..., M_k) means of each row over its R = M_N / M_k rank-k cosets,
+    bitwise ``np.add.reduce(values.reshape(..., R, M_k), axis=-2) / R``.
+
+    For M_k > 1 that reduce adds the R cosets of each lane one after the
+    other from +0, in an outer loop around M_k lanes.  ``einsum`` (no
+    ``optimize``) adds the same values in the same order, faster: up to
+    ``_LANE_RUN`` lanes it runs each lane down its cosets (``order="C"``),
+    past that it adds coset rows (``order="K"``, unless the row is laid out
+    backwards, which "K" would sum from its last coset).  numpy's complex
+    ``/ R`` multiplies ``re + im*0`` and ``im - re*0`` by ``1 / R``, and a
+    sum from +0 is never -0.0, so a finite level is scaled in place by
+    ``1.0 / R`` on its float64 view.  Level 0 keeps the reduce's pairwise
+    sum along the row, and a level with a non-finite sum is the reduce and
+    ``/ R`` themselves, nan signs and all.
+    """
     *lead, size = values.shape
-    return np.add.reduce(values.reshape(*lead, size // m_k, m_k), axis=-2) / (size // m_k)
+    count = size // m_k
+    if m_k > 1:
+        cosets = values.reshape(-1, count, m_k)
+        down = m_k <= _LANE_RUN or cosets.strides[1] < 0
+        sums = np.empty((len(cosets), m_k), np.complex128)
+        np.einsum("ijk->ik", cosets, out=sums, order="C" if down else "K")
+        if np.isfinite(sums).all():
+            scaled = sums.view(np.float64)
+            scaled *= 1.0 / count
+            return sums.reshape(*lead, m_k)
+    return np.add.reduce(values.reshape(*lead, count, m_k), axis=-2) / count
 
 
 def conditional_expectation(f: GridFunction, rank: int) -> GridFunction:

@@ -546,6 +546,16 @@ class TestInputErrors:
         # the pool's counterexample martingale has its first atom at M_1 + 1, so N >= 2
         "boundedness-N-1": (["scan", "--name", "boundedness", "--N", 1], "function pool needs N >= 2"),
         "weighted-series-N-0": (["scan", "--name", "weighted_series", "--N", 0], "function pool needs N >= 2"),
+        # the default ranges and alphas are empty below these N: refused by name, not by a derived value
+        "lebesgue-N-0": (["lebesgue", "--m", "2^", "--N", 0], "the Lebesgue table 1 <= n < M_N needs N >= 1"),
+        "lebesgue-N-0-from1": (["lebesgue", "--m", "2^", "--N", 0, "--convention", "from1"],
+                               "the Lebesgue table 1 <= n < M_N needs N >= 1"),
+        "counterexample-N-0": (["counterexample", "--N", 0], "the default alphas need N >= 2"),
+        "counterexample-N-1": (["counterexample", "--N", 1], "the default alphas need N >= 2"),
+        "modulus-N-0": (["scan", "--name", "modulus_convergence", "--N", 0], "the modulus scan needs N >= 2"),
+        "modulus-N-1": (["scan", "--name", "modulus_convergence", "--N", 1], "the modulus scan needs N >= 2"),
+        "modulus-N-1-Mn-plus-1": (["scan", "--name", "modulus_convergence", "--N", 1, "--variant", "Mn_plus_1"],
+                                  "the modulus scan needs N >= 2"),
     }
 
     @pytest.mark.parametrize("case", sorted(BAD_VALUES))

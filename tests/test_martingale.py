@@ -120,6 +120,12 @@ class TestCounterexampleAtom:
         with pytest.raises(ValueError):
             counterexample_atom(WALSH, 2**5 + 1, 0.5, 5)
 
+    @pytest.mark.parametrize("resolution", [0, 1])
+    def test_default_alphas_need_two_digits(self, resolution):
+        with pytest.raises(ValueError, match=rf"^the default alphas need N >= 2 .*, not N = {resolution}$"):
+            default_alphas(WALSH, resolution)
+        assert default_alphas(WALSH, 2) == [3]
+
 
 class TestBuildCounterexample:
     def test_coefficient_table_matches_transform(self):

@@ -132,6 +132,13 @@ class TestLebesgue:
     def test_table_default_covers_n_below_mn(self):
         table = lebesgue_table(WALSH, 5)
         assert [r.n for r in table] == list(range(1, 32))
+        assert select_variation_convention(WALSH, 5) == select_variation_convention(WALSH, 5, 32)
+
+    @pytest.mark.parametrize("call", [lebesgue_table, select_variation_convention])
+    def test_empty_default_range_is_named(self, call):
+        # M_0 = 1 leaves no n in 1 <= n < M_N
+        with pytest.raises(ValueError, match=r"^the Lebesgue table 1 <= n < M_N needs N >= 1, not N = 0$"):
+            call(WALSH, 0)
 
 
 @st.composite

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from vilenkin.group import GeneratorSequence, GroupPoint, WALSH, decompose, digit_table, digits_of
 from vilenkin.norms import SUPPORT_THRESHOLD, lebesgue_table, modulus_hp
+from vilenkin.martingale import build_counterexample, default_alphas
 from vilenkin import transform
 from vilenkin.transform import (
     _CSV_BLOCK,
@@ -897,6 +898,92 @@ class TestPartialSums:
                 expected = conditional_expectation(f, k).values.view(np.uint64)
                 assert np.array_equal(np.tile(lone, f.size // lone.size).view(np.uint64), expected)
                 assert np.array_equal(level[i].view(np.uint64), lone.view(np.uint64))
+
+
+def _coset_loop(values, m_k):
+    """Level M_k of each row, literally: every lane summed over the cosets in
+    a Python loop, from +0 with j ascending, then numpy's complex ``/ R``."""
+    size = values.shape[-1]
+    count = size // m_k
+    levels = []
+    for row in np.reshape(values, (-1, size)):
+        acc = np.zeros(m_k, np.complex128)
+        for j in range(count):
+            acc = acc + row[j * m_k : (j + 1) * m_k]
+        levels.append(acc / count)
+    return np.reshape(levels, values.shape[:-1] + (m_k,))
+
+
+def _bits(a):
+    return np.ascontiguousarray(a).view(np.uint64)
+
+
+class TestCosetMeans:
+    GRIDS = [
+        (WALSH, 9),
+        (TRIADIC, 5),
+        (GeneratorSequence.parse("4^"), 4),
+        (MIXED_CYCLE, 5),
+        (GeneratorSequence.parse("89,2"), 4),
+    ]
+    LAYOUTS = {
+        "lone": ((), lambda v: v),
+        "rows2": ((2,), lambda v: v),
+        "rows2x3": ((2, 3), lambda v: v),
+        "f-order": ((2, 3), np.asfortranarray),
+        "rows-reversed": ((3,), lambda v: v[::-1]),
+        "lanes-reversed": ((2,), lambda v: v[..., ::-1]),
+    }
+    DATA = ["random", "signed-zeros", "subnormals", "negative-zero-row", "martingale", "overflowing-row"]
+
+    @staticmethod
+    def _data(kind, m, resolution, lead):
+        rng = np.random.default_rng(25)
+        size = m.size(resolution)
+        values = rng.standard_normal(lead + (size,)) + 1j * rng.standard_normal(lead + (size,))
+        row = values.reshape(-1, size)  # a view: writing a row writes values
+        if kind == "signed-zeros":
+            parts = values.view(np.float64)
+            zeros = rng.random(parts.shape) < 0.5
+            parts[zeros] = np.where(rng.random(int(zeros.sum())) < 0.5, 0.0, -0.0)
+        elif kind == "subnormals":  # the scaled means underflow, some to -0.0
+            values *= 2e-323
+        elif kind == "negative-zero-row":
+            row[-1] = complex(-0.0, -0.0)
+        elif kind == "martingale":
+            spec = build_counterexample(m, 0.5, default_alphas(m, resolution), resolution=resolution)
+            row[...] = spec.realized.values * np.arange(1, len(row) + 1)[:, None]
+        elif kind == "overflowing-row":  # finite values whose coset sums overflow
+            row[0] *= 1e308 / np.abs(row[0].view(np.float64)).max()
+        return values
+
+    @pytest.mark.parametrize("m, resolution", GRIDS, ids=lambda v: getattr(v, "format", lambda: str(v))())
+    @pytest.mark.parametrize("layout", list(LAYOUTS))
+    @pytest.mark.parametrize("kind", DATA)
+    @pytest.mark.parametrize("lane_run", [0, transform._LANE_RUN, SIZE_CAP], ids=["rows", "default", "lanes"])
+    def test_levels_are_the_coset_loop(self, monkeypatch, m, resolution, layout, kind, lane_run):
+        # lane_run 0 adds whole coset rows on every level and SIZE_CAP runs
+        # every lane down its cosets: both einsum orders meet every level.
+        monkeypatch.setattr(transform, "_LANE_RUN", lane_run)
+        lead, arrange = self.LAYOUTS[layout]
+        values = arrange(self._data(kind, m, resolution, lead))
+        f = GridFunction(m, resolution, values)
+        with np.errstate(over="ignore", invalid="ignore"):
+            levels = coarse_sums(f)
+            finite = []
+            for k, level in enumerate(levels):
+                m_k = m.base(k)
+                if k == 0:  # numpy's own reduce along the row, pairwise where the row is contiguous
+                    want = np.add.reduce(values.reshape(lead + (f.size, 1)), axis=-2) / f.size
+                else:
+                    want = _coset_loop(values, m_k)
+                assert level.shape == lead + (m_k,)
+                assert np.array_equal(_bits(level), _bits(want)), (k, m_k)
+                tiled = np.tile(want, (1,) * len(lead) + (f.size // m_k,))
+                assert np.array_equal(_bits(conditional_expectation(f, k).values), _bits(tiled)), (k, m_k)
+                finite.append(bool(np.isfinite(want).all()))
+        # The 1e308 row overflows its coarse sums: those levels take the / R path.
+        assert not all(finite) if kind == "overflowing-row" else all(finite)
 
 
 @pytest.mark.parametrize("m", [WALSH, TRIADIC, ALTERNATING], ids=lambda m: m.format())
