@@ -46,7 +46,6 @@ from .norms import (
     maximal_function,
     modulus_hp,
     restricted_maximal,
-    select_variation_convention,
     weak_lp,
 )
 from .experiments import DEFAULT_SEED, SCAN_REGISTRY
@@ -171,15 +170,11 @@ def _cmd_dirichlet(args) -> int:
 
 def _cmd_lebesgue(args) -> int:
     m, resolution = GeneratorSequence.parse(args.m), args.N
-    convention = args.convention
+    table = lebesgue_table(m, resolution, args.limit, args.convention)
+    convention = table[0].convention
     note = ""
-    if convention == "auto":
-        # n < min(M_N, 512): the default range, so N = 0 is refused by name
-        convention, violations = select_variation_convention(
-            m, resolution, 512 if m.size(resolution) > 512 else None
-        )
-        note = f" (oracle pick; bracket violations {dict((k, len(v)) for k, v in violations.items())})"
-    table = lebesgue_table(m, resolution, args.limit, convention)
+    if args.convention == "auto":
+        note = f" (oracle pick; bracket violations {dict((k, len(v)) for k, v in table.violations.items())})"
     outdir = _outdir(args)
     path = outdir / f"lebesgue_m{_file_tag(m)}_N{resolution}.csv"
     with path.open("w") as fh:
@@ -191,15 +186,28 @@ def _cmd_lebesgue(args) -> int:
     return 0 if not bad else 1
 
 
+def _default_rank(args, default: int, least: int, resolution: int) -> int:
+    """``--rank`` as given, else ``default``, set on ``args`` for the config
+    line.  The default needs N >= ``least``; below that it is refused by name,
+    not through a range derived from an N the rank was never checked against."""
+    if args.rank is None:
+        if resolution < least:
+            raise ValueError(f"the default --rank {default} needs N >= {least}, not N = {resolution}; pass --rank")
+        args.rank = default
+    return args.rank
+
+
 def _cmd_atom(args) -> int:
     m, resolution = GeneratorSequence.parse(args.m), args.N
     if args.validate:
         f = _read_function(Path(args.validate), read_grid_csv, read_grid_binary)
-        atom = validate_atom(f, args.p, args.rank, args.base)
+        # a coset of rank R <= N
+        atom = validate_atom(f, args.p, _default_rank(args, 2, 2, f.resolution), args.base)
         print(f"valid p-atom: support rank {atom.support_rank}, p = {atom.p}")
         return 0
     rng = np.random.default_rng(args.seed)
-    atom = random_atom(m, args.p, args.rank, resolution, rng, base_index=args.base)
+    # a support coset of rank R < N
+    atom = random_atom(m, args.p, _default_rank(args, 2, 3, resolution), resolution, rng, base_index=args.base)
     outdir = _outdir(args)
     path = outdir / f"atom_p{args.p:g}_rank{args.rank}.csv"
     with path.open("w") as fh:
@@ -260,6 +268,11 @@ def _cmd_scan(args) -> int:
     m, resolution = GeneratorSequence.parse(args.m), args.N
     if args.name not in SCAN_REGISTRY:
         raise ValueError(f"unknown scan {args.name!r}; available: {', '.join(sorted(SCAN_REGISTRY))}")
+    # inspect.signature follows __wrapped__, so a functools.wraps wrapper in
+    # the registry still shows the scan's own keywords.
+    params = inspect.signature(SCAN_REGISTRY[args.name]).parameters
+    # kernel_average averages over a coset of rank R <= N; the other scans take no rank
+    _default_rank(args, 3, 3 if "support_rank" in params else 0, resolution)
     flags = dict(
         vars(args),
         m=m,
@@ -268,9 +281,6 @@ def _cmd_scan(args) -> int:
         lambdas=_parse_list(args.lambdas, float),
         phi=_parse_phi(args.phi),
     )
-    # inspect.signature follows __wrapped__, so a functools.wraps wrapper in
-    # the registry still shows the scan's own keywords.
-    params = inspect.signature(SCAN_REGISTRY[args.name]).parameters
     result = SCAN_REGISTRY[args.name](**{key: flags[SCAN_FLAGS.get(key, key)] for key in params})
 
     outdir = _outdir(args)
@@ -466,7 +476,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     s = commands["atom"] = subs.add_parser("atom", allow_abbrev=False, help="generate or validate a p-atom")
     _add_common(s, need_p=True)
     s.add_argument("--seed", type=int, default=DEFAULT_SEED)  # only atom and scan draw random numbers
-    s.add_argument("--rank", type=int, default=2, help="support coset rank")
+    s.add_argument("--rank", type=int, default=None, help="support coset rank (default 2)")
     s.add_argument("--base", type=int, default=0, help="support coset base index")
     s.add_argument("--validate", default=None, help="grid file to validate instead of generating")
     s.set_defaults(func=_cmd_atom)
@@ -493,7 +503,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     s.add_argument("--phi", default=None)
     s.add_argument("--trials", type=int, default=50)
     s.add_argument("--limit", type=int, default=None)
-    s.add_argument("--rank", type=int, default=3)
+    s.add_argument("--rank", type=int, default=None, help="kernel_average support rank (default 3)")
     s.add_argument("--svg", action="store_true", help="also write an SVG of the trace")
     s.set_defaults(func=_cmd_scan)
 

@@ -27,9 +27,10 @@ from .martingale import (
 )
 from .norms import SUPPORT_THRESHOLD, hardy_norm, running_maxima, weak_lp
 from .transform import (
+    _BATCH_POINTS,
     GridFunction,
     SpectralVector,
-    conditional_expectation,
+    coarse_sums,
     cumulative_rows,
     dirichlet_average,
     dirichlet_closed,
@@ -44,11 +45,6 @@ DEFAULT_SEED = 1729
 
 # Scans refuse grids above this size by default (seconds-to-minutes budget).
 SCAN_SIZE_CAP = 1 << 14
-
-# Batched partial sums and H_p norms go in runs of at most this many grid
-# points (one row at least): each complex buffer of a run stays within
-# 512 KiB, so a scan's peak memory does not grow with its number of rows.
-_BATCH_POINTS = 1 << 15
 
 # Desk-scale verdict cut-offs; these are policy, not math.
 MIN_RUN = 4  # consecutive increasing trace points for "growing"
@@ -333,17 +329,17 @@ def divergence_scan(
     trace = []
     cross_err = 0.0
     spectrum = forward(spec.realized)
-    s_fast = (
-        row
-        for run in _row_runs(len(spec.alphas), spectrum.size)
-        for row in partial_sum(spectrum, spec.alphas[run]).values
-    )
-    for k, (idx, s_k) in enumerate(zip(spec.indices, s_fast)):
-        s_closed = closed_partial_sum(spec, idx.value)
-        err = float(np.abs(s_k - s_closed.values).max())
+    # per run of rows: the spectral and the closed partial sums, their gaps
+    # and the weak norms of the spectral ones
+    errs, weak = [], []
+    for run in _row_runs(len(spec.alphas), spectrum.size):
+        s_fast = partial_sum(spectrum, spec.alphas[run])
+        errs += np.abs(s_fast.values - closed_partial_sum(spec, spec.alphas[run]).values).max(axis=1).tolist()
+        weak += weak_lp(s_fast, p).tolist()
+    for k, (idx, err, weak_k) in enumerate(zip(spec.indices, errs, weak)):
         cross_err = max(cross_err, err)
         phi_k = phi_value(phi, idx)
-        value = weak_lp(GridFunction(m, resolution, s_k), p) / phi_k
+        value = weak_k / phi_k
         trace.append(value)
         points.append(
             {
@@ -601,17 +597,18 @@ def modulus_convergence_scan(
     # omega(1/M_t, f) = ||f - S_{M_t} f||_{H_p} for every t, and the errors
     # S_{n_k} f - f, as row batches with one H_p norm per run of rows; each
     # norm is bitwise that of the lone function (``modulus_hp`` for omega).
+    # S_{M_t} f is level t of coarse_sums tiled to M_N.
+    levels = coarse_sums(f)
     omegas = []
     for run in _row_runs(resolution + 1, f.size):
-        gaps = [f.values - conditional_expectation(f, t).values for t in range(resolution + 1)[run]]
+        gaps = [f.values - np.tile(level, f.size // level.size) for level in levels[run]]
         omegas += hardy_norm(GridFunction(m, resolution, np.stack(gaps)), p).tolist()
     spectrum = forward(f)
     errors = []
     for run in _row_runs(len(spec.alphas), f.size):
         diffs = partial_sum(spectrum, spec.alphas[run])
         diffs.values -= f.values
-        norms = hardy_norm(diffs, p).tolist()
-        errors += [(err, weak_lp(GridFunction(m, resolution, row), p)) for err, row in zip(norms, diffs.values)]
+        errors += zip(hardy_norm(diffs, p).tolist(), weak_lp(diffs, p).tolist())
 
     points = []
     err_hp_trace = []

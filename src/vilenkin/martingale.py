@@ -14,12 +14,11 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
 from .group import GeneratorSequence, VIndex, _integers, coset_mask, decompose
-from .transform import GridFunction, _lone, character_values, dirichlet_closed, zero
+from .transform import _BATCH_POINTS, GridFunction, _lone, character_block, dirichlet_closed, zero
 
 # Validator tolerances: the mean condition is absolute, the sup bound is
 # relative to mu(I)^{-1/p}; support must vanish exactly.
@@ -60,15 +59,19 @@ class PAtom:
 def validate_atom(
     a: GridFunction, p: float, support_rank: int, base_index: int = 0
 ) -> PAtom:
-    """Check the three atom conditions on I = I_rank(x0); raise naming failures."""
+    """Check the three atom conditions on I = I_rank(x0); raise naming failures.
+
+    I_rank(x0) is column x0 of the values read as (M_N / M_rank, M_rank) rows.
+    """
     _check_atom_exponent(p)
     values = _lone(a.values, "validate_atom")
-    mask = coset_mask(a.generators, a.resolution, support_rank, base_index)
-    m_rank = a.generators.base(support_rank)
+    m_rank = a.generators.base(int(_integers(support_rank, "coset rank", 0, a.resolution)))
+    x0 = int(_integers(base_index, "coset base index", 0, m_rank - 1))
+    coset = values.reshape(-1, m_rank)[:, x0]
     failures = []
     details = []
 
-    mean = values[mask].mean()  # = M_rank * int_I a dmu
+    mean = coset.mean()  # = M_rank * int_I a dmu
     if abs(mean) / m_rank > ATOM_MEAN_TOL:
         failures.append("mean")
         details.append(f"int_I a = {mean / m_rank:.3e}")
@@ -79,7 +82,7 @@ def validate_atom(
         failures.append("bound")
         details.append(f"sup |a| = {sup:.6g} > mu(I)^(-1/p) = {bound:.6g}")
 
-    if np.any(values[~mask] != 0):
+    if np.count_nonzero(values) > np.count_nonzero(coset):
         failures.append("support")
         details.append("nonzero values off the support coset")
 
@@ -117,31 +120,43 @@ def _block_level(m: GeneratorSequence, idx: VIndex, p: float, lam_k: float) -> f
 
 
 def counterexample_atom(
-    m: GeneratorSequence, alpha: int | VIndex, p: float, resolution: int
-) -> PAtom:
-    """The kernel-difference atom for index alpha, materialized at rank N."""
-    idx = alpha if isinstance(alpha, VIndex) else decompose(alpha, m)
-    if idx.top + 1 > resolution:
-        raise ValueError(
-            f"resolution {resolution} too small for an atom at |alpha| = {idx.top}"
-        )
-    lower = _base_kernel(m, idx.top, resolution)
-    diff = _base_kernel(m, idx.top + 1, resolution) - lower
-    a = GridFunction(m, resolution, _block_level(m, idx, p, 1.0) * diff)
-    return validate_atom(a, p, idx.top)
+    m: GeneratorSequence, alpha, p: float, resolution: int
+) -> PAtom | list[PAtom]:
+    """The kernel-difference atom for index 1 <= alpha < M_N, materialized at rank N.
 
-
-@lru_cache(maxsize=1)
-def _base_kernel(m: GeneratorSequence, rank: int, resolution: int) -> np.ndarray:
-    """D_{M_rank} on the rank-N grid, read-only.
-
-    An atom at top t asks for D_{M_t}, then D_{M_{t+1}}.  The tops of a build
-    increase, so the next atom's first kernel is the kept one exactly when it
-    is shared: one kept kernel computes each distinct D_{M_k} of a build once.
+    ``alpha`` is one index (an int or its :class:`VIndex`) or a 1-D sequence
+    of them; a sequence gives a list with one atom per index.  Every kernel
+    D_{M_t} that the atoms ask for comes from one ``dirichlet_closed`` call,
+    whose rows are bitwise the lone calls, so each atom is bitwise the lone
+    ``counterexample_atom``.
     """
-    values = dirichlet_closed(m, m.base(rank), resolution).values
-    values.setflags(write=False)
-    return values
+    lone = isinstance(alpha, VIndex) or np.ndim(alpha) == 0
+    items = [alpha] if lone else list(alpha)
+    _integers(
+        [a.value if isinstance(a, VIndex) else a for a in items], "atom index", 1, m.size(resolution) - 1, ndim=1
+    )
+    indices = [a if isinstance(a, VIndex) else decompose(a, m) for a in items]
+    ranks = sorted({r for idx in indices for r in (idx.top, idx.top + 1)})
+    kernels = dict(zip(ranks, dirichlet_closed(m, [m.base(r) for r in ranks], resolution).values))
+    atoms = []
+    for idx in indices:
+        diff = kernels[idx.top + 1] - kernels[idx.top]
+        a = GridFunction(m, resolution, _block_level(m, idx, p, 1.0) * diff)
+        atoms.append(validate_atom(a, p, idx.top))
+    return atoms[0] if lone else atoms
+
+
+def _atom_runs(indices: list[VIndex], size: int) -> list[slice]:
+    """Slices cutting consecutive atoms into runs whose kernel rows D_{M_t},
+    D_{M_{t+1}} hold at most ``_BATCH_POINTS`` grid points (one atom at least)."""
+    starts: list[int] = []
+    ranks: set[int] = set()
+    for k, idx in enumerate(indices):
+        ranks |= {idx.top, idx.top + 1}
+        if not starts or len(ranks) * size > _BATCH_POINTS:
+            starts.append(k)
+            ranks = {idx.top, idx.top + 1}
+    return [slice(lo, hi) for lo, hi in zip(starts, starts[1:] + [len(indices)])]
 
 
 @dataclass
@@ -318,17 +333,14 @@ def build_counterexample(
     else:
         raise ValueError(f"unknown lambda rule {rule!r}")
 
+    # atoms beyond the truncation stay symbolic
+    kept_indices = [idx for idx in stats if idx.top < resolution]
+    kept_lambdas = [lam_k for idx, lam_k in zip(stats, lam_list) if idx.top < resolution]
     realized = zero(m, resolution)
-    kept_indices = []
-    kept_lambdas = []
-    for lam_k, idx in zip(lam_list, stats):
-        if idx.top >= resolution:
-            continue  # beyond the truncation; stays symbolic
-        atom = counterexample_atom(m, idx, p, resolution)
-        realized = realized + lam_k * atom.values
-        kept_indices.append(idx)
-        kept_lambdas.append(lam_k)
-    _base_kernel.cache_clear()  # the kept kernel serves one build only
+    # each run is added into realized, atom by atom, before the next is built
+    for run in _atom_runs(kept_indices, realized.size):
+        for lam_k, atom in zip(kept_lambdas[run], counterexample_atom(m, kept_indices[run], p, resolution)):
+            realized.values += lam_k * atom.values.values
     return MartingaleSpec(
         generators=m,
         p=p,
@@ -351,7 +363,7 @@ def spectral_profile(spec: MartingaleSpec) -> np.ndarray:
     return out
 
 
-def closed_partial_sum(spec: MartingaleSpec, j: int) -> GridFunction:
+def closed_partial_sum(spec: MartingaleSpec, j) -> GridFunction:
     """S_j f from the block structure: completed atoms plus, inside a block,
     the twisted kernel term lambda_l M^{1/p-1} psi_{M_{|a_l|}} D_{j-M_{|a_l|}} / lambda.
 
@@ -359,23 +371,40 @@ def closed_partial_sum(spec: MartingaleSpec, j: int) -> GridFunction:
     on the coset slice of I_t since D_{M_t} = M_t on I_t and 0 off it.  Between
     blocks the spectral profile is zero, so the completed-atom sum is
     already exact; D_0 is the zero kernel by convention.
+
+    ``j`` is one order or a 1-D sequence of orders; a sequence gives one row
+    per order.  Each completed block is added, atom after atom, to the rows
+    that reach it, and the twisted terms, at most one per row and added last,
+    take their kernels from one ``dirichlet_closed`` call and their
+    characters from one ``character_block`` call, so every row is bitwise the
+    lone ``closed_partial_sum``, which is the same code on one row.
     """
     m, resolution = spec.generators, spec.truncation
     size = m.size(resolution)
-    j = int(_integers(j, "partial sum order", 0, size))
-    acc = np.zeros(size, dtype=np.complex128)
+    orders = _integers(j, "partial sum order", 0, size, ndim=1)
+    rows = orders.reshape(-1)
+    acc = np.zeros((rows.size, size), dtype=np.complex128)
+    twisted, tops, shifts, levels = [], [], [], []
     for idx, lam_k in zip(spec.indices, spec.lambdas):
         level = _block_level(m, idx, spec.p, lam_k)
         m_top1 = m.base(idx.top + 1)
-        if j >= m_top1:
+        reached = np.flatnonzero(rows >= m_top1).tolist()
+        if reached:
             # on I_t, one add per cell: M_{t+1} - M_t on I_{t+1}, -M_t off it
             d = np.full(size // idx.m_top, -idx.m_top, dtype=np.int64)
             d[:: m.radix(idx.top)] += m_top1
-            acc[:: idx.m_top] += level * d
-        elif j > idx.m_top:
-            twist = character_values(m, idx.m_top, resolution)
-            acc += level * twist * dirichlet_closed(m, j - idx.m_top, resolution).values
-            break
-        else:
-            break
-    return GridFunction(m, resolution, acc)
+            block = level * d
+            for r in reached:
+                acc[r, :: idx.m_top] += block
+        for r in np.flatnonzero((rows > idx.m_top) & (rows < m_top1)).tolist():
+            twisted.append(r)
+            tops.append(idx.m_top)
+            shifts.append(rows[r] - idx.m_top)
+            levels.append(level)
+    if twisted:
+        terms = character_block(m, resolution, tops)
+        np.multiply(np.asarray(levels)[:, None], terms, out=terms)
+        terms *= dirichlet_closed(m, shifts, resolution).values
+        for r, term in zip(twisted, terms):
+            acc[r] += term
+    return GridFunction(m, resolution, acc.reshape(orders.shape + (size,)))

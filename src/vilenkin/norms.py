@@ -14,7 +14,6 @@ import numpy as np
 from .group import GeneratorSequence, _integers, decompose, variation, variation_counts
 from .transform import (
     GridFunction,
-    _lone,
     coarse_sums,
     conditional_expectation,
     dirichlet_closed,
@@ -53,21 +52,32 @@ def lp_norm(f: GridFunction | np.ndarray, p: float) -> float | np.ndarray:
     return float(roots) if roots.ndim == 0 else roots
 
 
-def weak_lp(f: GridFunction, p: float) -> float:
+def weak_lp(f: GridFunction, p: float) -> float | np.ndarray:
     """sup_t t * mu(|f| > t)^(1/p) over the achieved values of |f|.
 
     On a discrete grid the supremum is attained just below an achieved
     value, so each candidate level is backed off by a relative offset.
-    One function only: a batch is refused.
+    A float for one function; for a batch, one norm per row from one sort
+    of all rows.
     """
     _check_p(p)
-    values = _lone(f.values, "weak_lp")
-    finite = np.isfinite(values)
+    finite = np.isfinite(f.values)
     if not finite.all():  # a nan would drop out of the levels below
-        raise ValueError(f"weak_lp: value {int(np.argmin(finite))} is not finite")
-    # One sort gives both: each run of equal magnitudes starts at its level,
-    # and mu(|f| >= level) counts the cells from that start on.
-    ordered = np.sort(np.abs(values))
+        row, col = divmod(int(np.argmin(finite)), f.size)
+        raise ValueError(f"weak_lp: value {col}{f' of row {row}' if f.values.ndim > 1 else ''} is not finite")
+    ordered = np.sort(np.abs(f.values), axis=-1)
+    # The rest runs on each row's own arrays, as for a lone function: an
+    # array power may round by position (see lp_norm).
+    norms = np.array([_weak_row(row, p) for row in ordered.reshape(-1, f.size)]).reshape(ordered.shape[:-1])
+    return float(norms) if norms.ndim == 0 else norms
+
+
+def _weak_row(ordered: np.ndarray, p: float) -> float:
+    """weak_lp of one function from its sorted magnitudes.
+
+    Each run of equal magnitudes starts at its level, and mu(|f| >= level)
+    counts the cells from that start on.
+    """
     start = np.flatnonzero(np.concatenate(([True], ordered[1:] != ordered[:-1])) & (ordered > 0))
     if start.size == 0:
         return 0.0
@@ -123,21 +133,71 @@ def lebesgue_constant(
     return LebesgueReport(n, value, lower, upper, v, v_star, convention)
 
 
-def _lebesgue_values(m: GeneratorSequence, resolution: int, limit: int | None) -> np.ndarray:
-    """Exact L_n for 1 <= n < limit (default M_N), from one blocked kernel pass."""
+# The "auto" convention is picked on 1 <= n < min(M_N, this).
+_PICK_LIMIT = 512
+
+
+def _lebesgue_stop(m: GeneratorSequence, resolution: int, limit: int | None) -> int:
+    """One past the last n of a Lebesgue table: ``limit``, else M_N.  N = 0
+    leaves no order below M_N to judge, so it is refused whatever the limit."""
     size = m.size(resolution)
-    if limit is None and size < 2:
+    if size < 2:
         raise ValueError(f"the Lebesgue table 1 <= n < M_N needs N >= 1, not N = {resolution}")
-    stop = size if limit is None else int(_integers(limit, "Lebesgue table limit", 2, size + 1))
+    return size if limit is None else int(_integers(limit, "Lebesgue table limit", 2, size + 1))
+
+
+def _lebesgue_values(m: GeneratorSequence, resolution: int, stop: int) -> np.ndarray:
+    """Exact L_n for 1 <= n < stop, from one blocked kernel pass.  The blocks
+    and their carries do not depend on ``stop``, so a smaller stop gives a
+    bitwise prefix of the values."""
     blocks = dirichlet_kernel_blocks(m, resolution, stop - 1)
     return np.concatenate([np.mean(np.abs(kernels), axis=1) for _, kernels in blocks])
+
+
+def _convention_pick(values: np.ndarray, m: GeneratorSequence, resolution: int) -> tuple[str, dict[str, list[int]]]:
+    """``select_variation_convention`` on L_n for 1 <= n <= values.size."""
+    ns = np.arange(1, values.size + 1, dtype=np.int64)
+    violations: dict[str, list[int]] = {}
+    for convention in ("from1", "from0"):
+        lower, upper = _bracket(*variation_counts(ns, m, resolution, convention), m.max_radix)
+        violations[convention] = ns[~_in_bracket(values, lower, upper)].tolist()
+    if len(violations["from1"]) <= len(violations["from0"]):
+        return "from1", violations
+    return "from0", violations
+
+
+class PickedTable(list):
+    """The rows of ``lebesgue_table(..., convention="auto")``, with the pick's
+    bracket violations per convention, as ``select_variation_convention``
+    gives them."""
+
+    def __init__(self, rows: list[LebesgueReport], violations: dict[str, list[int]]):
+        super().__init__(rows)
+        self.violations = violations
 
 
 def lebesgue_table(
     m: GeneratorSequence, resolution: int, limit: int | None = None, convention: str = "from1"
 ) -> list[LebesgueReport]:
-    """Exhaustive L_n table for 1 <= n < limit (default M_N)."""
-    values = _lebesgue_values(m, resolution, limit)
+    """Exhaustive L_n table for 1 <= n < limit (default M_N).
+
+    Under ``convention="auto"`` the rows take the convention that
+    ``select_variation_convention`` picks on 1 <= n < min(M_N, _PICK_LIMIT),
+    and come as a :class:`PickedTable`.  The kernels are summed once, over
+    the larger of the two ranges, and the pick and the table read their
+    prefix of the values.
+    """
+    stop = _lebesgue_stop(m, resolution, limit)
+    if convention != "auto":
+        return _reports(_lebesgue_values(m, resolution, stop), m, resolution, convention)
+    pick = min(m.size(resolution), _PICK_LIMIT)
+    values = _lebesgue_values(m, resolution, max(stop, pick))
+    convention, violations = _convention_pick(values[: pick - 1], m, resolution)
+    return PickedTable(_reports(values[: stop - 1], m, resolution, convention), violations)
+
+
+def _reports(values: np.ndarray, m: GeneratorSequence, resolution: int, convention: str) -> list[LebesgueReport]:
+    """One bracketed report per L_n, n = 1, 2, ..."""
     ns = np.arange(1, values.size + 1, dtype=np.int64)
     v, v_star = variation_counts(ns, m, resolution, convention)
     lower, upper = _bracket(v, v_star, m.max_radix)
@@ -155,15 +215,7 @@ def select_variation_convention(
     the bracket failed.  Ties go to "from1" (the printed form).  The
     kernels are summed once; each convention only re-brackets the values.
     """
-    values = _lebesgue_values(m, resolution, limit)
-    ns = np.arange(1, values.size + 1, dtype=np.int64)
-    violations: dict[str, list[int]] = {}
-    for convention in ("from1", "from0"):
-        lower, upper = _bracket(*variation_counts(ns, m, resolution, convention), m.max_radix)
-        violations[convention] = ns[~_in_bracket(values, lower, upper)].tolist()
-    if len(violations["from1"]) <= len(violations["from0"]):
-        return "from1", violations
-    return "from0", violations
+    return _convention_pick(_lebesgue_values(m, resolution, _lebesgue_stop(m, resolution, limit)), m, resolution)
 
 
 def running_maxima(f: GridFunction):

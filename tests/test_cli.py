@@ -66,7 +66,8 @@ class TestDirichletCommand:
 class TestLebesgueCommand:
     def test_emits_511_rows(self, tmp_path, capsys):
         assert run(["lebesgue", "--m", "2^", "--N", 9, "--out", tmp_path]) == 0
-        assert "511 rows" in capsys.readouterr().out
+        assert "511 rows under convention from0 (oracle pick; bracket violations {'from1': 9, 'from0': 0})" \
+            in capsys.readouterr().out
         body = (tmp_path / "lebesgue_m2c_N9.csv").read_text()
         data_rows = [l for l in body.splitlines() if l and l[0].isdigit()]
         assert len(data_rows) == 511
@@ -550,6 +551,12 @@ class TestInputErrors:
         "lebesgue-N-0": (["lebesgue", "--m", "2^", "--N", 0], "the Lebesgue table 1 <= n < M_N needs N >= 1"),
         "lebesgue-N-0-from1": (["lebesgue", "--m", "2^", "--N", 0, "--convention", "from1"],
                                "the Lebesgue table 1 <= n < M_N needs N >= 1"),
+        "lebesgue-N-0-limit-from1": (["lebesgue", "--m", "2^", "--N", 0, "--limit", 2, "--convention", "from1"],
+                                     "the Lebesgue table 1 <= n < M_N needs N >= 1"),
+        "atom-N-0-default-rank": (["atom", "--N", 0], "the default --rank 2 needs N >= 3, not N = 0; pass --rank"),
+        "atom-N-1-default-rank": (["atom", "--N", 1], "the default --rank 2 needs N >= 3, not N = 1; pass --rank"),
+        "kernel-average-N-2-default-rank": (["scan", "--name", "kernel_average", "--N", 2],
+                                            "the default --rank 3 needs N >= 3, not N = 2; pass --rank"),
         "counterexample-N-0": (["counterexample", "--N", 0], "the default alphas need N >= 2"),
         "counterexample-N-1": (["counterexample", "--N", 1], "the default alphas need N >= 2"),
         "modulus-N-0": (["scan", "--name", "modulus_convergence", "--N", 0], "the modulus scan needs N >= 2"),

@@ -99,12 +99,11 @@ INTEGERS = [
         0, 2, ONE),
     Int(martingale.random_atom, "base_index", lambda v: martingale.random_atom(WALSH, 0.5, 2, 3, _rng(), v),
         0, 3, ONE),
-    # |alpha| < N is a resolution condition with its own message, so only low is the contract's
     Int(martingale.counterexample_atom, "alpha", lambda v: martingale.counterexample_atom(WALSH, v, 0.5, 3),
-        1, None, ONE),
+        1, 7, SEQ),
     Int(martingale.build_counterexample, "alphas", lambda v: martingale.build_counterexample(
         WALSH, 0.5, [v], rule="explicit", lambdas=[1.0], resolution=3), 1, None, ONE),
-    Int(martingale.closed_partial_sum, "j", lambda v: martingale.closed_partial_sum(SPEC, v), 0, 16, ONE),
+    Int(martingale.closed_partial_sum, "j", lambda v: martingale.closed_partial_sum(SPEC, v), 0, 16, SEQ),
     # scans
     Int(experiments.supp_measure_scan, "n_limit", lambda v: experiments.supp_measure_scan(WALSH, 3, v), 1, 8, ONE),
     Int(experiments.dirichlet_floor_scan, "n_limit", lambda v: experiments.dirichlet_floor_scan(WALSH, 3, v),
@@ -204,6 +203,7 @@ GRID_OPS = [
     Op(norms.maximal_function, PER_ROW, norms.maximal_function),
     Op(norms.running_maxima, PER_ROW, lambda f: list(norms.running_maxima(f))),
     Op(norms.hardy_norm, PER_ROW, lambda f: norms.hardy_norm(f, 0.5)),
+    Op(norms.weak_lp, PER_ROW, lambda f: norms.weak_lp(f, 0.5)),
     Op(norms.modulus_hp, PER_ROW, lambda f: norms.modulus_hp(f, 1, 0.5)),
     Op(GridFunction.integral, LONE_ONLY, GridFunction.integral),
     Op(transform.forward_naive, LONE_ONLY, transform.forward_naive),
@@ -216,7 +216,6 @@ GRID_OPS = [
     Op(transform.write_grid_binary, LONE_ONLY, lambda f: transform.write_grid_binary(io.BytesIO(), f)),
     Op(transform.write_spectral_binary, LONE_ONLY,
        lambda f: transform.write_spectral_binary(io.BytesIO(), _spectrum(f))),
-    Op(norms.weak_lp, LONE_ONLY, lambda f: norms.weak_lp(f, 0.5)),
     Op(norms.restricted_maximal, LONE_ONLY, lambda f: norms.restricted_maximal(f, [1, 2])),
     Op(martingale.validate_atom, LONE_ONLY, lambda f: martingale.validate_atom(f, 0.5, 1)),
 ]

@@ -127,6 +127,69 @@ class TestCounterexampleAtom:
         assert default_alphas(WALSH, 2) == [3]
 
 
+def _bits(a):
+    return np.ascontiguousarray(a).view(np.uint64)
+
+
+class TestBatchedRows:
+    """A sequence of alphas or orders gives rows that are bitwise the lone calls."""
+
+    GRIDS = [(WALSH, 9), (TRIADIC, 6), (GeneratorSequence.parse("4^"), 5), (ALTERNATING, 7),
+             (GeneratorSequence.parse("2,3,4^"), 5)]
+
+    @pytest.mark.parametrize("m, resolution", GRIDS, ids=lambda v: getattr(v, "format", lambda: str(v))())
+    def test_atoms_are_lone_atoms(self, m, resolution):
+        alphas = [m.base(t) + d for t in range(1, resolution) for d in (0, 1) if m.base(t) + d < m.base(t + 1)]
+        for items in (alphas, [decompose(a, m) for a in alphas], np.asarray(alphas)):
+            atoms = counterexample_atom(m, items, 0.5, resolution)
+            assert len(atoms) == len(alphas)
+            for alpha, atom in zip(alphas, atoms):
+                lone = counterexample_atom(m, alpha, 0.5, resolution)
+                assert atom.support_rank == lone.support_rank
+                assert np.array_equal(_bits(atom.values.values), _bits(lone.values.values)), alpha
+        assert counterexample_atom(m, [], 0.5, resolution) == []
+
+    @pytest.mark.parametrize("m, resolution", GRIDS, ids=lambda v: getattr(v, "format", lambda: str(v))())
+    def test_build_is_the_sum_of_lone_atoms(self, monkeypatch, m, resolution):
+        # the kernel runs do not move a bit: realized is the lone atoms added in order
+        import vilenkin.martingale as martingale
+
+        monkeypatch.setattr(martingale, "_BATCH_POINTS", 4 * m.size(resolution))  # several runs
+        alphas = [m.base(t) + 1 for t in range(1, resolution)]
+        lambdas = [1.5**-k for k in range(len(alphas))]
+        spec = build_counterexample(m, 2 / 3, alphas, rule="explicit", lambdas=lambdas, resolution=resolution)
+        acc = np.zeros(m.size(resolution), np.complex128)
+        for alpha, lam in zip(alphas, lambdas):
+            acc = acc + lam * counterexample_atom(m, alpha, 2 / 3, resolution).values.values
+        assert np.array_equal(_bits(spec.realized.values), _bits(acc))
+
+    def test_one_kernel_call_per_run(self, monkeypatch):
+        import vilenkin.martingale as martingale
+
+        calls = []
+        closed = martingale.dirichlet_closed
+        monkeypatch.setattr(martingale, "dirichlet_closed", lambda m, n, N: calls.append(list(n)) or closed(m, n, N))
+        build_counterexample(WALSH, 0.5, default_alphas(WALSH, 10), resolution=10)
+        assert calls == [[2, 4, 8, 16, 32, 256, 512]]  # D_{M_t} for t in {1, 2, 3, 4, 5, 8, 9}
+        calls.clear()
+        # at 2^13 a run holds at most four kernel rows (2^15 points): the tops
+        # 1..12 go three to a run, D_{M_4}, D_{M_7}, D_{M_10} in two runs each
+        build_counterexample(WALSH, 0.5, [2**k + 1 for k in range(1, 13)], resolution=13)
+        assert calls == [[2**t for t in range(lo, lo + 4)] for lo in (1, 4, 7, 10)]
+
+    @pytest.mark.parametrize("m, resolution", GRIDS, ids=lambda v: getattr(v, "format", lambda: str(v))())
+    def test_closed_sums_are_lone_closed_sums(self, m, resolution):
+        spec = build_counterexample(m, 0.5, default_alphas(m, resolution), resolution=resolution)
+        size = spec.realized.size
+        orders = sorted({0, 1, size, *spec.alphas, *(a - 1 for a in spec.alphas), *range(0, size, max(1, size // 40))})
+        rows = closed_partial_sum(spec, orders).values
+        assert rows.shape == (len(orders), size)
+        for j, row in zip(orders, rows):
+            assert np.array_equal(_bits(row), _bits(closed_partial_sum(spec, j).values)), j
+            assert np.array_equal(_bits(row), _bits(_closed_partial_sum_masked(spec, j))), j
+        assert closed_partial_sum(spec, []).values.shape == (0, size)
+
+
 class TestBuildCounterexample:
     def test_coefficient_table_matches_transform(self):
         spec = build_counterexample(WALSH, 0.5, default_alphas(WALSH, 10), resolution=10)

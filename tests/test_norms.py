@@ -135,10 +135,30 @@ class TestLebesgue:
         assert select_variation_convention(WALSH, 5) == select_variation_convention(WALSH, 5, 32)
 
     @pytest.mark.parametrize("call", [lebesgue_table, select_variation_convention])
-    def test_empty_default_range_is_named(self, call):
-        # M_0 = 1 leaves no n in 1 <= n < M_N
+    @pytest.mark.parametrize("limit", [None, 2])
+    def test_empty_default_range_is_named(self, call, limit):
+        # M_0 = 1 leaves no n in 1 <= n < M_N, whatever the limit
         with pytest.raises(ValueError, match=r"^the Lebesgue table 1 <= n < M_N needs N >= 1, not N = 0$"):
-            call(WALSH, 0)
+            call(WALSH, 0, limit)
+
+    @pytest.mark.parametrize("mtext, resolution, limit", [("2^", 10, None), ("2^", 10, 100), ("2^", 10, 1025),
+                                                          ("2,3^", 5, None), ("3^", 7, 600)])
+    def test_auto_table_sums_kernels_once(self, monkeypatch, mtext, resolution, limit):
+        import vilenkin.norms as norms
+
+        m = GeneratorSequence.parse(mtext)
+        size = m.size(resolution)
+        pick, violations = select_variation_convention(m, resolution, min(size, 512))
+        want = lebesgue_table(m, resolution, limit, pick)
+        passes = []
+        blocks = norms.dirichlet_kernel_blocks
+        monkeypatch.setattr(norms, "dirichlet_kernel_blocks", lambda *a: passes.append(a[-1]) or blocks(*a))
+        got = lebesgue_table(m, resolution, limit, "auto")
+        # one pass over the larger of the table and the pick range
+        assert passes == [max(size if limit is None else limit, min(size, 512)) - 1]
+        assert [r.csv_row() for r in got] == [r.csv_row() for r in want]
+        assert [r.value.hex() for r in got] == [r.value.hex() for r in want]
+        assert got.violations == violations
 
 
 @st.composite
@@ -282,3 +302,9 @@ class TestNonFiniteRefused:
         values[5] = bad
         with pytest.raises(ValueError, match=rf"{norm.__name__}: .*finite"):
             norm(GridFunction(WALSH, 3, values), 0.5)
+
+    def test_weak_lp_names_the_row(self):
+        values = np.ones((3, 8), dtype=np.complex128)
+        values[2, 5] = np.nan
+        with pytest.raises(ValueError, match=r"^weak_lp: value 5 of row 2 is not finite$"):
+            weak_lp(GridFunction(WALSH, 3, values), 0.5)
