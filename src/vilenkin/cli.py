@@ -39,6 +39,7 @@ from .martingale import (
     validate_atom,
 )
 from .norms import (
+    _picked_table,
     hardy_norm,
     lebesgue_constant,
     lebesgue_table,
@@ -170,11 +171,12 @@ def _cmd_dirichlet(args) -> int:
 
 def _cmd_lebesgue(args) -> int:
     m, resolution = GeneratorSequence.parse(args.m), args.N
-    table = lebesgue_table(m, resolution, args.limit, args.convention)
-    convention = table[0].convention
-    note = ""
-    if args.convention == "auto":
-        note = f" (oracle pick; bracket violations {dict((k, len(v)) for k, v in table.violations.items())})"
+    convention, note = args.convention, ""
+    if convention == "auto":
+        convention, violations, table = _picked_table(m, resolution, args.limit)
+        note = f" (oracle pick; bracket violations {dict((k, len(v)) for k, v in violations.items())})"
+    else:
+        table = lebesgue_table(m, resolution, args.limit, convention)
     outdir = _outdir(args)
     path = outdir / f"lebesgue_m{_file_tag(m)}_N{resolution}.csv"
     with path.open("w") as fh:

@@ -335,7 +335,7 @@ def divergence_scan(
     for run in _row_runs(len(spec.alphas), spectrum.size):
         s_fast = partial_sum(spectrum, spec.alphas[run])
         errs += np.abs(s_fast.values - closed_partial_sum(spec, spec.alphas[run]).values).max(axis=1).tolist()
-        weak += weak_lp(s_fast, p).tolist()
+        weak += [weak_lp(GridFunction(m, resolution, row), p) for row in s_fast.values]
     for k, (idx, err, weak_k) in enumerate(zip(spec.indices, errs, weak)):
         cross_err = max(cross_err, err)
         phi_k = phi_value(phi, idx)
@@ -608,7 +608,8 @@ def modulus_convergence_scan(
     for run in _row_runs(len(spec.alphas), f.size):
         diffs = partial_sum(spectrum, spec.alphas[run])
         diffs.values -= f.values
-        errors += zip(hardy_norm(diffs, p).tolist(), weak_lp(diffs, p).tolist())
+        norms = hardy_norm(diffs, p).tolist()
+        errors += [(err, weak_lp(GridFunction(m, resolution, row), p)) for err, row in zip(norms, diffs.values)]
 
     points = []
     err_hp_trace = []

@@ -14,6 +14,7 @@ import numpy as np
 from .group import GeneratorSequence, _integers, decompose, variation, variation_counts
 from .transform import (
     GridFunction,
+    _lone,
     coarse_sums,
     conditional_expectation,
     dirichlet_closed,
@@ -52,32 +53,21 @@ def lp_norm(f: GridFunction | np.ndarray, p: float) -> float | np.ndarray:
     return float(roots) if roots.ndim == 0 else roots
 
 
-def weak_lp(f: GridFunction, p: float) -> float | np.ndarray:
+def weak_lp(f: GridFunction, p: float) -> float:
     """sup_t t * mu(|f| > t)^(1/p) over the achieved values of |f|.
 
     On a discrete grid the supremum is attained just below an achieved
     value, so each candidate level is backed off by a relative offset.
-    A float for one function; for a batch, one norm per row from one sort
-    of all rows.
+    One function only: a batch is refused.
     """
     _check_p(p)
-    finite = np.isfinite(f.values)
+    values = _lone(f.values, "weak_lp")
+    finite = np.isfinite(values)
     if not finite.all():  # a nan would drop out of the levels below
-        row, col = divmod(int(np.argmin(finite)), f.size)
-        raise ValueError(f"weak_lp: value {col}{f' of row {row}' if f.values.ndim > 1 else ''} is not finite")
-    ordered = np.sort(np.abs(f.values), axis=-1)
-    # The rest runs on each row's own arrays, as for a lone function: an
-    # array power may round by position (see lp_norm).
-    norms = np.array([_weak_row(row, p) for row in ordered.reshape(-1, f.size)]).reshape(ordered.shape[:-1])
-    return float(norms) if norms.ndim == 0 else norms
-
-
-def _weak_row(ordered: np.ndarray, p: float) -> float:
-    """weak_lp of one function from its sorted magnitudes.
-
-    Each run of equal magnitudes starts at its level, and mu(|f| >= level)
-    counts the cells from that start on.
-    """
+        raise ValueError(f"weak_lp: value {int(np.argmin(finite))} is not finite")
+    # One sort gives both: each run of equal magnitudes starts at its level,
+    # and mu(|f| >= level) counts the cells from that start on.
+    ordered = np.sort(np.abs(values))
     start = np.flatnonzero(np.concatenate(([True], ordered[1:] != ordered[:-1])) & (ordered > 0))
     if start.size == 0:
         return 0.0
@@ -166,34 +156,30 @@ def _convention_pick(values: np.ndarray, m: GeneratorSequence, resolution: int) 
     return "from0", violations
 
 
-class PickedTable(list):
-    """The rows of ``lebesgue_table(..., convention="auto")``, with the pick's
-    bracket violations per convention, as ``select_variation_convention``
-    gives them."""
-
-    def __init__(self, rows: list[LebesgueReport], violations: dict[str, list[int]]):
-        super().__init__(rows)
-        self.violations = violations
-
-
 def lebesgue_table(
     m: GeneratorSequence, resolution: int, limit: int | None = None, convention: str = "from1"
 ) -> list[LebesgueReport]:
-    """Exhaustive L_n table for 1 <= n < limit (default M_N).
+    """Exhaustive L_n table for 1 <= n < limit (default M_N)."""
+    return _reports(_lebesgue_values(m, resolution, _lebesgue_stop(m, resolution, limit)), m, resolution, convention)
 
-    Under ``convention="auto"`` the rows take the convention that
-    ``select_variation_convention`` picks on 1 <= n < min(M_N, _PICK_LIMIT),
-    and come as a :class:`PickedTable`.  The kernels are summed once, over
-    the larger of the two ranges, and the pick and the table read their
-    prefix of the values.
-    """
+
+def _picked_table(
+    m: GeneratorSequence, resolution: int, limit: int | None
+) -> tuple[str, dict[str, list[int]], list[LebesgueReport]]:
+    """``lebesgue_table`` under the convention ``select_variation_convention``
+    picks on 1 <= n < min(M_N, _PICK_LIMIT), with that pick's violations.
+    The kernels are summed once, for a table over the larger of the two
+    ranges; the pick reads its prefix of the values, and a table under the
+    other convention re-brackets them."""
     stop = _lebesgue_stop(m, resolution, limit)
-    if convention != "auto":
-        return _reports(_lebesgue_values(m, resolution, stop), m, resolution, convention)
     pick = min(m.size(resolution), _PICK_LIMIT)
-    values = _lebesgue_values(m, resolution, max(stop, pick))
+    # from0 first: it is the usual pick (no bracket violations)
+    table = lebesgue_table(m, resolution, max(stop, pick), "from0")
+    values = np.array([r.value for r in table])
     convention, violations = _convention_pick(values[: pick - 1], m, resolution)
-    return PickedTable(_reports(values[: stop - 1], m, resolution, convention), violations)
+    if convention != "from0":
+        table = _reports(values[: stop - 1], m, resolution, convention)
+    return convention, violations, table[: stop - 1]
 
 
 def _reports(values: np.ndarray, m: GeneratorSequence, resolution: int, convention: str) -> list[LebesgueReport]:

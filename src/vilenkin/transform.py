@@ -103,13 +103,12 @@ class GridFunction:
     any, hold a batch of functions on the same grid, one per row of shape
     (M_N,).  ``forward``, ``inverse``, ``coarse_sums``, ``conditional_expectation``,
     ``+``, ``-``, scalar ``*`` and the norms ``lp_norm``, ``maximal_function``,
-    ``running_maxima``, ``hardy_norm``, ``weak_lp`` and ``modulus_hp`` are
-    ``per_row``: each row is bitwise its lone function.  The rest are
-    ``lone_only`` and refuse a batch: ``integral``, ``partial_sum`` (one row
-    per order for a sequence of orders, as ``dirichlet_closed`` and
-    ``dirichlet_average`` give kernels), ``partial_sum_convolution``,
-    ``forward_naive``, ``inverse_naive``, the writers, ``restricted_maximal``
-    and ``validate_atom``.  The
+    ``running_maxima``, ``hardy_norm`` and ``modulus_hp`` are ``per_row``: each
+    row is bitwise its lone function.  The rest are ``lone_only`` and refuse a
+    batch: ``integral``, ``partial_sum`` (one row per order for a sequence of
+    orders, as ``dirichlet_closed`` and ``dirichlet_average`` give kernels),
+    ``partial_sum_convolution``, ``forward_naive``, ``inverse_naive``, the
+    writers, ``weak_lp``, ``restricted_maximal`` and ``validate_atom``.  The
     table in ``tests/test_contract.py`` lists both kinds.
     """
 
@@ -282,10 +281,9 @@ def _prefix_stop(values: np.ndarray, m: GeneratorSequence, resolution: int) -> i
     column, or M_N when that would not pay.  A pass over the prefix writes
     fewer values than the M_N of a full pass, but a radix-2 pass writes them
     through strided or transposed views at about twice the cost per value,
-    while any other pass (pocketfft, or the numpy radix-3 and radix-4
-    kernels) is weighted at four times a radix-2 value either way.  In those
-    units the prefix is taken when it saves ``_PASS_VALUES`` per pass.  The
-    plan moves speed only, never bits."""
+    while a pocketfft pass costs about four times a radix-2 value either
+    way.  In those units the prefix is taken when it saves ``_PASS_VALUES``
+    per pass."""
     size = values.shape[-1]
     radices = m.radices(resolution)
 
@@ -305,65 +303,6 @@ def _prefix_stop(values: np.ndarray, m: GeneratorSequence, resolution: int) -> i
         return size
     stop = max(1, _live_columns(values))
     return stop if pays(stop) else size
-
-
-def _radix2(cols: np.ndarray, dest: np.ndarray, inverse: bool) -> None:
-    """pocketfft's length-2 kernel: a + b, a - b."""
-    a, b = cols[..., 0], cols[..., 1]
-    np.add(a, b, out=dest[..., 0])
-    np.subtract(a, b, out=dest[..., 1])
-
-
-# sin 60 degrees as pocketfft spells it, rounded to float64.
-_SIN60 = 0.8660254037844386467637231707529362
-
-
-def _radix3(cols: np.ndarray, dest: np.ndarray, inverse: bool) -> None:
-    """pocketfft's length-3 kernel: t1 = x1 + x2, t2 = x1 - x2, y0 = x0 + t1,
-    ca = x0 + t1 * -0.5, cb = i t2 * (+-sin 60), y1 = ca + cb, y2 = ca - cb,
-    each real product taken on the float64 components."""
-    x0, x1, x2 = cols[..., 0], cols[..., 1], cols[..., 2]
-    t1 = np.add(x1, x2, out=np.empty(x0.shape, np.complex128))  # C order, for the float64 views
-    t2 = np.subtract(x1, x2, out=np.empty(x0.shape, np.complex128))
-    np.add(x0, t1, out=dest[..., 0])
-    scaled = t1.view(np.float64)
-    scaled *= -0.5
-    ca = np.add(x0, t1, out=t1)
-    # u = t2 * twi with twi = -sin 60 forward, +sin 60 inverse; cb = (-u.imag, u.real)
-    scaled = t2.view(np.float64)
-    scaled *= _SIN60 if inverse else -_SIN60
-    np.subtract(ca.real, t2.imag, out=dest[..., 1].real)
-    np.add(ca.imag, t2.real, out=dest[..., 1].imag)
-    np.add(ca.real, t2.imag, out=dest[..., 2].real)
-    np.subtract(ca.imag, t2.real, out=dest[..., 2].imag)
-
-
-def _radix4(cols: np.ndarray, dest: np.ndarray, inverse: bool) -> None:
-    """pocketfft's length-4 kernel: t2, t1 = x0 +- x2, t3, t4 = x1 +- x3,
-    t4 turned by -i forward (+i inverse) as an exact swap of its components,
-    y0, y2 = t2 +- t3, y1, y3 = t1 +- t4."""
-    x0, x1, x2, x3 = cols[..., 0], cols[..., 1], cols[..., 2], cols[..., 3]
-    t2 = x0 + x2
-    t1 = x0 - x2
-    t3 = x1 + x3
-    t4 = x1 - x3
-    np.add(t2, t3, out=dest[..., 0])
-    np.subtract(t2, t3, out=dest[..., 2])
-    # forward -i t4 = (t4.imag, -t4.real), inverse i t4 = (-t4.imag, t4.real)
-    plus, minus = (np.subtract, np.add) if inverse else (np.add, np.subtract)
-    plus(t1.real, t4.imag, out=dest[..., 1].real)
-    minus(t1.imag, t4.real, out=dest[..., 1].imag)
-    minus(t1.real, t4.imag, out=dest[..., 3].real)
-    plus(t1.imag, t4.real, out=dest[..., 3].imag)
-
-
-# The digit radices whose pocketfft kernel runs here as numpy passes.
-_KERNELS = {2: _radix2, 3: _radix3, 4: _radix4}
-# A radix-3 or radix-4 pass over fewer fibers per row than this goes to
-# pocketfft, whose one call costs less than the numpy kernel's ten or so.
-# Counted per row, so that a row takes the same path alone and in a batch:
-# the two give the same bits except the sign of a nan.
-_KERNEL_FIBERS = 512
 
 
 class _Pass(NamedTuple):
@@ -399,15 +338,10 @@ def _digit_passes(values: np.ndarray, m: GeneratorSequence, resolution: int, inv
     # of the other ping-pong buffer, so the digit moves to the front and the
     # Paley order is back after N passes with no transpose copy.  pocketfft
     # runs each fiber on its own, so a batched row is bitwise the row
-    # transformed alone.  Radices 2, 3 and 4 run pocketfft's length-2, -3 and
-    # -4 kernels as numpy passes (_KERNELS), element by element, so the same
-    # holds: the adds and subtracts in pocketfft's order, its real -0.5 and
-    # sin 60 products on the float64 components, its +-i turn as a swap of
-    # components, each digit plane written through dest[..., j], and on the
-    # inverse pocketfft's fct = 1/m_k on each float64 component (a complex
-    # multiply would move the sign of zeros and turn inf into nan).  A
-    # radix-3 or radix-4 pass over fewer than _KERNEL_FIBERS fibers per row,
-    # and every other radix, goes through np.fft with the same bits.
+    # transformed alone.  A radix-2 digit is pocketfft's length-2 kernel in
+    # numpy: a+b, a-b, and on the inverse a real 0.5 on each float64
+    # component, as its ifft scales (a complex multiply would move the sign
+    # of zeros and turn inf into nan).
     #
     # A spectrum that is +0.0 from column ``stop`` on (a partial sum) is live
     # before pass k only at q < live[k] = ceil(stop / M_k): every fiber above
@@ -448,17 +382,18 @@ def _digit_passes(values: np.ndarray, m: GeneratorSequence, resolution: int, inv
                 grid[..., q:] = 0.0
                 written = grid[..., :q].transpose(*axes, n + 1, n + 2, n)
             dest, rest = written[..., :whole, :], written[..., whole:, :]
-        kernel = _KERNELS.get(mk) if mk == 2 or low * whole >= _KERNEL_FIBERS else None
-        if kernel is None:
-            (np.fft.ifft if inverse else np.fft.fft)(cols, out=dest)
-        else:
-            kernel(cols, dest, inverse)
-            if whole < q:  # radix 2: the half fiber (a, +0.0)
+        if mk == 2:
+            a, b = cols[..., 0], cols[..., 1]
+            np.add(a, b, out=dest[..., 0])
+            np.subtract(a, b, out=dest[..., 1])
+            if whole < q:  # the half fiber (a, +0.0)
                 np.add(half, 0.0, out=rest[..., 0, 0])
                 np.subtract(half, 0.0, out=rest[..., 0, 1])
-            if inverse:  # pocketfft's fct = 1 / m_k on each float64 component
-                parts = out.view(np.float64)
-                np.multiply(parts, 1.0 / mk, out=parts)
+            if inverse:
+                halves = out.view(np.float64)
+                np.multiply(halves, 0.5, out=halves)
+        else:
+            (np.fft.ifft if inverse else np.fft.fft)(cols, out=dest)
         x, x_flipped = out.reshape(*lead, mk * low * pad), flipped
     return x.reshape(*lead, size)
 
@@ -469,10 +404,9 @@ def forward(f: GridFunction) -> SpectralVector:
     One 1-D FFT pass per digit, x_0 first: pass k transforms the last axis
     of ``x.reshape(-1, m_k)`` (digit k) into a transposed buffer view, so
     that digit moves to the front and after N passes the little-endian
-    (Paley) order is back with no transpose copy.  A radix-2, radix-3 or
-    radix-4 digit runs pocketfft's own length-2, -3 or -4 kernel as numpy
-    passes over its digit columns; every other radix goes through
-    ``np.fft.fft``.
+    (Paley) order is back with no transpose copy.  A radix-2 digit is one
+    add and one subtract pass over the two digit columns, pocketfft's own
+    length-2 kernel; every other radix goes through ``np.fft.fft``.
     ``np.fft.fftn`` over the C-order cube (m_{N-1}, ..., m_0) takes its axes
     in this order and runs each fiber through the same pocketfft kernels, so
     the result is bitwise ``fftn(cube) / M_N``.  ``f`` is not modified.
@@ -486,9 +420,8 @@ def forward(f: GridFunction) -> SpectralVector:
 
 def inverse(sv: SpectralVector) -> GridFunction:
     """Fast synthesis: f(x) = sum_n f^(n) psi_n(x), by the per-digit passes
-    of ``forward`` run backward (radices 2, 3 and 4: pocketfft's kernels in
-    numpy, then 1/m_k on each float64 component; other radices:
-    ``np.fft.ifft``): bitwise ``ifftn(cube) * M_N``.
+    of ``forward`` run backward (radix 2: add, subtract, halve each float64
+    component; other radices: ``np.fft.ifft``): bitwise ``ifftn(cube) * M_N``.
 
     A spectrum that is +0.0 from some column on, such as a partial sum, is
     synthesized over its nonzero prefix: each pass skips the fibers that are

@@ -203,7 +203,6 @@ GRID_OPS = [
     Op(norms.maximal_function, PER_ROW, norms.maximal_function),
     Op(norms.running_maxima, PER_ROW, lambda f: list(norms.running_maxima(f))),
     Op(norms.hardy_norm, PER_ROW, lambda f: norms.hardy_norm(f, 0.5)),
-    Op(norms.weak_lp, PER_ROW, lambda f: norms.weak_lp(f, 0.5)),
     Op(norms.modulus_hp, PER_ROW, lambda f: norms.modulus_hp(f, 1, 0.5)),
     Op(GridFunction.integral, LONE_ONLY, GridFunction.integral),
     Op(transform.forward_naive, LONE_ONLY, transform.forward_naive),
@@ -216,6 +215,7 @@ GRID_OPS = [
     Op(transform.write_grid_binary, LONE_ONLY, lambda f: transform.write_grid_binary(io.BytesIO(), f)),
     Op(transform.write_spectral_binary, LONE_ONLY,
        lambda f: transform.write_spectral_binary(io.BytesIO(), _spectrum(f))),
+    Op(norms.weak_lp, LONE_ONLY, lambda f: norms.weak_lp(f, 0.5)),
     Op(norms.restricted_maximal, LONE_ONLY, lambda f: norms.restricted_maximal(f, [1, 2])),
     Op(martingale.validate_atom, LONE_ONLY, lambda f: martingale.validate_atom(f, 0.5, 1)),
 ]

@@ -143,7 +143,7 @@ class TestLebesgue:
 
     @pytest.mark.parametrize("mtext, resolution, limit", [("2^", 10, None), ("2^", 10, 100), ("2^", 10, 1025),
                                                           ("2,3^", 5, None), ("3^", 7, 600)])
-    def test_auto_table_sums_kernels_once(self, monkeypatch, mtext, resolution, limit):
+    def test_picked_table_sums_kernels_once(self, monkeypatch, mtext, resolution, limit):
         import vilenkin.norms as norms
 
         m = GeneratorSequence.parse(mtext)
@@ -153,12 +153,21 @@ class TestLebesgue:
         passes = []
         blocks = norms.dirichlet_kernel_blocks
         monkeypatch.setattr(norms, "dirichlet_kernel_blocks", lambda *a: passes.append(a[-1]) or blocks(*a))
-        got = lebesgue_table(m, resolution, limit, "auto")
+        got_pick, got_violations, got = norms._picked_table(m, resolution, limit)
         # one pass over the larger of the table and the pick range
         assert passes == [max(size if limit is None else limit, min(size, 512)) - 1]
+        assert (got_pick, got_violations) == (pick, violations)
         assert [r.csv_row() for r in got] == [r.csv_row() for r in want]
         assert [r.value.hex() for r in got] == [r.value.hex() for r in want]
-        assert got.violations == violations
+
+    def test_picked_table_rebrackets_the_other_convention(self, monkeypatch):
+        import vilenkin.norms as norms
+
+        # every grid here picks from0, so force the other pick
+        monkeypatch.setattr(norms, "_convention_pick", lambda values, m, resolution: ("from1", {}))
+        got = norms._picked_table(ALTERNATING, 5, 73)[2]
+        want = lebesgue_table(ALTERNATING, 5, 73, "from1")
+        assert [r.csv_row() for r in got] == [r.csv_row() for r in want]
 
 
 @st.composite
@@ -302,9 +311,3 @@ class TestNonFiniteRefused:
         values[5] = bad
         with pytest.raises(ValueError, match=rf"{norm.__name__}: .*finite"):
             norm(GridFunction(WALSH, 3, values), 0.5)
-
-    def test_weak_lp_names_the_row(self):
-        values = np.ones((3, 8), dtype=np.complex128)
-        values[2, 5] = np.nan
-        with pytest.raises(ValueError, match=r"^weak_lp: value 5 of row 2 is not finite$"):
-            weak_lp(GridFunction(WALSH, 3, values), 0.5)
