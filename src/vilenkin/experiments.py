@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .group import GeneratorSequence, VIndex, _integers, decompose, index_stats
+from .group import SCAN_SIZE_CAP, GeneratorSequence, VIndex, _checked_size, _integers, decompose, index_stats
 from .martingale import (
     MartingaleSpec,
     build_counterexample,
@@ -43,9 +43,6 @@ from .transform import (
 
 DEFAULT_SEED = 1729
 
-# Scans refuse grids above this size by default (seconds-to-minutes budget).
-SCAN_SIZE_CAP = 1 << 14
-
 # Desk-scale verdict cut-offs; these are policy, not math.
 MIN_RUN = 4  # consecutive increasing trace points for "growing"
 MIN_GROWTH = 4.0  # total growth over that run
@@ -68,15 +65,7 @@ class ScenarioResult:
     verdict: str  # bounded | growing | violated
 
     def to_json(self) -> str:
-        blob = {
-            "scenario": self.scenario,
-            "params": self.params,
-            "points": self.points,
-            "constants": self.constants,
-            "trace": self.trace,
-            "verdict": self.verdict,
-        }
-        return json.dumps(blob, sort_keys=True, default=_json_default)
+        return json.dumps(vars(self), sort_keys=True, default=_json_default)
 
     def to_csv(self) -> str:
         lines = [f"# vilenkin scenario={self.scenario}"]
@@ -147,13 +136,6 @@ def _trace_svg(title: str, trace: list[float]) -> str:
     )
 
 
-def _check_scan_size(m: GeneratorSequence, resolution: int, cap: int = SCAN_SIZE_CAP) -> int:
-    size = m.size(resolution)
-    if size > cap:
-        raise ValueError(f"scan grid M_N = {size} exceeds the scan cap {cap}")
-    return size
-
-
 def _scan_limit(n_limit: int | None, default: int, size: int, what: str) -> int:
     """The last n of an exhaustive kernel scan: ``n_limit``, else ``default``."""
     return default if n_limit is None else int(_integers(n_limit, f"{what} limit", 1, size))
@@ -171,11 +153,8 @@ def _increasing_suffix(trace: list[float]) -> tuple[int, float]:
     if not trace:
         return 0, 0.0
     run = 1
-    for i in range(len(trace) - 1, 0, -1):
-        if trace[i] > trace[i - 1]:
-            run += 1
-        else:
-            break
+    while run < len(trace) and trace[-run] > trace[-run - 1]:
+        run += 1
     start = trace[len(trace) - run]
     growth = trace[-1] / start if start > 0 else math.inf
     return run, growth
@@ -213,7 +192,7 @@ def atom_ratio_scan(
         raise ValueError(f"atom scan needs at least one trial, not {trials}")
     if resolution <= max(SUPPORT_RANKS):
         raise ValueError(f"atom scan needs N > {max(SUPPORT_RANKS)}, the largest support rank it draws")
-    size = _check_scan_size(m, resolution)
+    size = _checked_size(m, resolution, SCAN_SIZE_CAP)
     rng = np.random.default_rng(seed)
     bases = m.scaled_bases(resolution)
     # |n| and the discount (M_<n>/M_|n|)^(1/p-1) of every n >= 1, at entry n - 1.
@@ -305,7 +284,7 @@ def divergence_scan(
     """
     if not 0 < p < 1:
         raise ValueError("divergence scan needs 0 < p < 1")
-    _check_scan_size(m, resolution)
+    _checked_size(m, resolution, SCAN_SIZE_CAP)
     stats = [decompose(a, m) for a in _divergence_alphas(variant, m, resolution, alphas)]
     stats = [idx for idx in stats if idx.top < resolution]
     if len(stats) < 2:
@@ -432,7 +411,7 @@ def boundedness_scan(
     counterexample martingale."""
     if not 0 < p < 1:
         raise ValueError("boundedness scan needs 0 < p < 1")
-    _check_scan_size(m, resolution)
+    _checked_size(m, resolution, SCAN_SIZE_CAP)
     indices = _bounded_indices(variant, m, resolution)
     # The pool is one (F, M_N) batch, taken in runs of rows (see _row_runs):
     # one H_p norm per row and one forward pass per run, done in place, then
@@ -528,7 +507,7 @@ def weighted_series_scan(
     pool median (the series constant is never pinned, only its stability)."""
     if not 0 < p < 1:
         raise ValueError("the weighted series needs 0 < p < 1")
-    _check_scan_size(m, resolution, cap=1 << 12)
+    _checked_size(m, resolution, 1 << 12)
     points = []
     for label, f in _function_pool(p, m, resolution, trials, seed):
         report = weighted_series(f, p)
@@ -583,7 +562,7 @@ def modulus_convergence_scan(
     """
     if not 0 < p < 1:
         raise ValueError("modulus scan needs 0 < p < 1")
-    _check_scan_size(m, resolution)
+    _checked_size(m, resolution, SCAN_SIZE_CAP)
     if resolution < 2:
         raise ValueError(f"the modulus scan needs N >= 2 for its first alpha, M_1 + 1, not N = {resolution}")
     if n_rule == "default":
@@ -719,7 +698,7 @@ def supp_measure_scan(
     which partial-sum subsequences stay bounded, so a single escape flips
     the verdict to "violated".  The support is counted on the shell table:
     each cell above the threshold weighs its grid points, plus the origin."""
-    size = _check_scan_size(m, resolution)
+    size = _checked_size(m, resolution, SCAN_SIZE_CAP)
     limit = _scan_limit(n_limit, size, size, "support scan")
     ns = np.arange(1, limit + 1, dtype=np.int64)
     stats = index_stats(ns, m, resolution)
@@ -765,7 +744,7 @@ def dirichlet_floor_scan(
     lists every rank s where it happens to hold, since the blanket-range
     phrasing is not empirically true (and fails outright once a radix
     reaches 4: a middle digit can zero the geometric factor)."""
-    size = _check_scan_size(m, resolution)
+    size = _checked_size(m, resolution, SCAN_SIZE_CAP)
     limit = _scan_limit(n_limit, size, size, "floor scan")
     ns = np.arange(1, limit + 1, dtype=np.int64)
     stats = index_stats(ns, m, resolution)
@@ -818,7 +797,7 @@ def kernel_average_scan(
     For t in I_R, x - t keeps the digits of x below R, so on the shells
     s < R the average is |D_n(x)| / M_R and c(n) is the largest per-shell
     maximum of the shell table over M_s."""
-    size = _check_scan_size(m, resolution, cap=1 << 12)
+    size = _checked_size(m, resolution, 1 << 12)
     support_rank = int(_integers(support_rank, "support rank", 0, resolution))
     limit = _scan_limit(n_limit, min(size, 4 * m.base(support_rank)), size, "kernel average")
     ns = np.arange(1, limit + 1, dtype=np.int64)

@@ -20,6 +20,12 @@ import numpy as np
 # arrays stay plain int64 end to end.
 _INT64_MAX = 2**63 - 1
 
+# Grids are refused above SIZE_CAP cosets (a desk-scale instrument, not a
+# bulk FFT library), and the scans, Lebesgue tables and cumulative rows,
+# whose tables grow faster than M_N, above SCAN_SIZE_CAP.
+SIZE_CAP = 1 << 20
+SCAN_SIZE_CAP = 1 << 14
+
 
 class BaseOverflowError(OverflowError):
     """A scaled base M_k left the 64-bit integer range."""
@@ -130,6 +136,15 @@ class GeneratorSequence:
 
 
 WALSH = GeneratorSequence((2,), cyclic=True)
+
+
+def _checked_size(m: GeneratorSequence, resolution: int, cap: int = SIZE_CAP) -> int:
+    """M_N, refused above ``cap``: the one comparison of a grid with a size
+    cap, made before any array of the grid is allocated."""
+    size = m.size(resolution)
+    if size > cap:
+        raise ValueError(f"M_N = {size} exceeds the size cap {cap}")
+    return size
 
 
 @lru_cache(maxsize=1024)
@@ -314,7 +329,7 @@ def index_to_point(i: int, m: GeneratorSequence, resolution: int) -> GroupPoint:
 def _digit_table(pattern: tuple[int, ...], cyclic: bool, resolution: int) -> np.ndarray:
     m = GeneratorSequence(pattern, cyclic)
     bases = _scaled_bases(pattern, cyclic, resolution)
-    columns = np.empty((resolution, bases[-1]), dtype=np.min_scalar_type(m.max_radix - 1))
+    columns = np.empty((resolution, _checked_size(m, resolution)), dtype=np.min_scalar_type(m.max_radix - 1))
     for k, mk in enumerate(m.radices(resolution)):
         # digit k of x is (x // M_k) % m_k: runs of M_k equal digits cycling 0..m_k-1
         columns[k].reshape(-1, mk, bases[k])[...] = np.arange(mk, dtype=columns.dtype)[:, None]
@@ -381,5 +396,5 @@ def coset_mask(m: GeneratorSequence, resolution: int, rank: int, base_index: int
     for a base index 0 <= x0 < M_rank."""
     m_rank = m.base(int(_integers(rank, "coset rank", 0, resolution)))
     base_index = _integers(base_index, "coset base index", 0, m_rank - 1)
-    idx = np.arange(m.size(resolution), dtype=np.int64)
+    idx = np.arange(_checked_size(m, resolution), dtype=np.int64)
     return (idx % m_rank) == base_index

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .group import GeneratorSequence, _integers, decompose, variation, variation_counts
+from .group import SCAN_SIZE_CAP, GeneratorSequence, _checked_size, _integers, decompose, variation, variation_counts
 from .transform import (
     GridFunction,
     _lone,
@@ -129,8 +129,9 @@ _PICK_LIMIT = 512
 
 def _lebesgue_stop(m: GeneratorSequence, resolution: int, limit: int | None) -> int:
     """One past the last n of a Lebesgue table: ``limit``, else M_N.  N = 0
-    leaves no order below M_N to judge, so it is refused whatever the limit."""
-    size = m.size(resolution)
+    leaves no order below M_N to judge, so it is refused whatever the limit,
+    and so is a grid above ``SCAN_SIZE_CAP``, which the kernel rows outgrow."""
+    size = _checked_size(m, resolution, SCAN_SIZE_CAP)
     if size < 2:
         raise ValueError(f"the Lebesgue table 1 <= n < M_N needs N >= 1, not N = {resolution}")
     return size if limit is None else int(_integers(limit, "Lebesgue table limit", 2, size + 1))

@@ -26,33 +26,29 @@ from typing import NamedTuple
 import numpy as np
 
 from .group import (
+    SCAN_SIZE_CAP,
+    SIZE_CAP,
     GeneratorSequence,
     GroupPoint,
     VIndex,
+    _checked_size,
     _digits,
     _integers,
     digit_table,
     index_sub,
 )
 
-# Resolutions are refused above this many cosets; the artifact is a
-# desk-scale instrument, not a bulk FFT library.
-SIZE_CAP = 1 << 20
-
 # Batched kernels, partial sums and H_p norms go in runs of at most this
 # many grid points (one row at least): each complex buffer of a run stays
 # within 512 KiB, so peak memory does not grow with the number of rows.
 _BATCH_POINTS = 1 << 15
 
+# The naive oracles take their literal character rows _NAIVE_BLOCK at a time;
+# cumulative_rows sums and yields its rows _ROW_BLOCK at a time.
+_NAIVE_BLOCK = 512
+_ROW_BLOCK = 256
+
 _MAGIC = b"VGF1"
-
-
-def _checked_size(m: GeneratorSequence, resolution: int) -> int:
-    """M_N, refused above ``SIZE_CAP``: every grid array and file header passes here."""
-    size = m.size(resolution)
-    if size > SIZE_CAP:
-        raise ValueError(f"M_N = {size} exceeds the size cap {SIZE_CAP}")
-    return size
 
 
 def _grid_array(m: GeneratorSequence, resolution: int, data, what: str) -> np.ndarray:
@@ -175,11 +171,11 @@ def grid_function(m: GeneratorSequence, resolution: int, values) -> GridFunction
 
 
 def zero(m: GeneratorSequence, resolution: int) -> GridFunction:
-    return GridFunction(m, resolution, np.zeros(m.size(resolution), dtype=np.complex128))
+    return GridFunction(m, resolution, np.zeros(_checked_size(m, resolution), dtype=np.complex128))
 
 
 def constant(m: GeneratorSequence, resolution: int, value: complex = 1.0) -> GridFunction:
-    return GridFunction(m, resolution, np.full(m.size(resolution), value, dtype=np.complex128))
+    return GridFunction(m, resolution, np.full(_checked_size(m, resolution), value, dtype=np.complex128))
 
 
 def character(n: VIndex, x: GroupPoint) -> complex:
@@ -219,7 +215,7 @@ def character_block(m: GeneratorSequence, resolution: int, indices) -> np.ndarra
 
 def _character_rows(m: GeneratorSequence, resolution: int, idx: np.ndarray) -> np.ndarray:
     """``character_block`` for int64 indices in 0..M_N - 1 that the caller has checked."""
-    size = m.size(resolution)
+    size = _checked_size(m, resolution)
     ndig = _digits(idx.reshape(-1), m, resolution)
     bases = m.scaled_bases(resolution)
     count = ndig.shape[0]
@@ -436,13 +432,15 @@ def inverse(sv: SpectralVector) -> GridFunction:
     return GridFunction(sv.generators, sv.resolution, values)
 
 
-def forward_naive(f: GridFunction, block: int = 512) -> SpectralVector:
-    """O(M_N^2) oracle: literal inner products against conjugate characters.
+def forward_naive(f: GridFunction, block: int = _NAIVE_BLOCK) -> SpectralVector:
+    """O(M_N^2) oracle: literal inner products against conjugate characters,
+    ``block`` rows at a time (``bench/workloads.py`` passes 64).
 
     It stays on literal ``character_block`` rows, not on cumulative_rows,
     so that it remains an independent check on the fast paths.
     """
     values = _lone(f.values, "forward_naive")
+    block = int(_integers(block, "row block size", 1))
     out = np.empty(f.size, dtype=np.complex128)
     for lo in range(0, f.size, block):
         hi = min(lo + block, f.size)
@@ -451,7 +449,7 @@ def forward_naive(f: GridFunction, block: int = 512) -> SpectralVector:
     return SpectralVector(f.generators, f.resolution, out)
 
 
-def inverse_naive(sv: SpectralVector, block: int = 512) -> GridFunction:
+def inverse_naive(sv: SpectralVector) -> GridFunction:
     """O(M_N^2) oracle for ``inverse``: the literal sum of f^(n) psi_n.
 
     It stays on literal ``character_block`` rows, not on cumulative_rows,
@@ -459,8 +457,8 @@ def inverse_naive(sv: SpectralVector, block: int = 512) -> GridFunction:
     """
     coeffs = _lone(sv.coeffs, "inverse_naive")
     out = np.zeros(sv.size, dtype=np.complex128)
-    for lo in range(0, sv.size, block):
-        hi = min(lo + block, sv.size)
+    for lo in range(0, sv.size, _NAIVE_BLOCK):
+        hi = min(lo + _NAIVE_BLOCK, sv.size)
         rows = character_block(sv.generators, sv.resolution, np.arange(lo, hi))
         out += coeffs[lo:hi] @ rows
     return GridFunction(sv.generators, sv.resolution, out)
@@ -510,10 +508,12 @@ def dirichlet_closed(m: GeneratorSequence, n, resolution: int) -> GridFunction:
     contributes one geometric block on the coset slice ``[::M_j]`` (I_j).
 
     ``n`` is one order or a 1-D sequence of orders; a sequence gives one row
-    per order.  The psi_n rows come from one ``_character_rows`` call, and
-    each distinct nonzero digit n_j = d builds its geometric row once and
-    adds it to the rows with that digit, so every row is bitwise the lone
-    ``dirichlet_closed(m, n, N)``, which is the same code on one row.
+    per order.  The psi_n rows come from one ``_character_rows`` call.  Each
+    row's geometric blocks are added, digit j ascending, into one
+    accumulator row that then multiplies it, so every row is bitwise the
+    lone ``dirichlet_closed(m, n, N)``, which is the same code on one row.
+    A block that several rows share is gathered once and dropped after its
+    last row.
     """
     size = _checked_size(m, resolution)
     orders = _integers(n, "Dirichlet kernel order", 1, size, ndim=1)
@@ -524,15 +524,19 @@ def dirichlet_closed(m: GeneratorSequence, n, resolution: int) -> GridFunction:
     # alone, and psi_{M_N} = psi_0 = 1 on rank-N coset representatives.
     below = rows % size
     values = _character_rows(m, resolution, below)
-    acc = np.zeros((rows.size, size), dtype=np.complex128)
-    acc[rows == size, 0] = size
-    digits = _digits(below, m, resolution)
-    for j, (mj, col) in enumerate(zip(m.radices(resolution), digits.T.tolist())):
-        for nj in set(col) - {0}:
-            geo = (bases[j] * _geometric_row(mj, nj))[xdig[:: bases[j], j]]
-            for r in np.flatnonzero(digits[:, j] == nj).tolist():
-                acc[r, :: bases[j]] += geo
-    values *= acc
+    blocks = [[(j, d) for j, d in enumerate(row) if d] for row in _digits(below, m, resolution).tolist()]
+    last = {block: r for r, row in enumerate(blocks) for block in row}
+    geos: dict[tuple[int, int], np.ndarray] = {}
+    acc = np.empty(size, dtype=np.complex128)
+    for r, (value, order, row) in enumerate(zip(values, rows.tolist(), blocks)):
+        acc[...] = 0.0
+        if order == size:
+            acc[0] = size
+        for j, d in row:
+            if (j, d) not in geos:
+                geos[j, d] = (bases[j] * _geometric_row(m.radix(j), d))[xdig[:: bases[j], j]]
+            acc[:: bases[j]] += geos[j, d] if last[j, d] > r else geos.pop((j, d))
+        value *= acc
     return GridFunction(m, resolution, values.reshape(orders.shape + (size,)))
 
 
@@ -621,16 +625,14 @@ def dirichlet_shells(m: GeneratorSequence, resolution: int, indices) -> ShellTab
     )
 
 
-def cumulative_rows(
-    m: GeneratorSequence, resolution: int, limit: int, weights=None, block: int = 256
-):
+def cumulative_rows(m: GeneratorSequence, resolution: int, limit: int, weights=None):
     """Yield (n0, C) with C[i] = sum_{n=0}^{n0+i} w_n psi_n, for n0+i < ``limit``.
 
     ``weights`` holds one complex w_n per index below M_N; None means
     w_n = 1, so C[i] = D_{n0+i+1}.  Cumulative sums run inside each block
-    of ``block`` rows with a carried prefix, which keeps float error near
-    the pairwise-summation level during exhaustive scans.  Each yielded
-    block is a fresh array.
+    of ``_ROW_BLOCK`` rows with a carried prefix, which keeps float error
+    near the pairwise-summation level during exhaustive scans.  Each yielded
+    block is a fresh array.  Grids above ``SCAN_SIZE_CAP`` are refused.
 
     Rows come from the product form psi_{a M_b + i} = psi_{a M_b} psi_i
     (i < M_b), one run of rows sharing the high digits a at a time: the
@@ -643,16 +645,15 @@ def cumulative_rows(
     additions of ``np.cumsum(axis=0)`` in the same order, on contiguous
     rows rather than down columns of stride M_N.
     """
-    size = m.size(resolution)
+    size = _checked_size(m, resolution, SCAN_SIZE_CAP)
     limit = int(_integers(limit, "row scan limit", 1, size))
-    block = int(_integers(block, "row block size", 1))
     w = None
     if weights is not None:
         w = np.asarray(weights, dtype=np.complex128)
         if w.shape != (size,):
             raise ValueError(f"weight vector has length {w.shape}, expected M_N = {size}")
     # The low-digit table holds psi_0 .. psi_{M_b - 1}, M_b closest to sqrt(M_N).
-    # It grows like M_N^1.5, but at the 2^14 scan cap its 32 MiB is still
+    # It grows like M_N^1.5, but at SCAN_SIZE_CAP its 32 MiB is still
     # below the 64 MiB of one 256-row block.
     bases = m.scaled_bases(resolution)
     b = min(range(resolution + 1), key=lambda k: abs(bases[k] - math.sqrt(size)))
@@ -667,8 +668,8 @@ def cumulative_rows(
         for k in range(b, resolution)
     }
     carry = np.zeros(size, dtype=np.complex128)
-    for lo in range(0, limit, block):
-        hi = min(lo + block, limit)
+    for lo in range(0, limit, _ROW_BLOCK):
+        hi = min(lo + _ROW_BLOCK, limit)
         rows = np.empty((hi - lo, size), dtype=np.complex128)
         for a in range(lo // low, (hi - 1) // low + 1):
             i0, i1 = max(a * low, lo), min((a + 1) * low, hi)
@@ -735,8 +736,7 @@ def partial_sum_convolution(f: GridFunction, n: int) -> GridFunction:
     n = int(_integers(n, "partial sum order", 0, f.size))
     if n == 0:
         return zero(f.generators, f.resolution)
-    if f.size > 4096:
-        raise ValueError("convolution path is restricted to M_N <= 4096")
+    _checked_size(f.generators, f.resolution, 1 << 12)
     kernel = dirichlet_closed(f.generators, n, f.resolution).values
     grid = np.arange(f.size, dtype=np.int64)
     diff = index_sub(grid[:, None], grid[None, :], f.generators, f.resolution)

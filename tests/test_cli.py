@@ -445,9 +445,17 @@ class TestArtifactReproducibility:
 
 
 def _single_error_line(capsys) -> str:
-    err = capsys.readouterr().err.strip().splitlines()
+    return _one_error_line(capsys.readouterr().err)
+
+
+def _one_error_line(stderr: str) -> str:
+    err = stderr.strip().splitlines()
     assert len(err) == 1 and err[0].startswith("error:"), err
     return err[0]
+
+
+# The console entry point, for a capped child process (see conftest.capped_python).
+_CLI_CHILD = "import sys; from vilenkin.cli import main; sys.exit(main(sys.argv[1:]))"
 
 
 class TestInputErrors:
@@ -563,13 +571,26 @@ class TestInputErrors:
         "modulus-N-1": (["scan", "--name", "modulus_convergence", "--N", 1], "the modulus scan needs N >= 2"),
         "modulus-N-1-Mn-plus-1": (["scan", "--name", "modulus_convergence", "--N", 1, "--variant", "Mn_plus_1"],
                                   "the modulus scan needs N >= 2"),
+        # grids past a size cap, refused before any array of the grid exists
+        "atom-N-46": (["atom", "--N", 46], f"M_N = {2**46} exceeds the size cap {2**20}"),
+        "counterexample-N-46": (["counterexample", "--N", 46], f"M_N = {2**46} exceeds the size cap {2**20}"),
+        "lebesgue-N-46": (["lebesgue", "--N", 46], f"M_N = {2**46} exceeds the size cap {2**14}"),
+        "lebesgue-N-15": (["lebesgue", "--m", "2^", "--N", 15], f"M_N = {2**15} exceeds the size cap {2**14}"),
     }
+    # The rows whose refusal, if it regressed, would try to allocate the grid:
+    # they run in a child process with a capped address space.
+    OVERSIZE = {"atom-N-46", "counterexample-N-46", "lebesgue-N-46", "lebesgue-N-15"}
 
     @pytest.mark.parametrize("case", sorted(BAD_VALUES))
-    def test_bad_value_is_usage_error(self, tmp_path, capsys, case):
+    def test_bad_value_is_usage_error(self, tmp_path, capsys, capped_python, case):
         argv, reason = self.BAD_VALUES[case]
-        assert run([*argv, "--out", tmp_path]) == 2
-        assert reason in _single_error_line(capsys)
+        if case in self.OVERSIZE:
+            child = capped_python(_CLI_CHILD, *argv, "--out", tmp_path)
+            assert child.returncode == 2, child.stderr
+            assert reason in _one_error_line(child.stderr)
+        else:
+            assert run([*argv, "--out", tmp_path]) == 2
+            assert reason in _single_error_line(capsys)
         assert not list(tmp_path.iterdir())
 
     @pytest.mark.parametrize("extra", [["--rank", 6], ["--rank", -1], ["--limit", 0], ["--limit", 17]],

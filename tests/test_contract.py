@@ -14,17 +14,22 @@ shape it does not take, with one ``ValueError`` in the shared wording of
 ``SpectralVector``: ``PER_ROW`` (each row of a batch is bitwise the lone
 row) or ``LONE_ONLY`` (a batch is refused with one ``ValueError``).  The
 completeness tests fail on any public parameter that neither table lists.
+
+``OVERSIZE`` has one row per call that must refuse a grid past its size cap,
+in the one wording of ``group._checked_size``, before any array of the grid
+exists.
 """
 
 import inspect
 import io
+import json
 from typing import Callable, NamedTuple
 
 import numpy as np
 import pytest
 
 from vilenkin import experiments, group, martingale, norms, transform
-from vilenkin.group import WALSH, GeneratorSequence, GroupPoint
+from vilenkin.group import SCAN_SIZE_CAP, SIZE_CAP, WALSH, GeneratorSequence, GroupPoint
 from vilenkin.transform import GridFunction, SpectralVector
 
 TRIADIC = GeneratorSequence.parse("3^")
@@ -72,12 +77,11 @@ INTEGERS = [
     # transform
     Int(transform.character_block, "indices", lambda v: transform.character_block(WALSH, 3, v), 0, 7, SEQ),
     Int(transform.character_values, "n", lambda v: transform.character_values(WALSH, v, 3), 0, 7, ONE),
+    Int(transform.forward_naive, "block", lambda v: transform.forward_naive(F, v), 1, None, ONE),
     Int(transform.dirichlet_direct, "n", lambda v: transform.dirichlet_direct(WALSH, v, 3), 1, 8, ONE),
     Int(transform.dirichlet_closed, "n", lambda v: transform.dirichlet_closed(WALSH, v, 3), 1, 8, SEQ),
     Int(transform.dirichlet_shells, "indices", lambda v: transform.dirichlet_shells(WALSH, 3, v), 1, 8, SEQ),
     Int(transform.cumulative_rows, "limit", lambda v: next(transform.cumulative_rows(WALSH, 3, v)), 1, 8, ONE),
-    Int(transform.cumulative_rows, "block", lambda v: next(transform.cumulative_rows(WALSH, 3, 8, block=v)),
-        1, None, ONE),
     Int(transform.dirichlet_kernel_blocks, "limit", lambda v: next(transform.dirichlet_kernel_blocks(WALSH, 3, v)),
         1, 8, ONE),
     Int(transform.partial_sum, "n", lambda v: transform.partial_sum(F, v), 0, 8, SEQ),
@@ -307,3 +311,49 @@ def test_every_grid_operation_is_a_row():
         )
     ]
     assert not missing, missing
+
+
+# Calls on the Walsh grid at N = 46 (M_N = 2^46, a PiB of complex values),
+# each with the cap that refuses it.
+OVERSIZE = {
+    "zero": ("transform.zero(WALSH, 46)", SIZE_CAP),
+    "constant": ("transform.constant(WALSH, 46)", SIZE_CAP),
+    "coset_mask": ("group.coset_mask(WALSH, 46, 1)", SIZE_CAP),
+    "digit_table": ("group.digit_table(WALSH, 46)", SIZE_CAP),
+    "character_block": ("transform.character_block(WALSH, 46, [1, 2])", SIZE_CAP),
+    "cumulative_rows": ("next(transform.cumulative_rows(WALSH, 46, 3))", SCAN_SIZE_CAP),
+    "lebesgue_table": ("norms.lebesgue_table(WALSH, 46)", SCAN_SIZE_CAP),
+    "select_variation_convention": ("norms.select_variation_convention(WALSH, 46)", SCAN_SIZE_CAP),
+    "random_atom": ("martingale.random_atom(WALSH, 0.5, 2, 46, np.random.default_rng(0))", SIZE_CAP),
+    "build_counterexample": (
+        "martingale.build_counterexample(WALSH, 0.5, martingale.default_alphas(WALSH, 46), resolution=46)", SIZE_CAP),
+}
+
+# Runs each call of OVERSIZE in turn and prints {name: [exception type, message]}.
+_OVERSIZE_CHILD = """
+import json, sys
+import numpy as np
+from vilenkin import group, martingale, norms, transform
+from vilenkin.group import WALSH
+refusals = {}
+for name, call in json.loads(sys.argv[1]).items():
+    try:
+        eval(call)
+    except Exception as err:
+        refusals[name] = [type(err).__name__, str(err)]
+print(json.dumps(refusals))
+"""
+
+
+@pytest.fixture(scope="module")
+def oversize_refusals(capped_python):
+    # one capped child for every row: a regression ends in its MemoryError
+    child = capped_python(_OVERSIZE_CHILD, json.dumps({name: call for name, (call, _) in OVERSIZE.items()}))
+    assert child.returncode == 0, child.stderr
+    return json.loads(child.stdout)
+
+
+@pytest.mark.parametrize("name", sorted(OVERSIZE))
+def test_oversize_grid_is_refused_before_any_array(oversize_refusals, name):
+    cap = OVERSIZE[name][1]
+    assert oversize_refusals.get(name) == ["ValueError", f"M_N = {2**46} exceeds the size cap {cap}"]

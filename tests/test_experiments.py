@@ -504,9 +504,10 @@ class TestKernelScanMemory:
         ids=lambda f: f.__name__,
     )
     def test_peak_grows_linearly(self, scan):
-        # M_N grows 4x from N=8 to N=10; a quadratic scan would grow 16x
+        # M_N grows 4x from N=10 to N=12; a quadratic scan would grow 16x.
+        # Both sizes span several 256-row blocks of cumulative_rows.
         scan(WALSH, 4)  # module-level caches are not part of the scan's footprint
-        small, large = self._traced_peak(scan, 8), self._traced_peak(scan, 10)
+        small, large = self._traced_peak(scan, 10), self._traced_peak(scan, 12)
         assert large <= 6 * small, (small, large)
 
     def test_supp_measure_reports_closed_form_residual(self):

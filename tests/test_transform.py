@@ -1,6 +1,7 @@
 import io
 import struct
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -400,7 +401,8 @@ def _literal_rows(m, resolution, limit, weights, block, rows_of=character_block)
 
 
 def _assert_rows_bit_identical(m, resolution, limit, weights, block):
-    fast = list(cumulative_rows(m, resolution, limit, weights, block))
+    with mock.patch.object(transform, "_ROW_BLOCK", block):
+        fast = list(cumulative_rows(m, resolution, limit, weights))
     slow = list(_literal_rows(m, resolution, limit, weights, block))
     assert [lo for lo, _ in fast] == [lo for lo, _ in slow]
     for (lo, a), (_, b) in zip(fast, slow):
@@ -444,15 +446,16 @@ class TestCumulativeRows:
         weights = rng.standard_normal(size) + 1j * rng.standard_normal(size) if weighted else None
         _assert_rows_bit_identical(m, resolution, size, weights, 256)
 
-    def test_weighted_rows_bit_identical_at_4096(self):
+    def test_weighted_rows_bit_identical_at_4096(self, monkeypatch):
         # 2^12 has 64 low-digit rows and six high digits, so most runs carry
         # several factors.  Blocks of 40 straddle the runs and keep the two
         # streams compared block by block under about 20 MB.
+        monkeypatch.setattr(transform, "_ROW_BLOCK", 40)
         m = WALSH
         size = m.size(12)
         rng = np.random.default_rng(12)
         weights = rng.standard_normal(size) + 1j * rng.standard_normal(size)
-        fast = cumulative_rows(m, 12, 300, weights, 40)
+        fast = cumulative_rows(m, 12, 300, weights)
         slow = _literal_rows(m, 12, 300, weights, 40)
         count = 0
         for (lo, a), (lo_ref, b) in zip(fast, slow):
@@ -462,11 +465,12 @@ class TestCumulativeRows:
         assert count == 300
 
     @pytest.mark.parametrize("weighted", [False, True], ids=["kernels", "weighted"])
-    def test_each_block_owns_its_memory(self, weighted):
+    def test_each_block_owns_its_memory(self, monkeypatch, weighted):
+        monkeypatch.setattr(transform, "_ROW_BLOCK", 50)
         m = ALTERNATING
         size = m.size(6)
         weights = np.arange(size) + 1j if weighted else None
-        blocks = [rows for _, rows in cumulative_rows(m, 6, size, weights, 50)]
+        blocks = [rows for _, rows in cumulative_rows(m, 6, size, weights)]
         assert len(blocks) == 5
         for i, a in enumerate(blocks):
             assert a.flags.owndata
@@ -477,8 +481,6 @@ class TestCumulativeRows:
         for limit in (0, 17):
             with pytest.raises(ValueError):
                 next(cumulative_rows(WALSH, 4, limit))
-        with pytest.raises(ValueError):
-            next(cumulative_rows(WALSH, 4, 16, block=0))
         with pytest.raises(ValueError):
             next(cumulative_rows(WALSH, 4, 16, weights=np.ones(8)))
 
@@ -538,11 +540,12 @@ class TestRowsEqualInt64Digits:
         for n in (indices + 1).tolist():
             fast = dirichlet_closed(m, n, resolution).values
             assert np.array_equal(fast.view(np.uint64), _dirichlet_closed_masked(m, n, resolution).view(np.uint64)), n
-        fast = cumulative_rows(m, resolution, limit, weights, block)
-        slow = _literal_rows(m, resolution, limit, weights, block, rows_of=_int64_character_block)
-        for (lo, a), (lo_ref, b) in zip(fast, slow, strict=True):
-            assert lo == lo_ref
-            assert np.array_equal(a.view(np.uint64), b.view(np.uint64)), lo
+        with mock.patch.object(transform, "_ROW_BLOCK", block):
+            fast = cumulative_rows(m, resolution, limit, weights)
+            slow = _literal_rows(m, resolution, limit, weights, block, rows_of=_int64_character_block)
+            for (lo, a), (lo_ref, b) in zip(fast, slow, strict=True):
+                assert lo == lo_ref
+                assert np.array_equal(a.view(np.uint64), b.view(np.uint64)), lo
 
 
 class TestPartialSumOfSpectrum:
