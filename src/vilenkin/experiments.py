@@ -15,7 +15,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .group import SCAN_SIZE_CAP, GeneratorSequence, VIndex, _checked_size, _integers, decompose, index_stats
+from .group import (
+    QUADRATIC_SIZE_CAP, SCAN_SIZE_CAP, GeneratorSequence, VIndex, _checked_size, _integers, decompose, index_stats
+)
 from .martingale import (
     MartingaleSpec,
     build_counterexample,
@@ -507,7 +509,7 @@ def weighted_series_scan(
     pool median (the series constant is never pinned, only its stability)."""
     if not 0 < p < 1:
         raise ValueError("the weighted series needs 0 < p < 1")
-    _checked_size(m, resolution, 1 << 12)
+    _checked_size(m, resolution, QUADRATIC_SIZE_CAP)
     points = []
     for label, f in _function_pool(p, m, resolution, trials, seed):
         report = weighted_series(f, p)
@@ -797,7 +799,7 @@ def kernel_average_scan(
     For t in I_R, x - t keeps the digits of x below R, so on the shells
     s < R the average is |D_n(x)| / M_R and c(n) is the largest per-shell
     maximum of the shell table over M_s."""
-    size = _checked_size(m, resolution, 1 << 12)
+    size = _checked_size(m, resolution, QUADRATIC_SIZE_CAP)
     support_rank = int(_integers(support_rank, "support rank", 0, resolution))
     limit = _scan_limit(n_limit, min(size, 4 * m.base(support_rank)), size, "kernel average")
     ns = np.arange(1, limit + 1, dtype=np.int64)

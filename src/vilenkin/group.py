@@ -21,10 +21,13 @@ import numpy as np
 _INT64_MAX = 2**63 - 1
 
 # Grids are refused above SIZE_CAP cosets (a desk-scale instrument, not a
-# bulk FFT library), and the scans, Lebesgue tables and cumulative rows,
-# whose tables grow faster than M_N, above SCAN_SIZE_CAP.
+# bulk FFT library); the scans, Lebesgue tables and cumulative rows, whose
+# tables grow faster than M_N, above SCAN_SIZE_CAP; and the calls that build
+# an (M_N, M_N / M_R) table or take S_n f for every n, quadratic in M_N,
+# above QUADRATIC_SIZE_CAP.
 SIZE_CAP = 1 << 20
 SCAN_SIZE_CAP = 1 << 14
+QUADRATIC_SIZE_CAP = 1 << 12
 
 
 class BaseOverflowError(OverflowError):

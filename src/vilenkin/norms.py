@@ -33,8 +33,9 @@ SUPPORT_THRESHOLD = 1e-9
 
 
 def _check_p(p: float) -> None:
-    if not p > 0:
-        raise ValueError(f"exponent p = {p} must be positive")
+    # p = inf passes ``p > 0``, and the root (...)^(1/p) then makes every norm 1.0
+    if not 0 < p < np.inf:
+        raise ValueError(f"exponent p = {p} must be positive and finite")
 
 
 def lp_norm(f: GridFunction | np.ndarray, p: float) -> float | np.ndarray:

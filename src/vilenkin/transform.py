@@ -26,6 +26,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .group import (
+    QUADRATIC_SIZE_CAP,
     SCAN_SIZE_CAP,
     SIZE_CAP,
     GeneratorSequence,
@@ -736,7 +737,7 @@ def partial_sum_convolution(f: GridFunction, n: int) -> GridFunction:
     n = int(_integers(n, "partial sum order", 0, f.size))
     if n == 0:
         return zero(f.generators, f.resolution)
-    _checked_size(f.generators, f.resolution, 1 << 12)
+    _checked_size(f.generators, f.resolution, QUADRATIC_SIZE_CAP)
     kernel = dirichlet_closed(f.generators, n, f.resolution).values
     grid = np.arange(f.size, dtype=np.int64)
     diff = index_sub(grid[:, None], grid[None, :], f.generators, f.resolution)
@@ -800,9 +801,10 @@ def dirichlet_average(m: GeneratorSequence, n, rank: int, resolution: int) -> Gr
     ``n`` is one order or a 1-D sequence of orders, as for ``dirichlet_closed``:
     the (M_N, M_N / M_rank) ``index_sub`` table is built once per call and
     each |D_n| row is gathered through it, so every row is bitwise the lone
-    call.
+    call.  That table is quadratic in M_N, so grids above
+    ``QUADRATIC_SIZE_CAP`` are refused before it is built.
     """
-    size = _checked_size(m, resolution)
+    size = _checked_size(m, resolution, QUADRATIC_SIZE_CAP)
     orders = _integers(n, "Dirichlet kernel order", 1, size, ndim=1)
     m_rank = m.base(int(_integers(rank, "coset rank", 0, resolution)))
     kernels = np.abs(dirichlet_closed(m, orders.reshape(-1), resolution).values)

@@ -27,14 +27,13 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from shared import FAMILIES, TRIADIC, batches, public_functions
 from vilenkin import experiments, group, martingale, norms, transform
-from vilenkin.group import SCAN_SIZE_CAP, SIZE_CAP, WALSH, GeneratorSequence, GroupPoint
+from vilenkin.group import QUADRATIC_SIZE_CAP, SCAN_SIZE_CAP, SIZE_CAP, WALSH, GroupPoint
 from vilenkin.transform import GridFunction, SpectralVector
-
-TRIADIC = GeneratorSequence.parse("3^")
-QUATERNARY = GeneratorSequence.parse("4^")
-MIXED = GeneratorSequence.parse("2,3,4^")
 
 ONE, SEQ, ANY = "one", "seq", "any"
 PER_ROW, LONE_ONLY = "per_row", "lone_only"
@@ -168,7 +167,9 @@ def test_entry_past_int64_is_named(row):
 def test_shape_not_taken_refused(row):
     value = [row.low] if row.shape == ONE else [[row.low]]
     shape = np.shape(value)
-    assert f" of shape {shape} is not an integer" in _refusal(row, value)
+    message = _refusal(row, value)
+    assert f" of shape {shape} is not an integer" in message
+    assert message.endswith(" or a 1-D sequence of them") == (row.shape == SEQ), message
 
 
 def test_empty_sequence_is_accepted():
@@ -198,7 +199,8 @@ def _spectrum(f: GridFunction) -> SpectralVector:
 GRID_OPS = [
     Op(transform.forward, PER_ROW, transform.forward),
     Op(transform.inverse, PER_ROW, lambda f: transform.inverse(_spectrum(f))),
-    Op(transform.conditional_expectation, PER_ROW, lambda f: transform.conditional_expectation(f, 1)),
+    Op(transform.conditional_expectation, PER_ROW,
+       lambda f: [transform.conditional_expectation(f, k) for k in range(f.resolution + 1)]),
     Op(transform.coarse_sums, PER_ROW, transform.coarse_sums),
     Op(GridFunction.__add__, PER_ROW, lambda f: f + f),
     Op(GridFunction.__sub__, PER_ROW, lambda f: f - 0.5 * f),
@@ -206,8 +208,8 @@ GRID_OPS = [
     Op(norms.lp_norm, PER_ROW, lambda f: norms.lp_norm(f, 0.5)),
     Op(norms.maximal_function, PER_ROW, norms.maximal_function),
     Op(norms.running_maxima, PER_ROW, lambda f: list(norms.running_maxima(f))),
-    Op(norms.hardy_norm, PER_ROW, lambda f: norms.hardy_norm(f, 0.5)),
-    Op(norms.modulus_hp, PER_ROW, lambda f: norms.modulus_hp(f, 1, 0.5)),
+    Op(norms.hardy_norm, PER_ROW, lambda f: [norms.hardy_norm(f, p) for p in (0.3, 0.5, 2 / 3, 1.0, 2.0)]),
+    Op(norms.modulus_hp, PER_ROW, lambda f: [norms.modulus_hp(f, k, 0.5) for k in range(f.resolution + 1)]),
     Op(GridFunction.integral, LONE_ONLY, GridFunction.integral),
     Op(transform.forward_naive, LONE_ONLY, transform.forward_naive),
     Op(transform.inverse_naive, LONE_ONLY, lambda f: transform.inverse_naive(_spectrum(f))),
@@ -229,28 +231,24 @@ def _op_id(op: Op) -> str:
     return op.func.__qualname__
 
 
-def _batch(m: GeneratorSequence, resolution: int, rows: int) -> GridFunction:
-    rng = np.random.default_rng(rows)
-    shape = (rows, m.size(resolution))
-    return GridFunction(m, resolution, rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
-
-
 def _arrays(result) -> list[np.ndarray]:
     """An operation's result as arrays whose leading axis is the row of a batch."""
+    if isinstance(result, list):
+        return [a for item in result for a in _arrays(item)]
     if isinstance(result, GridFunction):
         return [result.values]
     if isinstance(result, SpectralVector):
         return [result.coeffs]
-    if isinstance(result, list):
-        return [np.asarray(level) for level in result]
-    return [np.asarray(result, dtype=np.float64)]  # a norm: a float, or one per row
+    return [np.asarray(result)]  # a level, or a norm: a float or one per row
 
 
 @pytest.mark.parametrize("op", [op for op in GRID_OPS if op.kind == PER_ROW], ids=_op_id)
-@pytest.mark.parametrize("m, resolution", [(WALSH, 5), (TRIADIC, 3), (QUATERNARY, 3), (MIXED, 3)],
-                         ids=["2^", "3^", "4^", "2,3,4^"])
-def test_per_row_batch_is_its_lone_rows(op, m, resolution):
-    batch = _batch(m, resolution, 2)
+@pytest.mark.parametrize("family", FAMILIES)
+@settings(max_examples=8, deadline=None)
+@given(data=st.data())
+def test_per_row_batch_is_its_lone_rows(op, family, data):
+    batch = data.draw(batches(family))
+    m, resolution = batch.generators, batch.resolution
     together = _arrays(op.call(batch))
     for r, row in enumerate(batch.values):
         alone = _arrays(op.call(GridFunction(m, resolution, row)))
@@ -263,8 +261,9 @@ def test_per_row_batch_is_its_lone_rows(op, m, resolution):
 @pytest.mark.parametrize("op", [op for op in GRID_OPS if op.kind == LONE_ONLY], ids=_op_id)
 @pytest.mark.parametrize("rows", [1, 2])
 def test_lone_only_refuses_a_batch(op, rows):
+    values = np.random.default_rng(rows).standard_normal((rows, 16)) + 0j
     with pytest.raises(ValueError, match="takes one function, not a batch"):
-        op.call(_batch(WALSH, 4, rows))
+        op.call(GridFunction(WALSH, 4, values))
 
 
 # Parameters named like an integer index that take VIndex expansions instead
@@ -277,22 +276,13 @@ VINDEX_PARAMS = {
 }
 INDEX_NAMES = {"n", "i", "j", "indices", "digits", "coords", "rank", "support_rank", "base_index", "limit",
                "n_limit", "alpha", "alphas"}
-MODULES = (group, transform, norms, martingale)
-
-
-def _public_functions():
-    for module in MODULES:
-        for name, obj in vars(module).items():
-            if not name.startswith("_") and inspect.isfunction(obj) and obj.__module__ == module.__name__:
-                yield obj
-    yield GridFunction.integral
 
 
 def test_every_integer_argument_is_a_row():
     listed = {(row.func, row.param) for row in INTEGERS}
     missing = [
         f"{func.__module__}.{func.__qualname__}({param})"
-        for func in _public_functions()
+        for func in public_functions()
         for param in inspect.signature(func).parameters
         if param in INDEX_NAMES and (func, param) not in listed | VINDEX_PARAMS
     ]
@@ -303,7 +293,7 @@ def test_every_grid_operation_is_a_row():
     listed = {op.func for op in GRID_OPS}
     missing = [
         f"{func.__module__}.{func.__qualname__}"
-        for func in _public_functions()
+        for func in public_functions()
         if func not in listed
         and any(
             "GridFunction" in str(p.annotation) or "SpectralVector" in str(p.annotation) or p.name == "self"
@@ -324,6 +314,7 @@ OVERSIZE = {
     "cumulative_rows": ("next(transform.cumulative_rows(WALSH, 46, 3))", SCAN_SIZE_CAP),
     "lebesgue_table": ("norms.lebesgue_table(WALSH, 46)", SCAN_SIZE_CAP),
     "select_variation_convention": ("norms.select_variation_convention(WALSH, 46)", SCAN_SIZE_CAP),
+    "dirichlet_average": ("transform.dirichlet_average(WALSH, 3, 0, 46)", QUADRATIC_SIZE_CAP),
     "random_atom": ("martingale.random_atom(WALSH, 0.5, 2, 46, np.random.default_rng(0))", SIZE_CAP),
     "build_counterexample": (
         "martingale.build_counterexample(WALSH, 0.5, martingale.default_alphas(WALSH, 46), resolution=46)", SIZE_CAP),

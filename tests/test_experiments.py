@@ -4,10 +4,9 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 import vilenkin.experiments as experiments
+from shared import ALTERNATING, MIXED_CYCLE, TRIADIC
 from vilenkin.group import GeneratorSequence, WALSH, decompose, index_stats
 from vilenkin.experiments import (
     MIN_GROWTH,
@@ -18,45 +17,21 @@ from vilenkin.experiments import (
     divergence_scan,
     kernel_average_scan,
     modulus_convergence_scan,
-    partial_sum_rows,
     weighted_series,
     weighted_series_scan,
     supp_measure_scan,
 )
 from vilenkin.martingale import build_counterexample, default_alphas, random_atom
-from vilenkin.norms import hardy_norm, lp_norm, modulus_hp, running_maxima, weak_lp
+from vilenkin.norms import hardy_norm, modulus_hp, weak_lp
 from vilenkin.transform import (
     constant,
     dirichlet_average,
     dirichlet_closed,
     dirichlet_shells,
     forward,
-    grid_function,
     inverse,
     partial_sum,
 )
-
-ALTERNATING = GeneratorSequence.parse("2,3^")
-TRIADIC = GeneratorSequence.parse("3^")
-MIXED_CYCLE = GeneratorSequence.parse("2,3,4^")
-
-
-def random_grid(m, resolution, seed=0):
-    rng = np.random.default_rng(seed)
-    size = m.size(resolution)
-    return grid_function(m, resolution, rng.standard_normal(size) + 1j * rng.standard_normal(size))
-
-
-class TestPartialSumRows:
-    def test_rows_match_partial_sum(self):
-        # 432 rows: the prefix carries over from the first 256-row block
-        f = random_grid(ALTERNATING, 7, seed=5)
-        seen = {}
-        for lo, ps in partial_sum_rows(f):
-            for i in range(ps.shape[0]):
-                seen[lo + i + 1] = ps[i]
-        for n in (1, 5, 17, 256, 257, f.size):
-            assert np.abs(seen[n] - partial_sum(f, n).values).max() < 1e-9
 
 
 class TestAtomRatioScan:
@@ -93,50 +68,6 @@ class TestAtomRatioScan:
         # Support rank 3 needs N > 3; the scan refuses N = 3 whatever it draws.
         with pytest.raises(ValueError, match="N > 3"):
             atom_ratio_scan(0.5, TRIADIC, 3, trials=1, seed=seed)
-
-
-def _atom_ratio_literal(p, m, resolution, trials, seed):
-    """(max_r, argmax_n) per trial, from the consumer ``atom_ratio_scan`` had
-    before it took the kept rows as a block suffix: it gathered the kept
-    rows and the (R, M_N) running maxima ``running[top]``, then ``stars**p``."""
-    size = m.size(resolution)
-    rng = np.random.default_rng(seed)
-    bases = m.scaled_bases(resolution)
-    stats = index_stats(np.arange(1, size + 1), m, resolution)
-    discount = (stats.m_bottom / stats.m_top) ** (1.0 / p - 1.0)
-    out = []
-    for _ in range(trials):
-        rank = experiments.SUPPORT_RANKS[int(rng.integers(0, len(experiments.SUPPORT_RANKS)))]
-        f = random_atom(m, p, rank, resolution, rng).values
-        running = np.stack([np.tile(level, size // level.size) for level in running_maxima(f)])
-        best_r, best_n = 0.0, 0
-        for lo, ps in partial_sum_rows(f):
-            ns = np.arange(lo + 1, lo + 1 + ps.shape[0])
-            keep = ns > bases[rank]
-            if not keep.any():
-                continue
-            ns_keep = ns[keep]
-            stars = np.maximum(running[stats.top[ns_keep - 1]], np.abs(ps[keep]))
-            rs = np.mean(stars**p, axis=1) ** (1.0 / p) * discount[ns_keep - 1]
-            i = int(np.argmax(rs))
-            if rs[i] > best_r:
-                best_r, best_n = float(rs[i]), int(ns_keep[i])
-        out.append((best_r, best_n))
-    return out
-
-
-class TestAtomRatioConsumer:
-    @pytest.mark.parametrize("p", [0.3, 0.5, 2.0 / 3.0], ids=["0.3", "0.5", "2/3"])
-    @pytest.mark.parametrize("mtext,resolution", [("2^", 7), ("3^", 5), ("4^", 4), ("2,3,4^", 5)])
-    def test_bit_identical_to_literal_consumer(self, p, mtext, resolution):
-        m = GeneratorSequence.parse(mtext)
-        result = atom_ratio_scan(p, m, resolution, trials=4, seed=resolution)
-        got = [(pt["max_r"], pt["argmax_n"]) for pt in result.points]
-        want = _atom_ratio_literal(p, m, resolution, 4, resolution)
-        assert [n for _, n in got] == [n for _, n in want]
-        bits = lambda pairs: np.array([r for r, _ in pairs]).view(np.uint64).tolist()
-        assert bits(got) == bits(want)
-        assert all(r > 0 for r, _ in got)
 
 
 class TestDivergenceScan:
@@ -531,32 +462,6 @@ class TestKernelScanMemory:
         assert sum(calls, []) == sorted(sample)
 
 
-@st.composite
-def _average_case(draw):
-    pattern = tuple(draw(st.lists(st.integers(2, 5), min_size=1, max_size=4)))
-    m = GeneratorSequence(pattern, cyclic=draw(st.booleans()))
-    top = 0
-    while m.size(top + 1) <= 512:
-        top += 1
-    resolution = draw(st.integers(0, top))
-    return m, resolution, draw(st.integers(0, resolution))
-
-
-def _kernel_average_loop(m, resolution, rank, limit):
-    """c(n) for 1 <= n <= limit from ``dirichlet_average`` and full-grid shell
-    masks, one n at a time, as ``kernel_average_scan`` computed it before it
-    read the shell table."""
-    bases = m.scaled_bases(resolution)
-    grid = np.arange(m.size(resolution))
-    shells = [((grid % bases[s]) == 0) & ((grid % bases[s + 1]) != 0) for s in range(rank)]
-    cs = []
-    for n in range(1, limit + 1):
-        avg = dirichlet_average(m, n, rank, resolution).values.real
-        per_shell = [float(avg[shell].max()) * bases[rank] / bases[s] for s, shell in enumerate(shells)]
-        cs.append(max(per_shell, default=0.0))
-    return cs
-
-
 class TestKernelAverageScan:
     def test_constant_bounded_across_sizes(self):
         small = kernel_average_scan(WALSH, 7, 3)
@@ -565,17 +470,6 @@ class TestKernelAverageScan:
         assert large.constants["c_max"] <= 2.0
         for result in (small, large):
             assert result.constants["closed_form_max_err"] <= 1e-9
-
-    @settings(max_examples=60, deadline=None)
-    @given(_average_case())
-    def test_matches_per_n_average_loop(self, case):
-        m, resolution, rank = case
-        result = kernel_average_scan(m, resolution, rank)
-        ref = _kernel_average_loop(m, resolution, rank, result.params["limit"])
-        assert [pt["n"] for pt in result.points] == list(range(1, len(ref) + 1))
-        assert np.allclose([pt["c"] for pt in result.points], ref, rtol=1e-12, atol=0)
-        assert result.constants["c_max"] == max(pt["c"] for pt in result.points)
-        assert result.constants["closed_form_max_err"] <= 1e-9
 
     def test_averages_only_the_residual_sample(self, monkeypatch):
         # limit 4 M_3 = 32 cuts the sample {1, 255} u {2^k +- 1} to 1, 3, 5, 7, 9, 15, 17, 31,
