@@ -3,8 +3,10 @@
 ``ORACLES`` has one row per pair: a public fast function; its literal path,
 an oracle of the package (``forward_naive``, ``inverse_naive``,
 ``dirichlet_direct``, ``partial_sum_convolution``) or a literal helper of
-this file; ``BITWISE`` or a tolerance (max |fast - literal| <= tol *
-max(1, max |literal|)); and how the arguments of both are drawn.  Every row
+this file; ``BITWISE`` or a tolerance (a float: max |fast - literal| <= tol
+* max(1, max |literal|); ``Abs``: max |fast - literal| <= tol; ``Rel``:
+|fast - literal| <= tol * |literal| at each element); and how the
+arguments of both are drawn.  Every row
 runs on each family of ``shared.FAMILIES`` (``2^``, ``3^``, ``4^``, mixed
 patterns cyclic and repeat-last), with the extra radices it names: 17 and
 300 for digits past uint8, 97 for a Bluestein length of pocketfft.
@@ -36,6 +38,14 @@ from vilenkin.martingale import build_counterexample, default_alphas
 from vilenkin.transform import _CSV_BLOCK, GridFunction, SpectralVector, character_block, character_values, unit_roots
 
 BITWISE = None
+
+
+class Abs(float):
+    """A tolerance on max |fast - literal| itself."""
+
+
+class Rel(float):
+    """A tolerance on |fast - literal| / |literal| at each element: 0 where the literal is 0."""
 
 # ---------------------------------------------------------------------------
 # literal paths
@@ -586,15 +596,35 @@ def _build_args(draw, m, resolution):
     return m, p, alphas, lambdas, resolution, draw(st.integers(1, 8)) * m.size(resolution)
 
 
-def _shell_values(table) -> list:
-    """|D_n| on the grid, and L_n from the cells weighed by their points."""
-    size = table.generators.size(table.resolution)
-    return [table.expand(), (table.values @ table.points + table.indices) / size]
+def _support(rows) -> list:
+    """Each |D_n| row, each on its own scale max |D_n| = n, and the points where it passes SUPPORT_THRESHOLD."""
+    return [list(rows), np.asarray(rows) > norms.SUPPORT_THRESHOLD]
+
+
+def _shell_rows(m, resolution, ns) -> list:
+    return _support(transform.dirichlet_shells(m, resolution, list(ns)).expand())
+
+
+def _shell_means(m, resolution, ns) -> np.ndarray:
+    """L_n from the cells weighed by their points."""
+    table = transform.dirichlet_shells(m, resolution, list(ns))
+    return (table.values @ table.points + table.indices) / m.size(resolution)
 
 
 def _shell_literal(m, resolution, ns) -> list:
-    kernels = np.abs([transform.dirichlet_direct(m, n, resolution).values for n in ns])
-    return [kernels, kernels.mean(axis=1)]
+    return _support(np.abs([transform.dirichlet_direct(m, n, resolution).values for n in ns]))
+
+
+def _shell_blocks(m, resolution, ns) -> list:
+    """|D_n| for n = 1..len(ns) from the running character sums of ``dirichlet_kernel_blocks``."""
+    blocks = transform.dirichlet_kernel_blocks(m, resolution, len(ns))
+    return _support(np.abs(np.concatenate([rows for _, rows in blocks])))
+
+
+def _shell_lebesgue(m, resolution, ns) -> np.ndarray:
+    """L_n for n = 1..len(ns) as the mean of |D_n|, D_n the running sum of literal character rows."""
+    blocks = _literal_rows(m, resolution, len(ns), None, 256, _int64_character_block)
+    return np.concatenate([np.abs(sums).mean(axis=1) for _, sums in blocks])
 
 
 def _pick(result) -> list:
@@ -622,7 +652,7 @@ def _kernel_average_literal(m, resolution, rank) -> list:
 class Oracle(NamedTuple):
     fast: Callable  # the public fast path
     literal: Callable  # its literal path, called on the same arguments
-    tol: float | None  # BITWISE, or max |fast - literal| <= tol * max(1, max |literal|)
+    tol: float | None  # BITWISE, Abs, Rel, or max |fast - literal| <= tol * max(1, max |literal|)
     args: Callable  # (draw, m, N) -> the arguments of both paths
     call: Callable | None = None  # how the fast path is called, when not fast(*args)
     name: str = ""  # tells apart two rows of one fast path
@@ -683,21 +713,27 @@ ORACLES = [
            examples=15),
     Oracle(transform.forward, transform.forward_naive, 1e-10, lambda d, m, N: (_function(d, m, N),), size=512),
     Oracle(transform.forward, lambda f: _fftn_reference(f.values, f.generators, f.resolution), BITWISE,
-           lambda d, m, N: (_function(d, m, N),), name="fftn", extra=(7, 97), size=4096, examples=20),
-    Oracle(transform.inverse, transform.inverse_naive, 1e-10,
+           lambda d, m, N: (_function(d, m, N),), name="fftn", extra=(7, 97), size=1 << 14, examples=20),
+    Oracle(transform.inverse, transform.inverse_naive, Abs(1e-10),
            lambda d, m, N: (transform.forward(_function(d, m, N)),), size=512),
     Oracle(transform.inverse, lambda sv: _fftn_reference(sv.coeffs, sv.generators, sv.resolution, inverse=True),
-           BITWISE, lambda d, m, N: (_truncated_spectrum(d, m, N),), name="fftn", extra=(7, 97), size=4096,
+           BITWISE, lambda d, m, N: (_truncated_spectrum(d, m, N),), name="fftn", extra=(7, 97), size=1 << 14,
            examples=20),
     # kernels
-    Oracle(transform.dirichlet_closed, transform.dirichlet_direct, 1e-10,
+    Oracle(transform.dirichlet_closed, transform.dirichlet_direct, Abs(1e-9),
            lambda d, m, N: (m, d(_edge_orders(m, N, 1)), N), size=512),
     Oracle(transform.dirichlet_closed, _dirichlet_closed_masked, BITWISE,
            lambda d, m, N: (m, _orders(d, _edge_orders(m, N, 1)), N), name="masked", extra=(17, 300), size=1200,
            examples=20),
-    Oracle(transform.dirichlet_shells, lambda m, N, ns: _shell_literal(m, N, ns), 1e-12,
+    Oracle(transform.dirichlet_shells, _shell_literal, 1e-12,
            lambda d, m, N: (m, N, d(st.lists(st.integers(1, m.size(N)), min_size=1, max_size=4))),
-           call=lambda m, N, ns: _shell_values(transform.dirichlet_shells(m, N, ns)), size=1024, examples=15),
+           call=_shell_rows, size=1024, examples=15),
+    Oracle(transform.dirichlet_shells, _shell_blocks, 1e-12,
+           lambda d, m, N: (m, N, range(1, d(st.integers(1, m.size(N))) + 1)), call=_shell_rows, name="blocks",
+           size=1024, examples=15),
+    Oracle(transform.dirichlet_shells, _shell_lebesgue, Rel(1e-12),
+           lambda d, m, N: (m, N, range(1, d(st.integers(1, m.size(N))) + 1)), call=_shell_means, name="lebesgue",
+           size=1024, examples=10),
     Oracle(transform.cumulative_rows,
            lambda m, N, limit, w, block: list(_literal_rows(m, N, limit, w, block, _int64_character_block)), BITWISE,
            lambda d, m, N: (m, N, d(st.integers(1, m.size(N))), _weights(d, m, N), d(st.integers(1, 300))),
@@ -705,26 +741,29 @@ ORACLES = [
                transform, "_ROW_BLOCK", block, lambda: list(transform.cumulative_rows(m, N, limit, w))),
            extra=(17, 300), size=1200, examples=20),
     Oracle(transform.dirichlet_kernel_blocks,
-           lambda m, N, limit, ns, block: [transform.dirichlet_direct(m, n, N).values for n in ns], 1e-10,
+           lambda m, N, limit, ns, block: [transform.dirichlet_direct(m, n, N).values for n in ns], Abs(1e-9),
            lambda d, m, N: (m, N, limit := d(st.integers(1, m.size(N))), sorted({1, limit, d(st.integers(1, limit))}),
                             d(st.integers(1, 300))),
            call=lambda m, N, limit, ns, block: _with(transform, "_ROW_BLOCK", block, lambda: list(np.concatenate(
                [rows for _, rows in transform.dirichlet_kernel_blocks(m, N, limit)])[np.asarray(ns) - 1])),
            size=1024),
-    Oracle(transform.dirichlet_average, _literal_average, 1e-10,
+    Oracle(transform.dirichlet_average, _literal_average, Abs(1e-12),
            lambda d, m, N: (m, d(st.integers(1, m.size(N))), d(st.integers(0, N)), N), size=128),
     # partial sums and martingale levels
-    Oracle(transform.partial_sum, transform.partial_sum_convolution, 1e-9,
+    Oracle(transform.partial_sum, transform.partial_sum_convolution, Abs(1e-9),
            lambda d, m, N: (_function(d, m, N), d(_edge_orders(m, N)))),
+    Oracle(transform.partial_sum, _literal_expectation, Abs(1e-12),
+           lambda d, m, N: (_function(d, m, N), d(st.integers(0, N))),
+           call=lambda f, k: transform.partial_sum(f, f.generators.base(k)), name="levels", size=1024),
     Oracle(transform.partial_sum, _truncated_synthesis, BITWISE,
            lambda d, m, N: (_source(d, m, N), _orders(d, _edge_orders(m, N), range(m.size(N) + 1))),
            name="fftn", extra=(97,), examples=10),
     Oracle(transform.conditional_expectation, _literal_expectation, BITWISE,
-           lambda d, m, N: (_function(d, m, N), d(st.integers(0, N))), size=1024),
+           lambda d, m, N: (_function(d, m, N), d(st.integers(0, N))), size=1024, examples=15),
     Oracle(transform.conditional_expectation, lambda f, k: transform.partial_sum_convolution(f, f.generators.base(k)),
-           1e-9, lambda d, m, N: (_function(d, m, N), d(st.integers(0, N))), name="convolution"),
+           Abs(1e-9), lambda d, m, N: (_function(d, m, N), d(st.integers(0, N))), name="convolution"),
     Oracle(transform.coarse_sums, lambda f: _literal_levels(f.values, f.generators, f.resolution), BITWISE,
-           lambda d, m, N: (_function(d, m, N),), extra=(97,), size=1024),
+           lambda d, m, N: (_function(d, m, N),), extra=(97,), size=1024, examples=15),
     # CSV files
     Oracle(transform.write_csv_rows, _literal_csv_rows, BITWISE, lambda d, m, N: (_csv_cells(d, m.size(N)),),
            call=lambda data: _text(transform.write_csv_rows, data)),
@@ -752,7 +791,8 @@ ORACLES = [
     Oracle(norms.modulus_hp, _modulus_literal, 1e-10,
            lambda d, m, N: (_function(d, m, N), d(st.integers(0, N)), d(P_NORMS))),
     Oracle(norms.restricted_maximal,
-           lambda f, ns: np.max([np.abs(transform.partial_sum_convolution(f, n).values) for n in ns], axis=0), 1e-9,
+           lambda f, ns: np.max([np.abs(transform.partial_sum_convolution(f, n).values) for n in ns], axis=0),
+           Abs(1e-9),
            lambda d, m, N: (_function(d, m, N), d(st.lists(st.integers(0, m.size(N)), min_size=1, max_size=4)))),
     Oracle(norms.lebesgue_constant, _literal_lebesgue, 1e-10,
            lambda d, m, N: (m, d(st.integers(1, m.size(N))), N, d(st.sampled_from(["from0", "from1"]))),
@@ -772,14 +812,14 @@ ORACLES = [
            call=lambda m, p, alphas, lambdas, N, points: _with(
                martingale, "_BATCH_POINTS", points, lambda: martingale.build_counterexample(
                    m, p, alphas, rule="explicit", lambdas=lambdas, resolution=N).realized), low=1, size=512),
-    Oracle(martingale.spectral_profile, lambda spec: transform.forward_naive(spec.realized).coeffs, 1e-9,
+    Oracle(martingale.spectral_profile, lambda spec: transform.forward_naive(spec.realized).coeffs, Abs(1e-9),
            lambda d, m, N: (_spec(d, m, N),), low=1),
     Oracle(martingale.closed_partial_sum, _closed_partial_sum_masked, BITWISE,
            lambda d, m, N: _spec_orders(d, m, N, many=True), name="masked", low=1, size=1024, examples=20),
-    Oracle(martingale.closed_partial_sum, lambda spec, j: transform.partial_sum_convolution(spec.realized, j), 1e-9,
-           lambda d, m, N: _spec_orders(d, m, N, many=False), low=1),
+    Oracle(martingale.closed_partial_sum, lambda spec, j: transform.partial_sum_convolution(spec.realized, j),
+           Abs(1e-9),           lambda d, m, N: _spec_orders(d, m, N, many=False), low=1),
     # scans
-    Oracle(experiments.partial_sum_rows, lambda f, block: _literal_partial_sum_rows(f), 1e-9,
+    Oracle(experiments.partial_sum_rows, lambda f, block: _literal_partial_sum_rows(f), Abs(1e-9),
            lambda d, m, N: (_function(d, m, N), d(st.integers(1, 300))),
            call=lambda f, block: _with(transform, "_ROW_BLOCK", block, lambda: np.concatenate(
                [rows for _, rows in experiments.partial_sum_rows(f)]))),
@@ -788,7 +828,7 @@ ORACLES = [
            call=lambda p, m, N, trials, seed: [
                [pt["max_r"], pt["argmax_n"]] for pt in experiments.atom_ratio_scan(p, m, N, trials, seed).points],
            low=4, examples=3),
-    Oracle(experiments.kernel_average_scan, lambda m, N, rank: _kernel_average_literal(m, N, rank), 1e-12,
+    Oracle(experiments.kernel_average_scan, lambda m, N, rank: _kernel_average_literal(m, N, rank), Rel(1e-12),
            lambda d, m, N: (m, N, d(st.integers(0, N))), call=lambda m, N, rank: _kernel_average_fast(m, N, rank),
            examples=15),
 ]
@@ -849,8 +889,14 @@ def _assert_same(fast, literal, tol, where="result"):
         if tol is BITWISE or b.dtype.kind in "biu":
             assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), (where, a, b)
         else:
-            err = float(np.abs(a - b).max(initial=0.0))
-            assert err <= tol * max(1.0, float(np.abs(b).max(initial=0.0))), (where, err)
+            err = np.abs(a - b)
+            if isinstance(tol, Abs):
+                bound = tol
+            elif isinstance(tol, Rel):
+                bound = tol * np.abs(b)
+            else:
+                bound = tol * max(1.0, float(np.abs(b).max(initial=0.0)))
+            assert (err <= bound).all(), (where, float(err.max(initial=0.0)))
 
 
 def check_row(row: Oracle, family: str) -> None:
@@ -1066,13 +1112,15 @@ class TestPrefixSynthesis:
 
 
 def _assert_rows_bit_identical(m, resolution, limit, weights, block):
+    """The two streams compared block by block, so that only one block of each is held."""
+    count = 0
     with mock.patch.object(transform, "_ROW_BLOCK", block):
-        fast = list(transform.cumulative_rows(m, resolution, limit, weights))
-    slow = list(_literal_rows(m, resolution, limit, weights, block))
-    assert [lo for lo, _ in fast] == [lo for lo, _ in slow]
-    for (lo, a), (_, b) in zip(fast, slow):
-        assert a.shape == b.shape
-        assert np.array_equal(a.view(np.uint64), b.view(np.uint64)), lo
+        fast = transform.cumulative_rows(m, resolution, limit, weights)
+        for (lo, a), (lo_ref, b) in zip(fast, _literal_rows(m, resolution, limit, weights, block), strict=True):
+            assert lo == lo_ref and a.shape == b.shape
+            assert np.array_equal(a.view(np.uint64), b.view(np.uint64)), lo
+            count += a.shape[0]
+    assert count == limit
 
 
 class TestCumulativeRows:
@@ -1090,23 +1138,12 @@ class TestCumulativeRows:
         weights = random_values(rng, size) if weighted else None
         _assert_rows_bit_identical(m, resolution, size, weights, 256)
 
-    def test_weighted_rows_bit_identical_at_4096(self, monkeypatch):
+    def test_weighted_rows_bit_identical_at_4096(self):
         # 2^12 has 64 low-digit rows and six high digits, so most runs carry
         # several factors.  Blocks of 40 straddle the runs and keep the two
         # streams compared block by block under about 20 MB.
-        monkeypatch.setattr(transform, "_ROW_BLOCK", 40)
-        m = WALSH
-        size = m.size(12)
-        rng = np.random.default_rng(12)
-        weights = random_values(rng, size)
-        fast = transform.cumulative_rows(m, 12, 300, weights)
-        slow = _literal_rows(m, 12, 300, weights, 40)
-        count = 0
-        for (lo, a), (lo_ref, b) in zip(fast, slow):
-            assert lo == lo_ref
-            assert np.array_equal(a.view(np.uint64), b.view(np.uint64)), lo
-            count += a.shape[0]
-        assert count == 300
+        weights = random_values(np.random.default_rng(12), WALSH.size(12))
+        _assert_rows_bit_identical(WALSH, 12, 300, weights, 40)
 
 
 class TestCosetMeans:

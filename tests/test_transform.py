@@ -7,17 +7,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from shared import ALTERNATING, MIXED_CYCLE, TRIADIC, any_grid, random_grid, random_values
+from shared import ALTERNATING, MIXED_CYCLE, TRIADIC, any_grid, random_grid
 from vilenkin import transform
-from vilenkin.group import QUADRATIC_SIZE_CAP, WALSH, GeneratorSequence, GroupPoint, decompose
+from vilenkin.group import WALSH, GeneratorSequence, GroupPoint, decompose
 from vilenkin.transform import (
     SIZE_CAP,
     GridFunction,
     SpectralVector,
     character,
     character_values,
-    coarse_sums,
-    conditional_expectation,
     cumulative_rows,
     dirichlet_average,
     dirichlet_closed,
@@ -47,14 +45,6 @@ class TestCharacters:
         assert abs(character(decompose(1, TRIADIC), x) - np.exp(2j * np.pi / 3)) < 1e-12
 
 
-@st.composite
-def _batch_case(draw):
-    """1-6 random functions on one grid of any family."""
-    m, resolution = draw(any_grid(max_size=1024))
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    return m, resolution, random_values(rng, (draw(st.integers(1, 6)), m.size(resolution)))
-
-
 class TestTransform:
     @pytest.mark.parametrize("j", [0, 1, 5, 11])
     def test_character_gives_basis_vector(self, j):
@@ -78,11 +68,7 @@ class TestTransform:
 def _small_grid(draw):
     m, resolution = draw(any_grid(max_size=256, min_resolution=1))
     size = m.size(resolution)
-    reals = draw(
-        st.lists(
-            st.floats(-8, 8, allow_nan=False, width=32), min_size=2 * size, max_size=2 * size
-        )
-    )
+    reals = draw(st.lists(st.floats(-8, 8, allow_nan=False, width=32), min_size=2 * size, max_size=2 * size))
     values = np.asarray(reals[:size]) + 1j * np.asarray(reals[size:])
     return grid_function(m, resolution, values)
 
@@ -93,8 +79,7 @@ class TestTransformProperties:
     def test_round_trip_and_plancherel(self, f):
         sv = forward(f)
         back = inverse(sv)
-        scale = max(np.abs(f.values).max(), 1.0)
-        assert np.abs(back.values - f.values).max() <= 1e-10 * scale
+        assert np.abs(back.values - f.values).max() <= 1e-10
         lhs = float(np.mean(np.abs(f.values) ** 2))
         rhs = float((np.abs(sv.coeffs) ** 2).sum())
         assert abs(lhs - rhs) <= 1e-9 * max(lhs, 1e-30)
@@ -264,21 +249,6 @@ class TestShellTable:
             assert np.abs(a - b).max() <= 1e-9, n
 
 
-class TestPartialSums:
-    @settings(max_examples=60, deadline=None)
-    @given(case=_batch_case())
-    def test_levels_tile_to_conditional_expectations(self, case):
-        m, resolution, values = case
-        batch = coarse_sums(GridFunction(m, resolution, values))
-        assert [level.shape for level in batch] == [values.shape[:-1] + (m.base(k),) for k in range(resolution + 1)]
-        for i, row in enumerate(values):
-            f = GridFunction(m, resolution, row)
-            for k, (level, lone) in enumerate(zip(batch, coarse_sums(f))):
-                expected = conditional_expectation(f, k).values.view(np.uint64)
-                assert np.array_equal(np.tile(lone, f.size // lone.size).view(np.uint64), expected)
-                assert np.array_equal(level[i].view(np.uint64), lone.view(np.uint64))
-
-
 class TestKernelAverage:
     def test_shell_bound_constant_is_modest(self):
         # int_{I_R}|D_n(x-t)|dmu <= c M_s/M_R on I_s \ I_{s+1}: c stays O(1).
@@ -293,11 +263,6 @@ class TestKernelAverage:
                     c = avg[shell].max() * bases[rank] / bases[s]
                     worst = max(worst, c)
             assert worst <= 2.0 + 1e-9
-
-    def test_grid_past_the_quadratic_cap_is_refused(self):
-        # the (M_N, M_N / M_R) index table would take 512 MiB at 2^13, rank 0
-        with pytest.raises(ValueError, match=rf"^M_N = 8192 exceeds the size cap {QUADRATIC_SIZE_CAP}$"):
-            dirichlet_average(WALSH, 3, 0, 13)
 
 
 class TestSerialization:
