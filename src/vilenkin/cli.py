@@ -109,6 +109,15 @@ def _file_tag(m: GeneratorSequence) -> str:
     return m.format().replace(",", "_").replace("^", "c")
 
 
+def _grid(args) -> tuple[GeneratorSequence, int]:
+    """``--m`` and ``--N``.  A negative N is refused here, before a flag such
+    as ``--rank`` is checked against a range derived from it."""
+    m = GeneratorSequence.parse(args.m)
+    if args.N < 0:
+        raise ValueError("resolution must be nonnegative")
+    return m, args.N
+
+
 def _read_function(path: Path, read_csv, read_binary):
     """Read ``path`` with ``read_binary`` if it ends in .bin, else ``read_csv``.
 
@@ -147,7 +156,7 @@ def _cmd_transform(args) -> int:
 
 
 def _cmd_dirichlet(args) -> int:
-    m, resolution = GeneratorSequence.parse(args.m), args.N
+    m, resolution = _grid(args)
     closed = dirichlet_closed(m, args.n, resolution)
     direct = dirichlet_direct(m, args.n, resolution)
     err = float(np.abs(closed.values - direct.values).max())
@@ -170,7 +179,7 @@ def _cmd_dirichlet(args) -> int:
 
 
 def _cmd_lebesgue(args) -> int:
-    m, resolution = GeneratorSequence.parse(args.m), args.N
+    m, resolution = _grid(args)
     convention, note = args.convention, ""
     if convention == "auto":
         convention, violations, table = _picked_table(m, resolution, args.limit)
@@ -200,7 +209,7 @@ def _default_rank(args, default: int, least: int, resolution: int) -> int:
 
 
 def _cmd_atom(args) -> int:
-    m, resolution = GeneratorSequence.parse(args.m), args.N
+    m, resolution = _grid(args)
     if args.validate:
         f = _read_function(Path(args.validate), read_grid_csv, read_grid_binary)
         # a coset of rank R <= N
@@ -220,7 +229,7 @@ def _cmd_atom(args) -> int:
 
 
 def _cmd_counterexample(args) -> int:
-    m, resolution = GeneratorSequence.parse(args.m), args.N
+    m, resolution = _grid(args)
     alphas = _parse_list(args.alphas, int) or default_alphas(m, resolution)
     lambdas = _parse_list(args.lambdas, float)
     phi = _parse_phi(args.phi)
@@ -267,7 +276,7 @@ SCAN_VARIANTS = {"divergence": "Mn_plus_1", "boundedness": "Mn", "modulus_conver
 
 
 def _cmd_scan(args) -> int:
-    m, resolution = GeneratorSequence.parse(args.m), args.N
+    m, resolution = _grid(args)
     if args.name not in SCAN_REGISTRY:
         raise ValueError(f"unknown scan {args.name!r}; available: {', '.join(sorted(SCAN_REGISTRY))}")
     # inspect.signature follows __wrapped__, so a functools.wraps wrapper in

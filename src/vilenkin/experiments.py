@@ -31,7 +31,7 @@ from .norms import SUPPORT_THRESHOLD, hardy_norm, running_maxima, weak_lp
 from .transform import (
     _BATCH_POINTS,
     GridFunction,
-    SpectralVector,
+    _truncated_inverse,
     coarse_sums,
     cumulative_rows,
     dirichlet_average,
@@ -39,7 +39,6 @@ from .transform import (
     dirichlet_shells,
     forward,
     grid_function,
-    inverse,
     partial_sum,
 )
 
@@ -431,13 +430,14 @@ def boundedness_scan(
         spectra[run] = forward(GridFunction(m, resolution, spectra[run])).coeffs
     # Largest n first: truncating the stacked spectra in place keeps every
     # coefficient a smaller n still needs, so no second buffer is held, and
-    # only the columns from n up to the last n need zeroing.
+    # only the columns from n up to the last n need zeroing; the inverse
+    # passes then read each spectrum only up to n, where that pays.
     ratios = {}
     top = size
     for n in sorted(indices, reverse=True):
         spectra[:, n:top] = 0.0
         top = n
-        norms = [hardy_norm(inverse(SpectralVector(m, resolution, spectra[run])), p) for run in runs]
+        norms = [hardy_norm(_truncated_inverse(spectra[run], m, resolution, n), p) for run in runs]
         ratios[n] = np.concatenate(norms) / denoms
 
     max_ratio = 0.0

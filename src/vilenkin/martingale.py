@@ -233,7 +233,7 @@ def phi_value(phi: tuple | None, idx: VIndex) -> float:
         return 1.0 + float(np.log(idx.m_top))
     if tag not in ("constant", "power"):
         raise ValueError(f"unknown phi tag {phi!r}")
-    value = float(phi[1]) if tag == "constant" else float(idx.m_top ** float(phi[1]))
+    value = float(phi[1]) if tag == "constant" else _float_power(idx.m_top, float(phi[1]), "the Phi power M_|n|^t")
     if not 0 < value < np.inf:
         raise ValueError(f"Phi {phi!r} is {value} at n = {idx.value}; it must be positive and finite")
     return value

@@ -248,58 +248,23 @@ def _zero_fibers_stay_zero(radix: int) -> bool:
     return not np.fft.ifft(np.zeros(radix, np.complex128)).view(np.int64).any()
 
 
-def _live_columns(values: np.ndarray) -> int:
-    """One past the last column of ``values`` (..., M) with a nonzero bit in
-    any row, -0.0 included; 0 when every entry is +0.0.  Blocks of 1, 8, 64,
-    ... columns are counted from the end until one holds a nonzero bit, and
-    that block is then halved down to its last live column, so a spectrum
-    whose last column is live costs one column and no temporary is built."""
-    size = values.shape[-1]
-    if values.strides[-1] != values.itemsize:
-        values = np.ascontiguousarray(values)
-    bits = values.view(np.int64).reshape(-1, 2 * size)
-    hi, width = size, 1
-    while not np.count_nonzero(bits[:, 2 * max(0, hi - width) : 2 * hi]):
-        hi, width = max(0, hi - width), 8 * width
-        if not hi:
-            return 0
-    lo = max(0, hi - width)  # columns from hi on are +0.0, and [lo, hi) is not
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if np.count_nonzero(bits[:, 2 * mid : 2 * hi]):
-            lo = mid
-        else:
-            hi = mid
-    return hi
-
-
-def _prefix_stop(values: np.ndarray, m: GeneratorSequence, resolution: int) -> int:
-    """How far the inverse passes read a spectrum: one past its last live
-    column, or M_N when that would not pay.  A pass over the prefix writes
-    fewer values than the M_N of a full pass, but a radix-2 pass writes them
-    through strided or transposed views at about twice the cost per value,
-    while a pocketfft pass costs about four times a radix-2 value either
-    way.  In those units the prefix is taken when it saves ``_PASS_VALUES``
-    per pass."""
-    size = values.shape[-1]
+def _prefix_stop(stop: int, rows: int, m: GeneratorSequence, resolution: int) -> int:
+    """How far the inverse passes read ``rows`` spectra that are +0.0 from
+    column ``stop`` on: ``stop``, or M_N when that would not pay.  A pass
+    over the prefix writes fewer values than the M_N of a full pass, but a
+    radix-2 pass writes them through strided or transposed views at about
+    twice the cost per value, while a pocketfft pass costs about four times a
+    radix-2 value either way.  In those units the prefix is taken when it
+    saves ``_PASS_VALUES`` per pass."""
+    size, stop = m.size(resolution), max(1, stop)
     radices = m.radices(resolution)
-
-    def pays(stop: int) -> bool:
-        saved = sum(
-            size - 2 * p.radix * p.low * p.pad if p.radix == 2 else 4 * (size - p.radix * p.low * p.pad)
-            for p in _passes(radices, stop)
-        )
-        return values.size // size * saved >= resolution * _PASS_VALUES
-
-    # a full spectrum pays one column for this
-    if (
-        np.count_nonzero(values[..., -1:].view(np.int64))
-        or not pays(1)
-        or not all(mk == 2 or _zero_fibers_stay_zero(mk) for mk in radices)
-    ):
+    if stop >= size or not all(mk == 2 or _zero_fibers_stay_zero(mk) for mk in radices):
         return size
-    stop = max(1, _live_columns(values))
-    return stop if pays(stop) else size
+    saved = sum(
+        size - 2 * p.radix * p.low * p.pad if p.radix == 2 else 4 * (size - p.radix * p.low * p.pad)
+        for p in _passes(radices, stop)
+    )
+    return stop if rows * saved >= resolution * _PASS_VALUES else size
 
 
 class _Pass(NamedTuple):
@@ -328,7 +293,7 @@ def _passes(radices: tuple[int, ...], stop: int) -> tuple[_Pass, ...]:
     )
 
 
-def _digit_passes(values: np.ndarray, m: GeneratorSequence, resolution: int, inverse: bool) -> np.ndarray:
+def _digit_passes(values: np.ndarray, m: GeneratorSequence, resolution: int, inverse: bool, stop: int) -> np.ndarray:
     # Before pass k each row is (M_k, Q) in C order: digits 0..k-1 done, then
     # the untransformed q = n // M_k.  Pass k transforms digit k, the last
     # axis of (M_k, Q / m_k, m_k), into a transposed view (m_k, M_k, Q / m_k)
@@ -340,7 +305,7 @@ def _digit_passes(values: np.ndarray, m: GeneratorSequence, resolution: int, inv
     # component, as its ifft scales (a complex multiply would move the sign
     # of zeros and turn inf into nan).
     #
-    # A spectrum that is +0.0 from column ``stop`` on (a partial sum) is live
+    # A spectrum that the caller has set to +0.0 from column ``stop`` on is live
     # before pass k only at q < live[k] = ceil(stop / M_k): every fiber above
     # is +0.0, which the full passes keep +0.0.  So pass k reads only the
     # prefix (M_k, width) and writes the live[k+1] columns of the next one
@@ -351,7 +316,7 @@ def _digit_passes(values: np.ndarray, m: GeneratorSequence, resolution: int, inv
     # stop = M_N: no padding, nothing transposed.
     *lead, size = values.shape
     rows = math.prod(lead)
-    plan = _passes(m.radices(resolution), _prefix_stop(values, m, resolution) if inverse else size)
+    plan = _passes(m.radices(resolution), stop)
     axes, n = tuple(range(len(lead))), len(lead)
     bufs = (np.empty(rows * size, np.complex128), np.empty(rows * size, np.complex128))
     x, x_flipped = values, False
@@ -410,7 +375,7 @@ def forward(f: GridFunction) -> SpectralVector:
     """
     if f.resolution == 0:
         return SpectralVector(f.generators, 0, f.values.copy())
-    coeffs = _digit_passes(f.values, f.generators, f.resolution, inverse=False)
+    coeffs = _digit_passes(f.values, f.generators, f.resolution, False, f.size)
     coeffs /= f.size
     return SpectralVector(f.generators, f.resolution, coeffs)
 
@@ -419,18 +384,27 @@ def inverse(sv: SpectralVector) -> GridFunction:
     """Fast synthesis: f(x) = sum_n f^(n) psi_n(x), by the per-digit passes
     of ``forward`` run backward (radix 2: add, subtract, halve each float64
     component; other radices: ``np.fft.ifft``): bitwise ``ifftn(cube) * M_N``.
-
-    A spectrum that is +0.0 from some column on, such as a partial sum, is
-    synthesized over its nonzero prefix: each pass skips the fibers that are
-    +0.0 throughout, which the full passes would turn into +0.0, so the bits
-    are the same.  A -0.0 counts as nonzero, and a grid with a radix that
-    pocketfft runs by Bluestein (89, 101, ...) keeps the full passes.
     """
     if sv.resolution == 0:
         return GridFunction(sv.generators, 0, sv.coeffs.copy())
-    values = _digit_passes(sv.coeffs, sv.generators, sv.resolution, inverse=True)
+    values = _digit_passes(sv.coeffs, sv.generators, sv.resolution, True, sv.size)
     values *= sv.size
     return GridFunction(sv.generators, sv.resolution, values)
+
+
+def _truncated_inverse(coeffs: np.ndarray, m: GeneratorSequence, resolution: int, stop: int) -> GridFunction:
+    """``inverse`` of spectra that the caller has set to +0.0 from column
+    ``stop`` on, such as partial sums: each pass skips the fibers that are
+    +0.0 throughout, which the full passes would turn into +0.0, so the bits
+    are the same.  Where the prefix does not pay, or a radix is one that
+    pocketfft runs by Bluestein (89, 101, ...), this is ``inverse`` itself."""
+    size = coeffs.shape[-1]
+    stop = _prefix_stop(stop, coeffs.size // size, m, resolution)
+    if stop == size:
+        return inverse(SpectralVector(m, resolution, coeffs))
+    values = _digit_passes(coeffs, m, resolution, True, stop)
+    values *= size
+    return GridFunction(m, resolution, values)
 
 
 def forward_naive(f: GridFunction, block: int = _NAIVE_BLOCK) -> SpectralVector:
@@ -707,11 +681,11 @@ def partial_sum(f: GridFunction | SpectralVector, n) -> GridFunction:
     for one f transforms it once and truncates that spectrum each time.
     ``n`` is one order or a 1-D sequence of orders.  For a sequence the
     result holds one row per order: the spectrum is repeated once, each row
-    truncated in place and all rows go through one batched ``inverse``, so
+    truncated in place and all rows go through one batched synthesis, so
     each row is bitwise the lone ``partial_sum(f, n)``, which is the same
-    code on one row.  That ``inverse`` reads the rows only up to the largest
-    order, where it pays (see ``_prefix_stop``).  A batch of functions is
-    refused.
+    code on one row.  The synthesis reads the rows only up to the largest
+    order, where that pays (see ``_truncated_inverse``).  A batch of
+    functions is refused.
     """
     _lone(f.coeffs if isinstance(f, SpectralVector) else f.values, "partial_sum")
     orders = _integers(n, "partial sum order", 0, f.size, ndim=1)
@@ -720,7 +694,7 @@ def partial_sum(f: GridFunction | SpectralVector, n) -> GridFunction:
     coeffs = np.repeat(sv.coeffs[None], rows.size, axis=0)
     for row, order in zip(coeffs, rows.tolist()):
         row[order:] = 0.0
-    sums = inverse(SpectralVector(f.generators, f.resolution, coeffs)).values
+    sums = _truncated_inverse(coeffs, f.generators, f.resolution, int(rows.max(initial=0))).values
     # S_0 f is the zero function: +0.0 on every cell, whatever sign of zero
     # the passes leave on a zero row.
     sums[rows == 0] = 0.0

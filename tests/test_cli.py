@@ -552,6 +552,14 @@ class TestInputErrors:
         "boundedness-p-overflow": (["scan", "--name", "boundedness", "--p", 1e-3, "--N", 6, "--trials", 1],
                                    "the block level M_|a_k|^(1/p-1)"),
         "divergence-p-overflow": (["scan", "--name", "divergence", "--p", 1e-3, "--N", 8], "the spread rate"),
+        "counterexample-phi-overflow": (["counterexample", "--N", 6, "--phi", "power:1e308"],
+                                        "the Phi power M_|n|^t = 2^1e+308 overflows"),
+        "divergence-phi-overflow": (["scan", "--name", "divergence", "--N", 6, "--phi", "power:400"],
+                                    "the Phi power M_|n|^t"),
+        # a negative N is refused by name, not through a range or flag derived from it
+        "supp-measure-N-negative": (["scan", "--name", "supp_measure", "--N", -1], "resolution must be nonnegative"),
+        "boundedness-N-negative": (["scan", "--name", "boundedness", "--N", -1], "resolution must be nonnegative"),
+        "atom-N-negative-rank-0": (["atom", "--N", -1, "--rank", 0], "resolution must be nonnegative"),
         # the pool's counterexample martingale has its first atom at M_1 + 1, so N >= 2
         "boundedness-N-1": (["scan", "--name", "boundedness", "--N", 1], "function pool needs N >= 2"),
         "weighted-series-N-0": (["scan", "--name", "weighted_series", "--N", 0], "function pool needs N >= 2"),

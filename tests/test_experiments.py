@@ -24,12 +24,12 @@ from vilenkin.experiments import (
 from vilenkin.martingale import build_counterexample, default_alphas, random_atom
 from vilenkin.norms import hardy_norm, modulus_hp, weak_lp
 from vilenkin.transform import (
+    _truncated_inverse,
     constant,
     dirichlet_average,
     dirichlet_closed,
     dirichlet_shells,
     forward,
-    inverse,
     partial_sum,
 )
 
@@ -171,15 +171,15 @@ class TestBatchedPool:
     def test_one_inverse_pass_and_norm_call_per_index(self, monkeypatch):
         passes, norm_calls = [], []
 
-        def counted_inverse(sv):
-            passes.append(sv.coeffs.shape)
-            return inverse(sv)
+        def counted_inverse(coeffs, m, resolution, stop):
+            passes.append(coeffs.shape)
+            return _truncated_inverse(coeffs, m, resolution, stop)
 
         def counted_norm(f, p):
             norm_calls.append(f.values.shape)
             return hardy_norm(f, p)
 
-        monkeypatch.setattr(experiments, "inverse", counted_inverse)
+        monkeypatch.setattr(experiments, "_truncated_inverse", counted_inverse)
         monkeypatch.setattr(experiments, "hardy_norm", counted_norm)
         result = boundedness_scan(0.5, "Mn_plus_Mn-1", WALSH, 7, trials=4, seed=3)
         indices = [pt["n"] for pt in result.points]

@@ -987,7 +987,7 @@ class TestRadix2Pass:
     @np.errstate(over="ignore", invalid="ignore")
     def test_bitwise_equal_to_pocketfft_length2(self, case, inverse):
         resolution, values = case
-        fast = transform._digit_passes(values, WALSH, resolution, inverse)
+        fast = transform._digit_passes(values, WALSH, resolution, inverse, 1 << resolution)
         expected = _pocketfft_radix2_passes(values, resolution, inverse)
         assert np.array_equal(fast.view(np.uint64), expected.view(np.uint64))
 
@@ -1065,31 +1065,22 @@ class TestPrefixSynthesis:
         pruned = 0
         for stop in stops:
             coeffs = _truncated(m, resolution, rows, stop, seed=stop)
-            cases = [coeffs]
-            if stop < size:  # a -0.0 in the tail is a live column
+            cases = [(coeffs, stop)]
+            if stop < size:  # a -0.0 in the tail: no stop is given, so the full passes read it
                 signed = coeffs.copy()
                 signed.reshape(-1, size)[rng.integers(signed.size // size), rng.integers(stop, size)] = -0.0
-                cases.append(signed)
-            for values in cases:
+                cases.append((signed, None))
+            for values, given_stop in cases:
                 want = np.stack([_fftn_reference(row, m, resolution, True) for row in values.reshape(-1, size)])
                 if view:
                     values = _column_view(values)
-                got = transform.inverse(SpectralVector(m, resolution, values)).values
+                if given_stop is None:
+                    got = transform.inverse(SpectralVector(m, resolution, values)).values
+                else:
+                    got = transform._truncated_inverse(values, m, resolution, given_stop).values
+                    pruned += transform._prefix_stop(given_stop, math.prod(rows), m, resolution) < size
                 assert np.array_equal(got.reshape(-1, size).view(np.uint64), want.view(np.uint64)), stop
-                pruned += transform._prefix_stop(values, m, resolution) < size
         assert (pruned > 0) == (89 not in m.pattern)
-
-    @pytest.mark.parametrize("rows", [(), (3,)], ids=["lone", "batch"])
-    def test_live_columns_is_one_past_the_last_nonzero_bit(self, rows):
-        rng = np.random.default_rng(len(rows))
-        last = [complex(1.5, 0.0), complex(-0.0, 0.0), complex(0.0, -0.0), 5e-324]
-        for stop in range(0, 301):
-            values = np.zeros((*rows, 300), np.complex128)
-            values[..., : max(0, stop - 1)] = rng.standard_normal((*rows, max(0, stop - 1)))
-            if stop:
-                values.reshape(-1, 300)[rng.integers(values.size // 300), stop - 1] = last[stop % len(last)]
-            assert transform._live_columns(values) == stop
-            assert transform._live_columns(_column_view(values)) == stop
 
     def test_zero_tail_is_not_transformed(self, monkeypatch):
         m, resolution, orders = TRIADIC, 8, [100, 50, 7, 1]
@@ -1109,6 +1100,38 @@ class TestPrefixSynthesis:
             truncated = spectrum.coeffs.copy()
             truncated[n:] = 0.0
             assert np.array_equal(row.view(np.uint64), _fftn_reference(truncated, m, resolution, True).view(np.uint64))
+
+    def test_boundedness_pool_reads_only_its_prefix(self, monkeypatch):
+        m, resolution = TRIADIC, 8
+        size = m.size(resolution)
+
+        def scan():
+            points, norms = [], []
+
+            def counted_ifft(a, *args, _ifft=np.fft.ifft, **kwargs):
+                points.append(np.size(a))
+                return _ifft(a, *args, **kwargs)
+
+            def recorded_norm(f, p, _norm=experiments.hardy_norm):
+                norms.append(_norm(f, p))
+                return norms[-1]
+
+            with monkeypatch.context() as patch:
+                patch.setattr(np.fft, "ifft", counted_ifft)
+                patch.setattr(experiments, "hardy_norm", recorded_norm)
+                result = experiments.boundedness_scan(0.5, "Mn_plus_Mn-1", m, resolution, trials=4, seed=3)
+            return result, sum(points), np.concatenate(norms)
+
+        result, read, norms = scan()
+        orders = [pt["n"] for pt in result.points]
+        rows = norms.size // (len(orders) + 1)  # the denominators, then one norm per row and index
+        # about N n + 2 M_N values per row and index, where the full passes take N M_N
+        assert read <= rows * sum(resolution * n + 2 * size for n in orders) < rows * len(orders) * resolution * size
+        monkeypatch.setattr(transform, "_PASS_VALUES", 1 << 60)  # no prefix pays: the full passes
+        full, read_full, norms_full = scan()
+        assert read_full == rows * len(orders) * resolution * size
+        assert np.array_equal(norms.view(np.uint64), norms_full.view(np.uint64))
+        assert result.to_json() == full.to_json()
 
 
 def _assert_rows_bit_identical(m, resolution, limit, weights, block):
