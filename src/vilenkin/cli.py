@@ -230,8 +230,8 @@ def _cmd_atom(args) -> int:
 
 def _cmd_counterexample(args) -> int:
     m, resolution = _grid(args)
-    alphas = _parse_list(args.alphas, int) or default_alphas(m, resolution)
-    lambdas = _parse_list(args.lambdas, float)
+    alphas = _parse_list(args.alphas, int, "--alphas") or default_alphas(m, resolution)
+    lambdas = _parse_list(args.lambdas, float, "--lambdas")
     phi = _parse_phi(args.phi)
     spec = build_counterexample(
         m, args.p, alphas, rule=args.rule, phi=phi, lambdas=lambdas, resolution=resolution
@@ -252,8 +252,16 @@ def _cmd_counterexample(args) -> int:
     return 0
 
 
-def _parse_list(text: str | None, cast) -> list | None:
-    return [cast(tok) for tok in text.split(",")] if text else None
+def _parse_token(text: str, cast, flag: str):
+    """``cast(text)``, refused with the flag and the token named."""
+    try:
+        return cast(text)
+    except ValueError:
+        raise ValueError(f"{flag}: {text!r} is not {'an integer' if cast is int else 'a number'}") from None
+
+
+def _parse_list(text: str | None, cast, flag: str) -> list | None:
+    return [_parse_token(tok, cast, flag) for tok in text.split(",")] if text else None
 
 
 def _parse_phi(text: str | None):
@@ -261,11 +269,11 @@ def _parse_phi(text: str | None):
         return None
     tag, _, value = text.partition(":")
     if tag == "constant":
-        return ("constant", float(value or 1.0))
+        return ("constant", _parse_token(value, float, "--phi") if value else 1.0)
     if tag == "log":
         return ("log",)
     if tag == "power":
-        return ("power", float(value or 0.5))
+        return ("power", _parse_token(value, float, "--phi") if value else 0.5)
     raise ValueError(f"unknown phi form {text!r} (use constant:<c>, log, power:<t>)")
 
 
@@ -288,8 +296,8 @@ def _cmd_scan(args) -> int:
         vars(args),
         m=m,
         variant=args.variant or SCAN_VARIANTS.get(args.name),
-        alphas=_parse_list(args.alphas, int),
-        lambdas=_parse_list(args.lambdas, float),
+        alphas=_parse_list(args.alphas, int, "--alphas"),
+        lambdas=_parse_list(args.lambdas, float, "--lambdas"),
         phi=_parse_phi(args.phi),
     )
     result = SCAN_REGISTRY[args.name](**{key: flags[SCAN_FLAGS.get(key, key)] for key in params})

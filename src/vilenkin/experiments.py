@@ -430,8 +430,8 @@ def boundedness_scan(
         spectra[run] = forward(GridFunction(m, resolution, spectra[run])).coeffs
     # Largest n first: truncating the stacked spectra in place keeps every
     # coefficient a smaller n still needs, so no second buffer is held, and
-    # only the columns from n up to the last n need zeroing; the inverse
-    # passes then read each spectrum only up to n, where that pays.
+    # only the columns from n up to the last n need zeroing; the synthesis
+    # then reads each spectrum only up to the least M_r >= n.
     ratios = {}
     top = size
     for n in sorted(indices, reverse=True):
@@ -747,7 +747,10 @@ def dirichlet_floor_scan(
     phrasing is not empirically true (and fails outright once a radix
     reaches 4: a middle digit can zero the geometric factor)."""
     size = _checked_size(m, resolution, SCAN_SIZE_CAP)
-    limit = _scan_limit(n_limit, size, size, "floor scan")
+    # Its first order with |n| > <n> is M_1 + 1: no smaller N or limit has one to check.
+    if resolution < 2:
+        raise ValueError(f"the floor scan needs N >= 2 for its first order, M_1 + 1, not N = {resolution}")
+    limit = size if n_limit is None else int(_integers(n_limit, "floor scan limit", m.radix(0) + 1, size))
     ns = np.arange(1, limit + 1, dtype=np.int64)
     stats = index_stats(ns, m, resolution)
     keep = stats.top != stats.bottom
@@ -772,7 +775,7 @@ def dirichlet_floor_scan(
         ),
         constants={
             "violations": violations,
-            "min_floor_ratio": min(trace) if trace else math.inf,
+            "min_floor_ratio": min(trace),
             "closed_form_max_err": _closed_form_residual(m, resolution, limit),
         },
         trace=trace,

@@ -13,10 +13,9 @@ from one cached table so repeated runs are bit-identical.
 
 from __future__ import annotations
 
+import bisect
 import io
-import itertools
 import math
-import operator
 import struct
 import warnings
 from dataclasses import dataclass
@@ -235,65 +234,7 @@ def character_values(m: GeneratorSequence, n: int, resolution: int) -> np.ndarra
     return character_block(m, resolution, [_integers(n, "character index", 0, m.size(resolution) - 1)])[0]
 
 
-# A digit pass costs a few numpy calls whatever its size, about the time it
-# takes to write this many values (see _prefix_stop).
-_PASS_VALUES = 1 << 12
-
-
-@lru_cache(maxsize=64)
-def _zero_fibers_stay_zero(radix: int) -> bool:
-    """Whether ``np.fft.ifft`` turns a fiber of +0.0 into +0.0 bits at this
-    radix.  pocketfft's Bluestein lengths (89, 101, 103, ...) leave some
-    -0.0, so a grid with one of them keeps its full inverse passes."""
-    return not np.fft.ifft(np.zeros(radix, np.complex128)).view(np.int64).any()
-
-
-def _prefix_stop(stop: int, rows: int, m: GeneratorSequence, resolution: int) -> int:
-    """How far the inverse passes read ``rows`` spectra that are +0.0 from
-    column ``stop`` on: ``stop``, or M_N when that would not pay.  A pass
-    over the prefix writes fewer values than the M_N of a full pass, but a
-    radix-2 pass writes them through strided or transposed views at about
-    twice the cost per value, while a pocketfft pass costs about four times a
-    radix-2 value either way.  In those units the prefix is taken when it
-    saves ``_PASS_VALUES`` per pass."""
-    size, stop = m.size(resolution), max(1, stop)
-    radices = m.radices(resolution)
-    if stop >= size or not all(mk == 2 or _zero_fibers_stay_zero(mk) for mk in radices):
-        return size
-    saved = sum(
-        size - 2 * p.radix * p.low * p.pad if p.radix == 2 else 4 * (size - p.radix * p.low * p.pad)
-        for p in _passes(radices, stop)
-    )
-    return stop if rows * saved >= resolution * _PASS_VALUES else size
-
-
-class _Pass(NamedTuple):
-    radix: int  # m_k
-    low: int  # M_k
-    width: int  # columns of the layout read
-    live: int  # live columns written, ceil(stop / M_{k+1})
-    pad: int  # columns of the layout written: the width of the next pass (1 after the last)
-    flipped: bool  # written as (pad, m_k, M_k) rather than (m_k, M_k, pad)
-
-
-@lru_cache(maxsize=256)
-def _passes(radices: tuple[int, ...], stop: int) -> tuple[_Pass, ...]:
-    """The digit passes of ``_digit_passes`` over a spectrum live below
-    ``stop``.  Pass k reads live[k] columns, padded with +0.0 to a whole
-    number m_k live[k+1] of them for pocketfft; a radix-2 pass reads its
-    last half fiber as it is and adds and subtracts +0.0 for the other half.
-    The first pass reads the input, whose zero columns are there already."""
-    bases = list(itertools.accumulate(radices, operator.mul, initial=1))
-    live = [-(-stop // base) for base in bases]
-    width = [q if mk == 2 else mk * nxt for mk, q, nxt in zip(radices, live, live[1:])] + [1]
-    width[0] = radices[0] * live[1]
-    return tuple(
-        _Pass(mk, bases[k], width[k], live[k + 1], width[k + 1], stop < bases[-1] and bases[k + 1] > live[k + 1])
-        for k, mk in enumerate(radices)
-    )
-
-
-def _digit_passes(values: np.ndarray, m: GeneratorSequence, resolution: int, inverse: bool, stop: int) -> np.ndarray:
+def _digit_passes(values: np.ndarray, m: GeneratorSequence, resolution: int, inverse: bool) -> np.ndarray:
     # Before pass k each row is (M_k, Q) in C order: digits 0..k-1 done, then
     # the untransformed q = n // M_k.  Pass k transforms digit k, the last
     # axis of (M_k, Q / m_k, m_k), into a transposed view (m_k, M_k, Q / m_k)
@@ -304,60 +245,24 @@ def _digit_passes(values: np.ndarray, m: GeneratorSequence, resolution: int, inv
     # numpy: a+b, a-b, and on the inverse a real 0.5 on each float64
     # component, as its ifft scales (a complex multiply would move the sign
     # of zeros and turn inf into nan).
-    #
-    # A spectrum that the caller has set to +0.0 from column ``stop`` on is live
-    # before pass k only at q < live[k] = ceil(stop / M_k): every fiber above
-    # is +0.0, which the full passes keep +0.0.  So pass k reads only the
-    # prefix (M_k, width) and writes the live[k+1] columns of the next one
-    # (see _passes for the padding).  Once M_{k+1} outgrows live[k+1] the
-    # prefix is written transposed, (pad, M_{k+1}), so each add, subtract or
-    # pad runs along M_{k+1} and not along a few columns; the last layout,
-    # (M_N, 1), is the same either way.  A full spectrum is the prefix
-    # stop = M_N: no padding, nothing transposed.
     *lead, size = values.shape
-    rows = math.prod(lead)
-    plan = _passes(m.radices(resolution), stop)
-    axes, n = tuple(range(len(lead))), len(lead)
-    bufs = (np.empty(rows * size, np.complex128), np.empty(rows * size, np.complex128))
-    x, x_flipped = values, False
-    for k, (mk, low, width, q, pad, flipped) in enumerate(plan):
-        out = bufs[k % 2][: rows * mk * low * pad]
-        whole = width // mk  # whole fibers; a radix-2 prefix may end in half of one
-        if not flipped and pad == q == whole:  # the fibers on one axis, as on the full grid
-            cols = x[..., : low * width].reshape(*lead, low * q, mk)
-            dest = out.reshape(*lead, mk, low * q).swapaxes(-1, -2)
-        else:  # cols and dest: the whole fibers of x, (..., M_k, whole, m_k), and where they go
-            if x_flipped:
-                src = x.reshape(*lead, width, low)
-                cols = src[..., : whole * mk, :].reshape(*lead, whole, mk, low).transpose(*axes, n + 2, n, n + 1)
-                half = src[..., -1, :]
-            else:
-                src = x[..., : low * width].reshape(*lead, low, width)
-                cols = src[..., : whole * mk].reshape(*lead, low, whole, mk)
-                half = src[..., -1]
-            if flipped:  # (pad, m_k, M_k)
-                grid = out.reshape(*lead, pad, mk, low)
-                grid[..., q:, :, :] = 0.0
-                written = grid[..., :q, :, :].transpose(*axes, n + 2, n, n + 1)
-            else:  # (m_k, M_k, pad)
-                grid = out.reshape(*lead, mk, low, pad)
-                grid[..., q:] = 0.0
-                written = grid[..., :q].transpose(*axes, n + 1, n + 2, n)
-            dest, rest = written[..., :whole, :], written[..., whole:, :]
+    bufs = (np.empty(values.shape, np.complex128), np.empty(values.shape, np.complex128))
+    x = values
+    for k, mk in enumerate(m.radices(resolution)):
+        out = bufs[k % 2]
+        cols = x.reshape(*lead, size // mk, mk)
+        dest = out.reshape(*lead, mk, size // mk).swapaxes(-1, -2)
         if mk == 2:
             a, b = cols[..., 0], cols[..., 1]
             np.add(a, b, out=dest[..., 0])
             np.subtract(a, b, out=dest[..., 1])
-            if whole < q:  # the half fiber (a, +0.0)
-                np.add(half, 0.0, out=rest[..., 0, 0])
-                np.subtract(half, 0.0, out=rest[..., 0, 1])
             if inverse:
                 halves = out.view(np.float64)
                 np.multiply(halves, 0.5, out=halves)
         else:
             (np.fft.ifft if inverse else np.fft.fft)(cols, out=dest)
-        x, x_flipped = out.reshape(*lead, mk * low * pad), flipped
-    return x.reshape(*lead, size)
+        x = out
+    return x
 
 
 def forward(f: GridFunction) -> SpectralVector:
@@ -375,7 +280,7 @@ def forward(f: GridFunction) -> SpectralVector:
     """
     if f.resolution == 0:
         return SpectralVector(f.generators, 0, f.values.copy())
-    coeffs = _digit_passes(f.values, f.generators, f.resolution, False, f.size)
+    coeffs = _digit_passes(f.values, f.generators, f.resolution, False)
     coeffs /= f.size
     return SpectralVector(f.generators, f.resolution, coeffs)
 
@@ -387,24 +292,54 @@ def inverse(sv: SpectralVector) -> GridFunction:
     """
     if sv.resolution == 0:
         return GridFunction(sv.generators, 0, sv.coeffs.copy())
-    values = _digit_passes(sv.coeffs, sv.generators, sv.resolution, True, sv.size)
+    values = _digit_passes(sv.coeffs, sv.generators, sv.resolution, True)
     values *= sv.size
     return GridFunction(sv.generators, sv.resolution, values)
 
 
+@lru_cache(maxsize=64)
+def _delta_is_exact(radix: int) -> bool:
+    """Whether ``np.fft.ifft`` returns a delta fiber (v, 0, ..., 0) as v
+    times ``1.0 / radix`` on each float64 component, probed on a
+    full-mantissa v.  pocketfft's Bluestein lengths (89, 101, ...) do not."""
+    fiber = np.zeros(radix, np.complex128)
+    fiber[0] = complex(math.pi, -math.e)
+    want = np.full(radix, fiber[0]).view(np.float64) * (1.0 / radix)
+    return np.array_equal(np.fft.ifft(fiber).view(np.float64), want)
+
+
+@lru_cache(maxsize=1024)
+def _coarse_rank(m: GeneratorSequence, resolution: int, stop: int) -> int:
+    """The least rank r with M_r >= ``stop``, raised past the last radix
+    whose delta fiber pocketfft does not return exactly."""
+    rank = bisect.bisect_left(m.scaled_bases(resolution), stop)
+    return max([rank] + [k + 1 for k in range(rank, resolution) if not _delta_is_exact(m.radix(k))])
+
+
 def _truncated_inverse(coeffs: np.ndarray, m: GeneratorSequence, resolution: int, stop: int) -> GridFunction:
-    """``inverse`` of spectra that the caller has set to +0.0 from column
-    ``stop`` on, such as partial sums: each pass skips the fibers that are
-    +0.0 throughout, which the full passes would turn into +0.0, so the bits
-    are the same.  Where the prefix does not pay, or a radix is one that
-    pocketfft runs by Bluestein (89, 101, ...), this is ``inverse`` itself."""
-    size = coeffs.shape[-1]
-    stop = _prefix_stop(stop, coeffs.size // size, m, resolution)
-    if stop == size:
+    """``inverse`` of spectra that are 0 from column ``stop`` on, such as
+    partial sums, synthesized on the coarse grid of rank r = ``_coarse_rank``.
+
+    Every psi_n with n < M_r depends on the first r digits alone, so past
+    pass r - 1 the full passes see, in each fiber, one value v and zeros.
+    Each such pass returns v times its scale, 1.0 / m_k on each float64
+    component (0.5 for radix 2), and turns the all-zero fibers into zeros.
+    So the r passes over the first M_r columns, then those scales in pass
+    order and the factor M_N, give every value of the full passes, repeated
+    M_N / M_r times; only the sign of an exact zero may differ.  At r = N
+    this is ``inverse`` itself.  ``coeffs`` needs only its first M_r columns.
+    """
+    rank = _coarse_rank(m, resolution, stop)
+    if rank == resolution:
         return inverse(SpectralVector(m, resolution, coeffs))
-    values = _digit_passes(coeffs, m, resolution, True, stop)
+    low, size = m.base(rank), m.size(resolution)
+    # a copy: at rank 0 the passes hand back the columns of coeffs itself
+    parts = _digit_passes(coeffs[..., :low], m, rank, True).view(np.float64).copy()
+    for mk in m.radices(resolution)[rank:]:
+        parts *= 1.0 / mk
+    values = parts.view(np.complex128)
     values *= size
-    return GridFunction(m, resolution, values)
+    return GridFunction(m, resolution, _widen(values.reshape(-1, low), size).reshape(*coeffs.shape[:-1], size))
 
 
 def forward_naive(f: GridFunction, block: int = _NAIVE_BLOCK) -> SpectralVector:
@@ -680,25 +615,30 @@ def partial_sum(f: GridFunction | SpectralVector, n) -> GridFunction:
     ``f`` is the function or its spectrum ``forward(f)``; a sweep over many n
     for one f transforms it once and truncates that spectrum each time.
     ``n`` is one order or a 1-D sequence of orders.  For a sequence the
-    result holds one row per order: the spectrum is repeated once, each row
-    truncated in place and all rows go through one batched synthesis, so
-    each row is bitwise the lone ``partial_sum(f, n)``, which is the same
-    code on one row.  The synthesis reads the rows only up to the largest
-    order, where that pays (see ``_truncated_inverse``).  A batch of
-    functions is refused.
+    result holds one row per order.  The rows go in one batched synthesis
+    per coarse rank r among the orders (see ``_truncated_inverse``), each
+    row the first M_r coefficients repeated and truncated in place, so each
+    row is bitwise the lone ``partial_sum(f, n)``, which is the same code on
+    one row.  A batch of functions is refused.
     """
     _lone(f.coeffs if isinstance(f, SpectralVector) else f.values, "partial_sum")
+    m, resolution = f.generators, f.resolution
     orders = _integers(n, "partial sum order", 0, f.size, ndim=1)
     rows = orders.reshape(-1)
     sv = f if isinstance(f, SpectralVector) else forward(f)
-    coeffs = np.repeat(sv.coeffs[None], rows.size, axis=0)
-    for row, order in zip(coeffs, rows.tolist()):
-        row[order:] = 0.0
-    sums = _truncated_inverse(coeffs, f.generators, f.resolution, int(rows.max(initial=0))).values
+    groups: dict[int, list[int]] = {}
+    for i, order in enumerate(rows.tolist()):
+        groups.setdefault(_coarse_rank(m, resolution, order), []).append(i)
+    sums = np.empty((rows.size, f.size), np.complex128)
+    for rank, group in groups.items():
+        coeffs = np.repeat(sv.coeffs[None, : m.base(rank)], len(group), axis=0)
+        for row, order in zip(coeffs, rows[group].tolist()):
+            row[order:] = 0.0
+        sums[group] = _truncated_inverse(coeffs, m, resolution, int(rows[group].max())).values
     # S_0 f is the zero function: +0.0 on every cell, whatever sign of zero
     # the passes leave on a zero row.
     sums[rows == 0] = 0.0
-    return GridFunction(f.generators, f.resolution, sums.reshape(orders.shape + (f.size,)))
+    return GridFunction(m, resolution, sums.reshape(orders.shape + (f.size,)))
 
 
 def partial_sum_convolution(f: GridFunction, n: int) -> GridFunction:

@@ -579,6 +579,20 @@ class TestInputErrors:
         "modulus-N-1": (["scan", "--name", "modulus_convergence", "--N", 1], "the modulus scan needs N >= 2"),
         "modulus-N-1-Mn-plus-1": (["scan", "--name", "modulus_convergence", "--N", 1, "--variant", "Mn_plus_1"],
                                   "the modulus scan needs N >= 2"),
+        # a floor scan with no order |n| > <n> to check: its first is M_1 + 1
+        "floor-N-0": (["scan", "--name", "dirichlet_floor", "--m", "2^", "--N", 0],
+                      "the floor scan needs N >= 2 for its first order, M_1 + 1, not N = 0"),
+        "floor-N-1": (["scan", "--name", "dirichlet_floor", "--m", "2^", "--N", 1],
+                      "the floor scan needs N >= 2 for its first order, M_1 + 1, not N = 1"),
+        "floor-limit-1": (["scan", "--name", "dirichlet_floor", "--m", "2^", "--N", 3, "--limit", 1],
+                          "floor scan limit 1 is not an integer in 3..8"),
+        # a token that does not parse is named with its flag
+        "counterexample-alphas-token": (["counterexample", "--N", 6, "--alphas", "3,x"], "--alphas: 'x' is not an integer"),
+        "counterexample-lambdas-token": (["counterexample", "--N", 6, "--alphas", "3,5", "--rule", "explicit",
+                                          "--lambdas", "1,y"], "--lambdas: 'y' is not a number"),
+        "counterexample-phi-token": (["counterexample", "--N", 6, "--phi", "power:abc"], "--phi: 'abc' is not a number"),
+        "divergence-phi-token": (["scan", "--name", "divergence", "--N", 8, "--phi", "constant:1,5"],
+                                 "--phi: '1,5' is not a number"),
         # grids past a size cap, refused before any array of the grid exists
         "atom-N-46": (["atom", "--N", 46], f"M_N = {2**46} exceeds the size cap {2**20}"),
         "counterexample-N-46": (["counterexample", "--N", 46], f"M_N = {2**46} exceeds the size cap {2**20}"),

@@ -110,7 +110,7 @@ INTEGERS = [
     # scans
     Int(experiments.supp_measure_scan, "n_limit", lambda v: experiments.supp_measure_scan(WALSH, 3, v), 1, 8, ONE),
     Int(experiments.dirichlet_floor_scan, "n_limit", lambda v: experiments.dirichlet_floor_scan(WALSH, 3, v),
-        1, 8, ONE),
+        3, 8, ONE),
     Int(experiments.kernel_average_scan, "support_rank", lambda v: experiments.kernel_average_scan(WALSH, 3, v),
         0, 3, ONE),
     Int(experiments.kernel_average_scan, "n_limit", lambda v: experiments.kernel_average_scan(WALSH, 3, 1, v),

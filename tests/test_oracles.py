@@ -987,7 +987,7 @@ class TestRadix2Pass:
     @np.errstate(over="ignore", invalid="ignore")
     def test_bitwise_equal_to_pocketfft_length2(self, case, inverse):
         resolution, values = case
-        fast = transform._digit_passes(values, WALSH, resolution, inverse, 1 << resolution)
+        fast = transform._digit_passes(values, WALSH, resolution, inverse)
         expected = _pocketfft_radix2_passes(values, resolution, inverse)
         assert np.array_equal(fast.view(np.uint64), expected.view(np.uint64))
 
@@ -1049,28 +1049,34 @@ def _grid_id(v):
 
 
 class TestPrefixSynthesis:
-    # 89 is a Bluestein length of pocketfft: its zero fibers come out with
-    # -0.0 entries, so that grid must take the full passes.
-    GRIDS = [(WALSH, 12), (TRIADIC, 7), (ALTERNATING, 9), (MIXED_CYCLE, 8), (GeneratorSequence.parse("89,2"), 7)]
+    """``_truncated_inverse`` reads the first M_r columns of a spectrum that
+    is 0 from ``stop`` on and synthesizes it on the rank-r grid."""
+
+    # 89 is a Bluestein length of pocketfft: its delta fibers do not come out
+    # exact, so the coarse rank is raised past it.  On `3,5^` the order of
+    # the scales 1/3 and 1/5 shows in the bits.
+    GRIDS = [(WALSH, 12), (TRIADIC, 7), (ALTERNATING, 9), (MIXED_CYCLE, 8), (GeneratorSequence.parse("89,2"), 7),
+             (GeneratorSequence.parse("3,5^"), 5)]
 
     @pytest.mark.parametrize("m, resolution", GRIDS, ids=_grid_id)
     @pytest.mark.parametrize("rows", [(), (3,)], ids=["lone", "batch"])
     @pytest.mark.parametrize("view", [False, True], ids=["c-order", "column-view"])
-    def test_truncated_spectrum_is_bitwise_fftn(self, monkeypatch, m, resolution, rows, view):
-        # With no per-pass minimum the prefix passes run on these small grids too.
-        monkeypatch.setattr(transform, "_PASS_VALUES", 1)
+    def test_truncated_spectrum_is_fftn_up_to_signed_zeros(self, m, resolution, rows, view):
+        # The coarse path repeats values where pocketfft would set the sign
+        # of each exact zero itself, so only that sign may differ; plain
+        # normals below the stop keep every bit.
         size = m.size(resolution)
-        stops = sorted({0, 1, size} | {b + d for b in m.scaled_bases(resolution)[1:-1] for d in (-1, 0, 1)})
         rng = np.random.default_rng(size)
-        pruned = 0
-        for stop in stops:
+        for stop in sorted({0, 1, size} | {b + d for b in m.scaled_bases(resolution)[1:-1] for d in (-1, 0, 1)}):
             coeffs = _truncated(m, resolution, rows, stop, seed=stop)
-            cases = [(coeffs, stop)]
+            plain = random_values(rng, coeffs.shape)
+            plain[..., stop:] = 0.0
+            cases = [(coeffs, stop, False), (plain, stop, stop > 0)]
             if stop < size:  # a -0.0 in the tail: no stop is given, so the full passes read it
                 signed = coeffs.copy()
                 signed.reshape(-1, size)[rng.integers(signed.size // size), rng.integers(stop, size)] = -0.0
-                cases.append((signed, None))
-            for values, given_stop in cases:
+                cases.append((signed, None, True))
+            for values, given_stop, bitwise in cases:
                 want = np.stack([_fftn_reference(row, m, resolution, True) for row in values.reshape(-1, size)])
                 if view:
                     values = _column_view(values)
@@ -1078,9 +1084,18 @@ class TestPrefixSynthesis:
                     got = transform.inverse(SpectralVector(m, resolution, values)).values
                 else:
                     got = transform._truncated_inverse(values, m, resolution, given_stop).values
-                    pruned += transform._prefix_stop(given_stop, math.prod(rows), m, resolution) < size
-                assert np.array_equal(got.reshape(-1, size).view(np.uint64), want.view(np.uint64)), stop
-        assert (pruned > 0) == (89 not in m.pattern)
+                got = got.reshape(-1, size)
+                assert np.array_equal(got, want), stop
+                differ = bits(got) != bits(want)
+                assert not (differ.any() if bitwise else got.view(np.float64)[differ].any()), stop
+
+    def test_rank_is_raised_past_a_bluestein_radix(self):
+        assert not transform._delta_is_exact(89)
+        assert all(transform._delta_is_exact(mk) for mk in (2, 3, 4, 5, 7, 11))
+        low, high = GeneratorSequence.parse("89,2"), GeneratorSequence.parse("2,89")
+        assert [transform._coarse_rank(WALSH, 7, stop) for stop in (0, 1, 2, 3, 64, 65, 128)] == [0, 0, 1, 2, 6, 7, 7]
+        assert [transform._coarse_rank(low, 7, stop) for stop in (0, 1, 89, 90, 179)] == [1, 1, 1, 2, 3]
+        assert [transform._coarse_rank(high, 4, stop) for stop in (0, 1, 2, 3)] == [4, 4, 4, 4]
 
     def test_zero_tail_is_not_transformed(self, monkeypatch):
         m, resolution, orders = TRIADIC, 8, [100, 50, 7, 1]
@@ -1094,8 +1109,9 @@ class TestPrefixSynthesis:
 
         monkeypatch.setattr(np.fft, "ifft", counted)
         sums = transform.partial_sum(spectrum, orders).values
-        # about N stop + 2 M_N values per row, where the full passes take N M_N
-        assert sum(points) <= len(orders) * (resolution * max(orders) + 2 * size)
+        # r passes of M_r values per row, where the full passes take N M_N
+        ranks = [transform._coarse_rank(m, resolution, n) for n in orders]
+        assert sum(points) <= sum(r * m.base(r) for r in ranks) < len(orders) * resolution * size
         for row, n in zip(sums, orders):
             truncated = spectrum.coeffs.copy()
             truncated[n:] = 0.0
@@ -1125,9 +1141,14 @@ class TestPrefixSynthesis:
         result, read, norms = scan()
         orders = [pt["n"] for pt in result.points]
         rows = norms.size // (len(orders) + 1)  # the denominators, then one norm per row and index
-        # about N n + 2 M_N values per row and index, where the full passes take N M_N
-        assert read <= rows * sum(resolution * n + 2 * size for n in orders) < rows * len(orders) * resolution * size
-        monkeypatch.setattr(transform, "_PASS_VALUES", 1 << 60)  # no prefix pays: the full passes
+        ranks = [transform._coarse_rank(m, resolution, n) for n in orders]
+        # r passes of M_r values per row and index, where the full passes take N M_N
+        assert read <= rows * sum(r * m.base(r) for r in ranks) < rows * len(orders) * resolution * size
+
+        def full_passes(coeffs, m, resolution, stop):
+            return transform.inverse(SpectralVector(m, resolution, coeffs))
+
+        monkeypatch.setattr(experiments, "_truncated_inverse", full_passes)
         full, read_full, norms_full = scan()
         assert read_full == rows * len(orders) * resolution * size
         assert np.array_equal(norms.view(np.uint64), norms_full.view(np.uint64))
