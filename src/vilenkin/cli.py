@@ -209,13 +209,14 @@ def _default_rank(args, default: int, least: int, resolution: int) -> int:
 
 
 def _cmd_atom(args) -> int:
-    m, resolution = _grid(args)
     if args.validate:
+        # the grid is the file's; --m and --N are not read
         f = _read_function(Path(args.validate), read_grid_csv, read_grid_binary)
         # a coset of rank R <= N
         atom = validate_atom(f, args.p, _default_rank(args, 2, 2, f.resolution), args.base)
         print(f"valid p-atom: support rank {atom.support_rank}, p = {atom.p}")
         return 0
+    m, resolution = _grid(args)
     rng = np.random.default_rng(args.seed)
     # a support coset of rank R < N
     atom = random_atom(m, args.p, _default_rank(args, 2, 3, resolution), resolution, rng, base_index=args.base)
@@ -497,7 +498,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     s.add_argument("--seed", type=int, default=DEFAULT_SEED)  # only atom and scan draw random numbers
     s.add_argument("--rank", type=int, default=None, help="support coset rank (default 2)")
     s.add_argument("--base", type=int, default=0, help="support coset base index")
-    s.add_argument("--validate", default=None, help="grid file to validate instead of generating")
+    s.add_argument("--validate", default=None, help="grid file to validate instead of generating; the grid is read from the file, so --m and --N are ignored")
     s.set_defaults(func=_cmd_atom)
 
     s = commands["counterexample"] = subs.add_parser(

@@ -27,11 +27,12 @@ from .martingale import (
     random_atom,
     spread_rate,
 )
-from .norms import SUPPORT_THRESHOLD, hardy_norm, running_maxima, weak_lp
+from .norms import SUPPORT_THRESHOLD, _coarse_hardy, hardy_norm, running_maxima, weak_lp
 from .transform import (
     _BATCH_POINTS,
     GridFunction,
-    _truncated_inverse,
+    _coarse_partial_sums,
+    _coarse_synthesis,
     coarse_sums,
     cumulative_rows,
     dirichlet_average,
@@ -309,13 +310,18 @@ def divergence_scan(
     trace = []
     cross_err = 0.0
     spectrum = forward(spec.realized)
-    # per run of rows: the spectral and the closed partial sums, their gaps
-    # and the weak norms of the spectral ones
+    # per run of rows: the spectral partial sums on the coarse grid of rank
+    # r, the closed ones on the rank-N grid, their gaps and the weak norms of
+    # the spectral ones.  Each gap is over the closed row against the coarse
+    # row repeated, and weak_lp of a coarse row is that of the row repeated:
+    # its levels are the same and each count ratio (T c) / (T s) rounds as c / s.
     errs, weak = [], []
     for run in _row_runs(len(spec.alphas), spectrum.size):
-        s_fast = partial_sum(spectrum, spec.alphas[run])
-        errs += np.abs(s_fast.values - closed_partial_sum(spec, spec.alphas[run]).values).max(axis=1).tolist()
-        weak += [weak_lp(GridFunction(m, resolution, row), p) for row in s_fast.values]
+        s_fast = _coarse_partial_sums(spectrum, np.asarray(spec.alphas[run], dtype=np.int64))
+        block = s_fast.values
+        closed = closed_partial_sum(spec, spec.alphas[run]).values.reshape(len(block), -1, block.shape[-1])
+        errs += np.abs(block[:, None, :] - closed).max(axis=(1, 2)).tolist()
+        weak += [weak_lp(GridFunction(m, s_fast.resolution, row), p) for row in block]
     for k, (idx, err, weak_k) in enumerate(zip(spec.indices, errs, weak)):
         cross_err = max(cross_err, err)
         phi_k = phi_value(phi, idx)
@@ -416,11 +422,15 @@ def boundedness_scan(
     indices = _bounded_indices(variant, m, resolution)
     # The pool is one (F, M_N) batch, taken in runs of rows (see _row_runs):
     # one H_p norm per row and one forward pass per run, done in place, then
-    # for each n one inverse pass and one norm call per run.  A function of
-    # norm 0 gives no ratio; the martingale is the pool's last row.
+    # for each n one coarse synthesis and one norm call per run, S_n f kept
+    # on its rank-r grid.  A function of norm 0 gives no ratio; the
+    # martingale is the pool's last row.
     spectra = np.stack([f.values for _, f in _function_pool(p, m, resolution, trials, seed)])
     size = spectra.shape[-1]
-    denoms = [hardy_norm(GridFunction(m, resolution, spectra[run]), p) for run in _row_runs(len(spectra), size)]
+    denoms = [
+        _coarse_hardy(GridFunction(m, resolution, spectra[run]), resolution, p)
+        for run in _row_runs(len(spectra), size)
+    ]
     denoms = np.concatenate(denoms)
     live = denoms != 0
     if not live.all():
@@ -437,7 +447,7 @@ def boundedness_scan(
     for n in sorted(indices, reverse=True):
         spectra[:, n:top] = 0.0
         top = n
-        norms = [hardy_norm(_truncated_inverse(spectra[run], m, resolution, n), p) for run in runs]
+        norms = [_coarse_hardy(_coarse_synthesis(spectra[run], m, resolution, n), resolution, p) for run in runs]
         ratios[n] = np.concatenate(norms) / denoms
 
     max_ratio = 0.0

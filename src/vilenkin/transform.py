@@ -106,6 +106,13 @@ class GridFunction:
     ``partial_sum_convolution``, ``forward_naive``, ``inverse_naive``, the
     writers, ``weak_lp``, ``restricted_maximal`` and ``validate_atom``.  The
     table in ``tests/test_contract.py`` lists both kinds.
+
+    A function at resolution r <= N is also a function on the rank-N grid,
+    its values repeated M_N / M_r times.  Partial sums take that form inside
+    the package: ``partial_sum`` makes one synthesis per call on the rank-r
+    grid of its largest order, every exact zero +0.0, and widens it to M_N
+    only when it returns; the boundedness scan norms S_n f on that grid, its
+    martingale levels from rank r up kept on M_r lanes (``transform._levels``).
     """
 
     generators: GeneratorSequence
@@ -191,10 +198,10 @@ def character(n: VIndex, x: GroupPoint) -> complex:
 
 
 def _widen(rows: np.ndarray, period: int) -> np.ndarray:
-    """(K, p) rows repeated along their last axis to (K, period), p dividing period;
-    the rows themselves when p = period."""
-    count, p = rows.shape
-    return rows if p == period else rows[:, None, :].repeat(period // p, axis=1).reshape(count, period)
+    """(..., p) rows repeated along their last axis to (..., period), p dividing
+    period; the rows themselves when p = period."""
+    *lead, p = rows.shape
+    return rows if p == period else rows[..., None, :].repeat(period // p, axis=-2).reshape(*lead, period)
 
 
 def character_block(m: GeneratorSequence, resolution: int, indices) -> np.ndarray:
@@ -316,30 +323,35 @@ def _coarse_rank(m: GeneratorSequence, resolution: int, stop: int) -> int:
     return max([rank] + [k + 1 for k in range(rank, resolution) if not _delta_is_exact(m.radix(k))])
 
 
-def _truncated_inverse(coeffs: np.ndarray, m: GeneratorSequence, resolution: int, stop: int) -> GridFunction:
+def _coarse_synthesis(coeffs: np.ndarray, m: GeneratorSequence, resolution: int, stop: int) -> GridFunction:
     """``inverse`` of spectra that are 0 from column ``stop`` on, such as
-    partial sums, synthesized on the coarse grid of rank r = ``_coarse_rank``.
+    partial sums, as a function on the coarse grid of rank r = ``_coarse_rank``:
+    its M_r values repeated M_N / M_r times are the values on the rank-N grid.
 
     Every psi_n with n < M_r depends on the first r digits alone, so past
     pass r - 1 the full passes see, in each fiber, one value v and zeros.
     Each such pass returns v times its scale, 1.0 / m_k on each float64
     component (0.5 for radix 2), and turns the all-zero fibers into zeros.
     So the r passes over the first M_r columns, then those scales in pass
-    order and the factor M_N, give every value of the full passes, repeated
-    M_N / M_r times; only the sign of an exact zero may differ.  At r = N
-    this is ``inverse`` itself.  ``coeffs`` needs only its first M_r columns.
+    order and the factor M_N, give every value of the full passes at any
+    rank r' >= r; only the sign of an exact zero may differ, and every exact
+    zero is written as +0.0 (-0.0 + 0.0 is +0.0, every other value stays).
+    At r = N this is ``inverse`` itself.  ``coeffs`` needs only its first
+    M_r columns.
     """
     rank = _coarse_rank(m, resolution, stop)
     if rank == resolution:
-        return inverse(SpectralVector(m, resolution, coeffs))
-    low, size = m.base(rank), m.size(resolution)
-    # a copy: at rank 0 the passes hand back the columns of coeffs itself
-    parts = _digit_passes(coeffs[..., :low], m, rank, True).view(np.float64).copy()
-    for mk in m.radices(resolution)[rank:]:
-        parts *= 1.0 / mk
-    values = parts.view(np.complex128)
-    values *= size
-    return GridFunction(m, resolution, _widen(values.reshape(-1, low), size).reshape(*coeffs.shape[:-1], size))
+        values = inverse(SpectralVector(m, resolution, coeffs)).values
+    else:
+        # a copy: at rank 0 the passes hand back the columns of coeffs itself
+        parts = _digit_passes(coeffs[..., : m.base(rank)], m, rank, True).view(np.float64).copy()
+        for mk in m.radices(resolution)[rank:]:
+            parts *= 1.0 / mk
+        values = parts.view(np.complex128)
+        values *= m.size(resolution)
+    parts = values.view(np.float64)
+    parts += 0.0
+    return GridFunction(m, rank, values)
 
 
 def forward_naive(f: GridFunction, block: int = _NAIVE_BLOCK) -> SpectralVector:
@@ -609,36 +621,34 @@ def dirichlet_kernel_blocks(m: GeneratorSequence, resolution: int, limit: int):
     yield from cumulative_rows(m, resolution, limit)
 
 
+def _coarse_partial_sums(sv: SpectralVector, orders: np.ndarray) -> GridFunction:
+    """S_n f for each n of the checked 1-D int64 ``orders``, one row each, on
+    the coarse grid of the largest order: one ``_coarse_synthesis`` of the
+    first M_r coefficients repeated and truncated in place."""
+    m, resolution = sv.generators, sv.resolution
+    stop = int(orders.max(initial=0))
+    coeffs = np.repeat(sv.coeffs[None, : m.base(_coarse_rank(m, resolution, stop))], orders.size, axis=0)
+    for row, order in zip(coeffs, orders.tolist()):
+        row[order:] = 0.0
+    return _coarse_synthesis(coeffs, m, resolution, stop)
+
+
 def partial_sum(f: GridFunction | SpectralVector, n) -> GridFunction:
     """S_n f by spectral truncation (the fast path).
 
     ``f`` is the function or its spectrum ``forward(f)``; a sweep over many n
     for one f transforms it once and truncates that spectrum each time.
     ``n`` is one order or a 1-D sequence of orders.  For a sequence the
-    result holds one row per order.  The rows go in one batched synthesis
-    per coarse rank r among the orders (see ``_truncated_inverse``), each
-    row the first M_r coefficients repeated and truncated in place, so each
-    row is bitwise the lone ``partial_sum(f, n)``, which is the same code on
-    one row.  A batch of functions is refused.
+    result holds one row per order.  All rows go in one synthesis, on the
+    coarse grid of rank r of the largest order (see ``_coarse_synthesis``),
+    and are widened to M_N only here.  Every exact zero is +0.0, so each
+    row, S_0 f included, is bitwise the lone ``partial_sum(f, n)``, which is
+    the same code on one row.  A batch of functions is refused.
     """
     _lone(f.coeffs if isinstance(f, SpectralVector) else f.values, "partial_sum")
-    m, resolution = f.generators, f.resolution
     orders = _integers(n, "partial sum order", 0, f.size, ndim=1)
-    rows = orders.reshape(-1)
-    sv = f if isinstance(f, SpectralVector) else forward(f)
-    groups: dict[int, list[int]] = {}
-    for i, order in enumerate(rows.tolist()):
-        groups.setdefault(_coarse_rank(m, resolution, order), []).append(i)
-    sums = np.empty((rows.size, f.size), np.complex128)
-    for rank, group in groups.items():
-        coeffs = np.repeat(sv.coeffs[None, : m.base(rank)], len(group), axis=0)
-        for row, order in zip(coeffs, rows[group].tolist()):
-            row[order:] = 0.0
-        sums[group] = _truncated_inverse(coeffs, m, resolution, int(rows[group].max())).values
-    # S_0 f is the zero function: +0.0 on every cell, whatever sign of zero
-    # the passes leave on a zero row.
-    sums[rows == 0] = 0.0
-    return GridFunction(m, resolution, sums.reshape(orders.shape + (f.size,)))
+    sums = _coarse_partial_sums(f if isinstance(f, SpectralVector) else forward(f), orders.reshape(-1))
+    return GridFunction(f.generators, f.resolution, _widen(sums.values, f.size).reshape(orders.shape + (f.size,)))
 
 
 def partial_sum_convolution(f: GridFunction, n: int) -> GridFunction:
@@ -706,7 +716,27 @@ def coarse_sums(f: GridFunction) -> list[np.ndarray]:
     coset of grid index i, so ``np.tile(level, M_N // M_k)`` is
     ``conditional_expectation(f, k)`` bitwise.
     """
-    return [_coset_means(f.values, m_k) for m_k in f.generators.scaled_bases(f.resolution)]
+    return _levels(f.values, f.generators, f.resolution)
+
+
+def _levels(values: np.ndarray, m: GeneratorSequence, resolution: int) -> list[np.ndarray]:
+    """The martingale levels on the rank-N grid of the rows ``values`` repeated
+    to M_N, their period P = values.shape[-1] a scaled base M_r.
+
+    Level k < r is the coset means of the repeated rows, as in ``coarse_sums``.
+    From rank r on, each lane's R = M_N / M_k cosets all hold one value, so
+    level k repeats with period P: it is the coset means of the first R P
+    points on P lanes, the same R sums from +0 and the same scale 1.0 / R,
+    kept on P lanes.  P is raised to M_1 first, so only level 0 takes the
+    pairwise sum along the row.  At P = M_N these are ``coarse_sums``.
+    """
+    bases = m.scaled_bases(resolution)
+    size, period = bases[-1], max(values.shape[-1], bases[min(1, resolution)])
+    wide = _widen(values, size)
+    return [
+        _coset_means(wide, m_k) if m_k <= period else _coset_means(wide[..., : size // m_k * period], period)
+        for m_k in bases
+    ]
 
 
 def dirichlet_average(m: GeneratorSequence, n, rank: int, resolution: int) -> GridFunction:

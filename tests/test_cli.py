@@ -193,6 +193,18 @@ class TestAtomCommand:
         assert run([*argv, "--validate", tmp_path / "atom_p0.5_rank2.csv"]) == 0
         assert "valid p-atom" in capsys.readouterr().out
 
+    def test_validate_reads_the_grid_from_the_file(self, tmp_path, capsys):
+        # --m and --N are not read with --validate: a negative N or another
+        # sequence does not refuse the file's own grid
+        argv = ["atom", "--m", "2^", "--p", 0.5, "--rank", 2, "--N", 6]
+        assert run([*argv, "--out", tmp_path]) == 0
+        written = tmp_path / "atom_p0.5_rank2.csv"
+        for grid in (["--N", -1], ["--m", "3^", "--N", 2]):
+            assert run(["atom", "--p", 0.5, "--rank", 2, *grid, "--validate", written]) == 0
+            assert "valid p-atom" in capsys.readouterr().out
+        help_text = cli.build_parser()[1]["atom"].format_help()
+        assert "--m and --N are ignored" in " ".join(help_text.split())
+
     @pytest.mark.parametrize("suffix", [".csv", ".bin"])
     def test_validate_refuses_a_spectral_file(self, tmp_path, capsys, suffix):
         sv = forward(grid_function(WALSH, 3, [1.0, -1.0, 0, 0, 0, 0, 0, 0]))

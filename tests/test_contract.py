@@ -30,7 +30,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from shared import FAMILIES, TRIADIC, batches, public_functions
+from shared import FAMILIES, TRIADIC, batches, bits, public_functions
 from vilenkin import experiments, group, martingale, norms, transform
 from vilenkin.group import QUADRATIC_SIZE_CAP, SCAN_SIZE_CAP, SIZE_CAP, WALSH, GroupPoint
 from vilenkin.transform import GridFunction, SpectralVector
@@ -264,6 +264,27 @@ def test_lone_only_refuses_a_batch(op, rows):
     values = np.random.default_rng(rows).standard_normal((rows, 16)) + 0j
     with pytest.raises(ValueError, match="takes one function, not a batch"):
         op.call(GridFunction(WALSH, 4, values))
+
+
+@pytest.mark.parametrize("m, resolution", [(WALSH, 5), (TRIADIC, 3)], ids=["2^", "3^"])
+def test_partial_sum_rows_are_lone_calls_to_the_sign_of_zero(m, resolution):
+    # S_6 psi_6 = 0 exactly, psi_6 given by its spectrum: 1 at 6 and -0.0
+    # everywhere else, as a file may hold it.  Alone, S_6 is synthesized on
+    # its own coarse grid (rank 3 on `2^`, 2 on `3^`); beside the order 9 or
+    # M_N, on a higher rank, whose passes leave its zeros other signs.  Every
+    # row is its lone call, bit for bit, and every exact zero is +0.0.
+    size = m.size(resolution)
+    coeffs = np.full(size, complex(-0.0, -0.0))
+    coeffs[6] = 1.0
+    psi = SpectralVector(m, resolution, coeffs)
+    for source in (psi, transform.inverse(psi)):
+        orders = [6, 9, size, 0, 6]
+        rows = transform.partial_sum(source, orders).values
+        assert not rows[0].any()
+        for row, n in zip(rows, orders):
+            assert np.array_equal(bits(row), bits(transform.partial_sum(source, n).values)), n
+        parts = rows.view(np.float64)
+        assert not np.signbit(parts[parts == 0]).any()
 
 
 # Parameters named like an integer index that take VIndex expansions instead

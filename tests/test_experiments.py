@@ -22,9 +22,10 @@ from vilenkin.experiments import (
     supp_measure_scan,
 )
 from vilenkin.martingale import build_counterexample, default_alphas, random_atom
-from vilenkin.norms import hardy_norm, modulus_hp, weak_lp
+from vilenkin.norms import _coarse_hardy, hardy_norm, modulus_hp, weak_lp
 from vilenkin.transform import (
-    _truncated_inverse,
+    _coarse_rank,
+    _coarse_synthesis,
     constant,
     dirichlet_average,
     dirichlet_closed,
@@ -171,21 +172,24 @@ class TestBatchedPool:
     def test_one_inverse_pass_and_norm_call_per_index(self, monkeypatch):
         passes, norm_calls = [], []
 
-        def counted_inverse(coeffs, m, resolution, stop):
+        def counted_synthesis(coeffs, m, resolution, stop):
             passes.append(coeffs.shape)
-            return _truncated_inverse(coeffs, m, resolution, stop)
+            return _coarse_synthesis(coeffs, m, resolution, stop)
 
-        def counted_norm(f, p):
+        def counted_norm(f, resolution, p):
             norm_calls.append(f.values.shape)
-            return hardy_norm(f, p)
+            return _coarse_hardy(f, resolution, p)
 
-        monkeypatch.setattr(experiments, "_truncated_inverse", counted_inverse)
-        monkeypatch.setattr(experiments, "hardy_norm", counted_norm)
+        monkeypatch.setattr(experiments, "_coarse_synthesis", counted_synthesis)
+        monkeypatch.setattr(experiments, "_coarse_hardy", counted_norm)
         result = boundedness_scan(0.5, "Mn_plus_Mn-1", WALSH, 7, trials=4, seed=3)
         indices = [pt["n"] for pt in result.points]
         assert len(indices) == 6
         assert passes == [(5, 128)] * len(indices)
-        assert norm_calls == [(5, 128)] * (len(indices) + 1)  # the denominators, then one per index
+        # the denominators on the full grid, then one per index, largest n
+        # first, on the coarse grid of that n
+        coarse = [(5, WALSH.base(_coarse_rank(WALSH, 7, n))) for n in sorted(indices, reverse=True)]
+        assert norm_calls == [(5, 128)] + coarse
 
 
 def _hex(values) -> list[str]:
@@ -228,17 +232,21 @@ class TestBatchedScans:
         assert _hex(pt["weak_norm"] for pt in result.points) == _hex(lone)
 
     def test_batches_stay_within_the_row_cap(self, monkeypatch):
+        # the modulus scan takes public partial sums and norms, the divergence
+        # scan coarse partial sums and the boundedness pool coarse norms
         rows = {"partial_sum": [], "hardy_norm": []}
+        kinds = {"partial_sum": "partial_sum", "_coarse_partial_sums": "partial_sum",
+                 "hardy_norm": "hardy_norm", "_coarse_hardy": "hardy_norm"}
 
-        def counted(name, fn):
+        def counted(kind, fn):
             def wrapper(f, *args):
-                rows[name].append(f.values.shape[0] if name == "hardy_norm" else len(args[0]))
+                rows[kind].append(f.values.shape[0] if kind == "hardy_norm" else len(args[0]))
                 return fn(f, *args)
 
             return wrapper
 
-        for name in rows:
-            monkeypatch.setattr(experiments, name, counted(name, getattr(experiments, name)))
+        for name, kind in kinds.items():
+            monkeypatch.setattr(experiments, name, counted(kind, getattr(experiments, name)))
         resolution = 13
         cap = max(1, experiments._BATCH_POINTS // 2**resolution)
         assert cap == 4

@@ -558,6 +558,50 @@ def _source(draw, m, resolution):
     return SpectralVector(m, resolution, f.values) if draw(st.booleans()) else f
 
 
+P_COARSE = (0.3, 0.5, 2 / 3)
+
+
+def _coarse_orders(m, resolution) -> list[int]:
+    """M_k, M_k + 1, M_{k+1} - 1 and M_k + M_{k-1}, those in 0..M_N."""
+    bases = m.scaled_bases(resolution)
+    orders = {n for base in bases for n in (base, base + 1)} | {base - 1 for base in bases[1:]}
+    orders |= {high + low for low, high in zip(bases, bases[1:])}
+    return sorted(n for n in orders if n <= bases[-1])
+
+
+def _partial_sum_block(m, resolution, orders, seed, lone=False):
+    """(S_n f for the ``orders`` as ``_coarse_partial_sums`` gives them, on the
+    coarse grid of the largest order; N), f random: one row alone if ``lone``."""
+    spectrum = transform.forward(random_grid(m, resolution, seed))
+    block = transform._coarse_partial_sums(spectrum, np.asarray(orders, dtype=np.int64))
+    return GridFunction(m, block.resolution, block.values[0] if lone else block.values), resolution
+
+
+def _coarse_block(draw, m, resolution):
+    orders = draw(st.lists(st.sampled_from(_coarse_orders(m, resolution)), min_size=1, max_size=4))
+    return _partial_sum_block(m, resolution, orders, draw(st.integers(0, 2**32 - 1)), draw(st.booleans()))
+
+
+def _widened(f, resolution):
+    """The rows of f, a function on a grid of rank r <= N, repeated onto the rank-N grid."""
+    return GridFunction(f.generators, resolution, np.tile(f.values, f.generators.size(resolution) // f.size))
+
+
+def _coarse_fstar(f, resolution):
+    """f* of f's rows on the rank-N grid from its levels on P lanes, repeated to M_N."""
+    fstar = norms._fstar(transform._levels(f.values, f.generators, resolution))
+    return np.tile(fstar, f.generators.size(resolution) // fstar.shape[-1])
+
+
+def _coarse_weak(f, resolution):
+    return [norms.weak_lp(GridFunction(f.generators, f.resolution, row), p) for row in f.values.reshape(-1, f.size)
+            for p in P_COARSE]
+
+
+def _widened_weak(f, resolution):
+    return _coarse_weak(_widened(f, resolution), resolution)
+
+
 def _weights(draw, m, resolution):
     return random_values(_rng(draw), m.size(resolution)) if draw(st.booleans()) else None
 
@@ -764,6 +808,14 @@ ORACLES = [
            Abs(1e-9), lambda d, m, N: (_function(d, m, N), d(st.integers(0, N))), name="convolution"),
     Oracle(transform.coarse_sums, lambda f: _literal_levels(f.values, f.generators, f.resolution), BITWISE,
            lambda d, m, N: (_function(d, m, N),), extra=(97,), size=1024, examples=15),
+    # partial sums on their coarse grid: f*, H_p and weak-L_p against the rows repeated to M_N
+    Oracle(norms._fstar, lambda f, N: norms.maximal_function(_widened(f, N)).values.real, BITWISE, _coarse_block,
+           call=_coarse_fstar, name="coarse", extra=(89,), size=1024, examples=15),
+    Oracle(norms._coarse_hardy, lambda f, N: [norms.hardy_norm(_widened(f, N), p) for p in P_COARSE], BITWISE,
+           _coarse_block, call=lambda f, N: [norms._coarse_hardy(f, N, p) for p in P_COARSE], extra=(89,),
+           size=1024, examples=15),
+    Oracle(norms.weak_lp, _widened_weak, BITWISE, _coarse_block, call=_coarse_weak, name="coarse", extra=(89,),
+           size=1024, examples=15),
     # CSV files
     Oracle(transform.write_csv_rows, _literal_csv_rows, BITWISE, lambda d, m, N: (_csv_cells(d, m.size(N)),),
            call=lambda data: _text(transform.write_csv_rows, data)),
@@ -1048,8 +1100,19 @@ def _grid_id(v):
     return getattr(v, "format", lambda: str(v))()
 
 
+def _full_passes(coeffs, m, resolution, stop):
+    """The full inverse passes in place of ``_coarse_synthesis``: S_n f on the rank-N grid."""
+    return transform.inverse(SpectralVector(m, resolution, coeffs))
+
+
+def _public_norm(f, resolution, p):
+    """The public ``hardy_norm`` in place of ``_coarse_hardy``, for f on the rank-N grid."""
+    assert f.resolution == resolution
+    return norms.hardy_norm(f, p)
+
+
 class TestPrefixSynthesis:
-    """``_truncated_inverse`` reads the first M_r columns of a spectrum that
+    """``_coarse_synthesis`` reads the first M_r columns of a spectrum that
     is 0 from ``stop`` on and synthesizes it on the rank-r grid."""
 
     # 89 is a Bluestein length of pocketfft: its delta fibers do not come out
@@ -1062,9 +1125,9 @@ class TestPrefixSynthesis:
     @pytest.mark.parametrize("rows", [(), (3,)], ids=["lone", "batch"])
     @pytest.mark.parametrize("view", [False, True], ids=["c-order", "column-view"])
     def test_truncated_spectrum_is_fftn_up_to_signed_zeros(self, m, resolution, rows, view):
-        # The coarse path repeats values where pocketfft would set the sign
-        # of each exact zero itself, so only that sign may differ; plain
-        # normals below the stop keep every bit.
+        # The coarse path writes +0.0 where pocketfft would set the sign of
+        # each exact zero itself, so only that sign may differ; plain normals
+        # below the stop keep every bit.
         size = m.size(resolution)
         rng = np.random.default_rng(size)
         for stop in sorted({0, 1, size} | {b + d for b in m.scaled_bases(resolution)[1:-1] for d in (-1, 0, 1)}):
@@ -1083,11 +1146,24 @@ class TestPrefixSynthesis:
                 if given_stop is None:
                     got = transform.inverse(SpectralVector(m, resolution, values)).values
                 else:
-                    got = transform._truncated_inverse(values, m, resolution, given_stop).values
+                    coarse = transform._coarse_synthesis(values, m, resolution, given_stop)
+                    assert coarse.resolution == transform._coarse_rank(m, resolution, given_stop)
+                    got = transform._widen(coarse.values, size)
                 got = got.reshape(-1, size)
                 assert np.array_equal(got, want), stop
                 differ = bits(got) != bits(want)
                 assert not (differ.any() if bitwise else got.view(np.float64)[differ].any()), stop
+
+    @pytest.mark.parametrize("row", [row for row in ORACLES if _coarse_block in (row.args,)], ids=_row_id)
+    @pytest.mark.parametrize("resolution", [1, 2, 4, 6])
+    def test_coarse_rows_on_a_bluestein_grid(self, row, resolution):
+        # 89 is a Bluestein length of pocketfft, so the coarse rank is raised
+        # past it: every block has a period of at least M_1 = 89 lanes
+        m = GeneratorSequence.parse("89,2")
+        for seed, order in enumerate(_coarse_orders(m, resolution)):
+            for orders in ([order], [order, 1, m.size(resolution)]):
+                args = _partial_sum_block(m, resolution, orders, seed, lone=len(orders) == 1)
+                _assert_same(_plain(row.call(*args)), _plain(row.literal(*args)), row.tol)
 
     def test_rank_is_raised_past_a_bluestein_radix(self):
         assert not transform._delta_is_exact(89)
@@ -1109,9 +1185,10 @@ class TestPrefixSynthesis:
 
         monkeypatch.setattr(np.fft, "ifft", counted)
         sums = transform.partial_sum(spectrum, orders).values
-        # r passes of M_r values per row, where the full passes take N M_N
-        ranks = [transform._coarse_rank(m, resolution, n) for n in orders]
-        assert sum(points) <= sum(r * m.base(r) for r in ranks) < len(orders) * resolution * size
+        # one synthesis at the largest order's rank r: r passes of M_r values
+        # per row, where the full passes take N M_N
+        top = transform._coarse_rank(m, resolution, max(orders))
+        assert sum(points) <= len(orders) * top * m.base(top) < len(orders) * resolution * size
         for row, n in zip(sums, orders):
             truncated = spectrum.coeffs.copy()
             truncated[n:] = 0.0
@@ -1128,13 +1205,13 @@ class TestPrefixSynthesis:
                 points.append(np.size(a))
                 return _ifft(a, *args, **kwargs)
 
-            def recorded_norm(f, p, _norm=experiments.hardy_norm):
-                norms.append(_norm(f, p))
+            def recorded_norm(f, resolution, p, _norm=experiments._coarse_hardy):
+                norms.append(_norm(f, resolution, p))
                 return norms[-1]
 
             with monkeypatch.context() as patch:
                 patch.setattr(np.fft, "ifft", counted_ifft)
-                patch.setattr(experiments, "hardy_norm", recorded_norm)
+                patch.setattr(experiments, "_coarse_hardy", recorded_norm)
                 result = experiments.boundedness_scan(0.5, "Mn_plus_Mn-1", m, resolution, trials=4, seed=3)
             return result, sum(points), np.concatenate(norms)
 
@@ -1145,14 +1222,22 @@ class TestPrefixSynthesis:
         # r passes of M_r values per row and index, where the full passes take N M_N
         assert read <= rows * sum(r * m.base(r) for r in ranks) < rows * len(orders) * resolution * size
 
-        def full_passes(coeffs, m, resolution, stop):
-            return transform.inverse(SpectralVector(m, resolution, coeffs))
-
-        monkeypatch.setattr(experiments, "_truncated_inverse", full_passes)
+        # the full passes and the norm on the full grid: the rank-N case of both helpers
+        monkeypatch.setattr(experiments, "_coarse_synthesis", _full_passes)
         full, read_full, norms_full = scan()
         assert read_full == rows * len(orders) * resolution * size
         assert np.array_equal(norms.view(np.uint64), norms_full.view(np.uint64))
         assert result.to_json() == full.to_json()
+
+    @pytest.mark.parametrize("variant, p", [("Mn", 0.3), ("Mn_plus_Mn-1", 0.5), ("rho_bounded", 2 / 3)])
+    def test_boundedness_at_the_scan_cap_is_full_passes_and_public_norms(self, monkeypatch, variant, p):
+        # 2^14: the largest grid a scan takes, each S_n f normed on P lanes
+        # from its rank up, against the full passes and the public hardy_norm
+        # on the M_N-point rows
+        result = experiments.boundedness_scan(p, variant, WALSH, 14, trials=3, seed=5).to_json()
+        monkeypatch.setattr(experiments, "_coarse_synthesis", _full_passes)
+        monkeypatch.setattr(experiments, "_coarse_hardy", _public_norm)
+        assert result == experiments.boundedness_scan(p, variant, WALSH, 14, trials=3, seed=5).to_json()
 
 
 def _assert_rows_bit_identical(m, resolution, limit, weights, block):
