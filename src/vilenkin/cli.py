@@ -138,12 +138,18 @@ def _read_function(path: Path, read_csv, read_binary):
 
 def _cmd_transform(args) -> int:
     src = Path(args.input)
-    if args.op == "forward":
-        result = forward(_read_function(src, read_grid_csv, read_grid_binary))
-        writer_csv, writer_bin = write_spectral_csv, write_spectral_binary
-    else:
-        result = inverse(_read_function(src, read_spectral_csv, read_spectral_binary))
-        writer_csv, writer_bin = write_grid_csv, write_grid_binary
+    # The readers refuse non-finite entries, but finite ones near the float
+    # limit can still overflow the transform: refused here, before the output
+    # is opened, since the readers would refuse what it wrote.
+    with np.errstate(over="ignore", invalid="ignore"):
+        if args.op == "forward":
+            result = forward(_read_function(src, read_grid_csv, read_grid_binary))
+            writer_csv, writer_bin, values = write_spectral_csv, write_spectral_binary, result.coeffs
+        else:
+            result = inverse(_read_function(src, read_spectral_csv, read_spectral_binary))
+            writer_csv, writer_bin, values = write_grid_csv, write_grid_binary, result.values
+    if not np.isfinite(values).all():
+        raise ValueError(f"the {args.op} transform of {src} overflows the float range")
     out = Path(args.output)
     if out.suffix == ".bin":
         with out.open("wb") as fh:
@@ -272,6 +278,8 @@ def _parse_phi(text: str | None):
     if tag == "constant":
         return ("constant", _parse_token(value, float, "--phi") if value else 1.0)
     if tag == "log":
+        if text != "log":
+            raise ValueError(f"--phi: log takes no value, not {text!r}")
         return ("log",)
     if tag == "power":
         return ("power", _parse_token(value, float, "--phi") if value else 0.5)

@@ -485,8 +485,11 @@ class TestInputErrors:
         "malformed_line": "0,1,0\n1,1\n2,1,0\n3,1,0\n",
         "malformed_cell": "0,1,0\n1,one,0\n2,1,0\n3,1,0\n",
         "non_finite_cell": "0,1,0\n1,nan,0\n2,1,0\n3,1,0\n",
+        # finite cells whose transform overflows: refused, not written as inf and nan
+        "overflowing_transform": "0,1e308,0\n1,-1e308,0\n2,1e308,0\n3,-1e308,0\n",
     }
 
+    @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("fault", sorted(CSV_FAULTS))
     def test_bad_csv_is_usage_error(self, tmp_path, capsys, fault):
         src = tmp_path / "f.csv"
@@ -495,6 +498,23 @@ class TestInputErrors:
         assert run(argv) == 2
         _single_error_line(capsys)
         assert not (tmp_path / "o.csv").exists()
+
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_inverse_is_usage_error(self, tmp_path, capsys):
+        # finite coefficients whose synthesis overflows on its x M_N
+        src, out = tmp_path / "fhat.csv", tmp_path / "o.bin"
+        src.write_text("# vilenkin spectral v1\n# m=2^\n# N=2\nindex,re,im\n0,0,0\n1,1e308,0\n2,0,0\n3,1e308,0\n")
+        assert run(["transform", "--op", "inverse", "--input", src, "--output", out]) == 2
+        assert "the inverse transform" in _single_error_line(capsys)
+        assert not out.exists()
+
+    def test_header_past_the_cap_is_usage_error(self, tmp_path, capsys):
+        # refused on the header's N = 21, before any row is parsed
+        src, out = tmp_path / "fhat.csv", tmp_path / "o.bin"
+        src.write_text("# vilenkin spectral v1\n# m=2^\n# N=21\nindex,re,im\n")
+        assert run(["transform", "--op", "inverse", "--input", src, "--output", out]) == 2
+        assert "size cap" in _single_error_line(capsys)
+        assert not out.exists()
 
     @staticmethod
     def _binary(values) -> bytes:
@@ -556,7 +576,8 @@ class TestInputErrors:
         "atom-base-at-M-rank": (["atom", "--N", 4, "--rank", 1, "--base", 2], "base index 2 is not an integer in 0..1"),
         "atom-ratio-N-3": (["scan", "--name", "atom_ratio", "--m", "3^", "--N", 3, "--trials", 1], "N > 3"),
         # a float power past the float range is named, not errno 34's "Numerical result out of range"
-        "atom-p-overflow": (["atom", "--p", 1e-300, "--N", 4], "the atom bound M_rank^(1/p) = 4^1e+300 overflows"),
+        "atom-p-overflow": (["atom", "--p", 1e-300, "--N", 4],
+                            "the atom bound M_rank^(1/p) = 4^1e+300 overflows the float range"),
         "counterexample-p-overflow": (["counterexample", "--p", 1e-3, "--N", 6],
                                       "the block level M_|a_k|^(1/p-1) = 4^999 overflows"),
         "atom-ratio-p-overflow": (["scan", "--name", "atom_ratio", "--p", 1e-300, "--N", 5, "--trials", 1],
@@ -565,9 +586,9 @@ class TestInputErrors:
                                    "the block level M_|a_k|^(1/p-1)"),
         "divergence-p-overflow": (["scan", "--name", "divergence", "--p", 1e-3, "--N", 8], "the spread rate"),
         "counterexample-phi-overflow": (["counterexample", "--N", 6, "--phi", "power:1e308"],
-                                        "the Phi power M_|n|^t = 2^1e+308 overflows"),
+                                        "the Phi power M_|n|^t = 2^1e+308 overflows the float range"),
         "divergence-phi-overflow": (["scan", "--name", "divergence", "--N", 6, "--phi", "power:400"],
-                                    "the Phi power M_|n|^t"),
+                                    "the Phi power M_|n|^t = 8^400 overflows the float range"),
         # a negative N is refused by name, not through a range or flag derived from it
         "supp-measure-N-negative": (["scan", "--name", "supp_measure", "--N", -1], "resolution must be nonnegative"),
         "boundedness-N-negative": (["scan", "--name", "boundedness", "--N", -1], "resolution must be nonnegative"),
@@ -576,19 +597,23 @@ class TestInputErrors:
         "boundedness-N-1": (["scan", "--name", "boundedness", "--N", 1], "function pool needs N >= 2"),
         "weighted-series-N-0": (["scan", "--name", "weighted_series", "--N", 0], "function pool needs N >= 2"),
         # the default ranges and alphas are empty below these N: refused by name, not by a derived value
-        "lebesgue-N-0": (["lebesgue", "--m", "2^", "--N", 0], "the Lebesgue table 1 <= n < M_N needs N >= 1"),
+        "lebesgue-N-0": (["lebesgue", "--m", "2^", "--N", 0], "the Lebesgue table 1 <= n < M_N needs N >= 1, not N = 0"),
         "lebesgue-N-0-from1": (["lebesgue", "--m", "2^", "--N", 0, "--convention", "from1"],
                                "the Lebesgue table 1 <= n < M_N needs N >= 1"),
         "lebesgue-N-0-limit-from1": (["lebesgue", "--m", "2^", "--N", 0, "--limit", 2, "--convention", "from1"],
-                                     "the Lebesgue table 1 <= n < M_N needs N >= 1"),
+                                     "the Lebesgue table 1 <= n < M_N needs N >= 1, not N = 0"),
         "atom-N-0-default-rank": (["atom", "--N", 0], "the default --rank 2 needs N >= 3, not N = 0; pass --rank"),
         "atom-N-1-default-rank": (["atom", "--N", 1], "the default --rank 2 needs N >= 3, not N = 1; pass --rank"),
         "kernel-average-N-2-default-rank": (["scan", "--name", "kernel_average", "--N", 2],
                                             "the default --rank 3 needs N >= 3, not N = 2; pass --rank"),
-        "counterexample-N-0": (["counterexample", "--N", 0], "the default alphas need N >= 2"),
-        "counterexample-N-1": (["counterexample", "--N", 1], "the default alphas need N >= 2"),
-        "modulus-N-0": (["scan", "--name", "modulus_convergence", "--N", 0], "the modulus scan needs N >= 2"),
-        "modulus-N-1": (["scan", "--name", "modulus_convergence", "--N", 1], "the modulus scan needs N >= 2"),
+        "counterexample-N-0": (["counterexample", "--N", 0],
+                               "the default alphas need N >= 2 for their first, M_1 + 1, not N = 0"),
+        "counterexample-N-1": (["counterexample", "--N", 1],
+                               "the default alphas need N >= 2 for their first, M_1 + 1, not N = 1"),
+        "modulus-N-0": (["scan", "--name", "modulus_convergence", "--N", 0],
+                        "the modulus scan needs N >= 2 for its first alpha, M_1 + 1, not N = 0"),
+        "modulus-N-1": (["scan", "--name", "modulus_convergence", "--N", 1],
+                        "the modulus scan needs N >= 2 for its first alpha, M_1 + 1, not N = 1"),
         "modulus-N-1-Mn-plus-1": (["scan", "--name", "modulus_convergence", "--N", 1, "--variant", "Mn_plus_1"],
                                   "the modulus scan needs N >= 2"),
         # a floor scan with no order |n| > <n> to check: its first is M_1 + 1
@@ -605,6 +630,10 @@ class TestInputErrors:
         "counterexample-phi-token": (["counterexample", "--N", 6, "--phi", "power:abc"], "--phi: 'abc' is not a number"),
         "divergence-phi-token": (["scan", "--name", "divergence", "--N", 8, "--phi", "constant:1,5"],
                                  "--phi: '1,5' is not a number"),
+        "counterexample-phi-log-value": (["counterexample", "--N", 6, "--phi", "log:3"],
+                                         "--phi: log takes no value, not 'log:3'"),
+        "divergence-phi-log-value": (["scan", "--name", "divergence", "--N", 8, "--phi", "log:3"],
+                                     "--phi: log takes no value, not 'log:3'"),
         # grids past a size cap, refused before any array of the grid exists
         "atom-N-46": (["atom", "--N", 46], f"M_N = {2**46} exceeds the size cap {2**20}"),
         "counterexample-N-46": (["counterexample", "--N", 46], f"M_N = {2**46} exceeds the size cap {2**20}"),

@@ -35,7 +35,7 @@ from shared import random_grid, random_values
 from vilenkin import experiments, group, martingale, norms, transform
 from vilenkin.group import WALSH, GeneratorSequence, GroupPoint, decompose, digit_table, digits_of
 from vilenkin.martingale import build_counterexample, default_alphas
-from vilenkin.transform import _CSV_BLOCK, GridFunction, SpectralVector, character_block, character_values, unit_roots
+from vilenkin.transform import _CSV_BLOCK, SIZE_CAP, GridFunction, SpectralVector, character_block, character_values, unit_roots
 
 BITWISE = None
 
@@ -1154,6 +1154,19 @@ class TestPrefixSynthesis:
                 differ = bits(got) != bits(want)
                 assert not (differ.any() if bitwise else got.view(np.float64)[differ].any()), stop
 
+    @pytest.mark.parametrize("m, resolution, rank, extra", [(WALSH, 20, 7, 1), (TRIADIC, 12, 5, 0)], ids=_grid_id)
+    def test_truncated_spectrum_at_the_size_cap(self, m, resolution, rank, extra):
+        # S_n at n = M_7 + 1 of a 2^ N=20 spectrum and at n = M_5 of a 3^
+        # N=12 one, synthesized on the rank-8 and rank-5 grids, is numpy's
+        # n-D inverse FFT over the digit cube byte for byte
+        size, stop = m.size(resolution), m.base(rank) + extra
+        rng = np.random.default_rng(20)
+        coeffs = np.zeros(size, np.complex128)
+        coeffs[:stop] = random_values(rng, stop)
+        assert transform._coarse_rank(m, resolution, stop) < resolution
+        got = transform.partial_sum(SpectralVector(m, resolution, coeffs), stop).values
+        assert np.array_equal(bits(got), bits(_fftn_reference(coeffs, m, resolution, True)))
+
     @pytest.mark.parametrize("row", [row for row in ORACLES if _coarse_block in (row.args,)], ids=_row_id)
     @pytest.mark.parametrize("resolution", [1, 2, 4, 6])
     def test_coarse_rows_on_a_bluestein_grid(self, row, resolution):
@@ -1332,6 +1345,17 @@ class TestCosetMeans:
         # The 1e308 row overflows its coarse sums: those levels take the / R path.
         assert not all(finite) if kind == "overflowing-row" else all(finite)
 
+    @pytest.mark.parametrize("resolution, lead", [(20, ()), (14, (4,))], ids=["lone-2^20", "batch-4x2^14"])
+    def test_levels_at_the_size_cap(self, resolution, lead):
+        # every level of a 2^20 function and of a (4, 2^14) batch is numpy's
+        # reduce over the cosets and its complex / R, byte for byte
+        values = random_values(np.random.default_rng(25), lead + (WALSH.size(resolution),))
+        levels = transform.coarse_sums(GridFunction(WALSH, resolution, values))
+        for k, level in enumerate(levels):
+            count = WALSH.size(resolution) // WALSH.base(k)
+            want = np.add.reduce(values.reshape(*lead, count, WALSH.base(k)), axis=-2) / count
+            assert np.array_equal(bits(level), bits(want)), k
+
 
 # Grids of 1, block - 1, block, block + 1 and 3 block + 5 rows (4096-row
 # blocks) over radix 2, radix 3 and mixed radices, plus 3^8 = 6561 rows.
@@ -1361,3 +1385,25 @@ class TestCsvRowBlocks:
         else:
             text = _text(transform.write_spectral_csv, SpectralVector(m, resolution, values))
         assert text == _literal_csv(kind, m, resolution, values)
+
+    def test_writer_at_the_size_cap(self):
+        # 2^20 rows against `%` strings of the same rows: exponents over
+        # +-300, near ties of the 12th digit (left to `%`), zeros, decade
+        # edges and the non-finite and subnormal cells
+        rng = np.random.default_rng(20)
+        cells = rng.standard_normal(2 * SIZE_CAP) * 10.0 ** rng.integers(-300, 300, 2 * SIZE_CAP)
+        ties = rng.choice(cells.size, 4096, replace=False)
+        digits, exps = rng.integers(10**11, 10**12, ties.size), rng.integers(-300, 290, ties.size)
+        cells[ties] = [float(f"{d}5e{x}") for d, x in zip(digits.tolist(), exps.tolist())]
+        special = [0.0, -0.0, np.nan, np.inf, -np.inf, 5e-324, -1e-300, 9.999999999995e-5, 999999999999.5, 1e12]
+        cells[rng.choice(cells.size, len(special) * 64, replace=False)] = np.repeat(special, 64)
+        data = cells.view(np.complex128)
+        buf = io.StringIO()
+        transform.write_csv_rows(buf, data)
+        text, start = buf.getvalue(), 0
+        rows = np.column_stack((np.arange(SIZE_CAP), data.real, data.imag))
+        for chunk in np.split(rows, 16):  # 16 strings of 2^16 rows, not one tuple of 3 M floats
+            expected = "%d,%.12g,%.12g\n" * len(chunk) % tuple(chunk.ravel().tolist())
+            assert text[start:start + len(expected)] == expected, int(chunk[0, 0])
+            start += len(expected)
+        assert start == len(text)
